@@ -13,6 +13,14 @@ gives the piecewise formulas in :func:`real_reserves`.
 
 All arithmetic is plain float64. Formula shapes are deliberately fixed (for
 example ``value = y + x * p``) so that results are reproducible bit-for-bit.
+
+The formulas live in flat helpers (:func:`flat_reserves`, :func:`flat_value`,
+:func:`flat_one_sided_liquidity`) that take plain floats and validate
+nothing, so the backtest kernel can call them on every bar. The dataclass
+functions (:func:`real_reserves`, :func:`position_value`,
+:func:`liquidity_one_sided`) validate their arguments and then call the same
+helpers. A flat position is the list
+``[lower, upper, liquidity, sqrt(lower), sqrt(upper)]``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,15 @@ def _require_finite_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def check_range(lower: float, upper: float) -> None:
+    """Raise ValueError unless 0 < lower < upper, both finite."""
+    _require_finite_positive(lower, "lower")
+    if not math.isfinite(upper):
+        raise ValueError(f"upper must be finite, got {upper!r}")
+    if upper <= lower:
+        raise ValueError(f"upper must exceed lower, got [{lower!r}, {upper!r}]")
+
+
 @dataclass(frozen=True)
 class PriceRange:
     """A price interval [lower, upper] with 0 < lower < upper, both finite."""
@@ -41,13 +58,7 @@ class PriceRange:
     upper: float
 
     def __post_init__(self) -> None:
-        _require_finite_positive(self.lower, "lower")
-        if not math.isfinite(self.upper):
-            raise ValueError(f"upper must be finite, got {self.upper!r}")
-        if self.upper <= self.lower:
-            raise ValueError(
-                f"upper must exceed lower, got [{self.lower!r}, {self.upper!r}]"
-            )
+        check_range(self.lower, self.upper)
 
     def contains(self, price: float) -> bool:
         return self.lower <= price <= self.upper
@@ -159,33 +170,63 @@ def symmetric_range(price: float, a: float) -> PriceRange:
     return PriceRange(price / (1.0 + a), price * (1.0 + a))
 
 
-def real_reserves(liquidity: float, price_range: PriceRange, price: float) -> TokenAmounts:
-    """Real token amounts held by a position at the given pool price.
+def flat_position(lower: float, upper: float, liquidity: float) -> list[float]:
+    """``[lower, upper, liquidity, sqrt(lower), sqrt(upper)]``; no validation."""
+    return [lower, upper, liquidity, math.sqrt(lower), math.sqrt(upper)]
+
+
+def flat_reserves(position: list[float], price: float, sqrt_price: float) -> tuple[float, float]:
+    """Real ``(x, y)`` of a flat position at ``price``; ``sqrt_price`` is its root.
 
     Inside the range both tokens are held; below the range the position is
     entirely base token, above it entirely quote token. The boundary points
     use the in-range branch; both branches agree there.
     """
+    lower, upper, liquidity, sqrt_lower, sqrt_upper = position
+    if price < lower:
+        return liquidity * (1.0 / sqrt_lower - 1.0 / sqrt_upper), 0.0
+    if price > upper:
+        return 0.0, liquidity * (sqrt_upper - sqrt_lower)
+    return (
+        liquidity * (1.0 / sqrt_price - 1.0 / sqrt_upper),
+        liquidity * (sqrt_price - sqrt_lower),
+    )
+
+
+def flat_value(position: list[float], price: float, sqrt_price: float) -> float:
+    """Mark-to-market value of a flat position in quote-token units: y + x * p."""
+    x, y = flat_reserves(position, price, sqrt_price)
+    return y + x * price
+
+
+def flat_one_sided_liquidity(x: float, y: float, sqrt_lower: float, sqrt_upper: float) -> float:
+    """Liquidity minted by non-negative amounts of which at most one is non-zero.
+
+    Quote tokens fill a range at or below the price, base tokens one at or
+    above it; nothing mints nothing. No validation.
+    """
+    if y > 0.0:
+        return y / (sqrt_upper - sqrt_lower)
+    if x > 0.0:
+        return x / (1.0 / sqrt_lower - 1.0 / sqrt_upper)
+    return 0.0
+
+
+def real_reserves(liquidity: float, price_range: PriceRange, price: float) -> TokenAmounts:
+    """Real token amounts held by a position at the given pool price."""
     _validate_liquidity(liquidity)
     _require_finite_positive(price, "price")
-    sqrt_lower = math.sqrt(price_range.lower)
-    sqrt_upper = math.sqrt(price_range.upper)
-    if price < price_range.lower:
-        x = liquidity * (1.0 / sqrt_lower - 1.0 / sqrt_upper)
-        return TokenAmounts(x=x, y=0.0)
-    if price > price_range.upper:
-        y = liquidity * (sqrt_upper - sqrt_lower)
-        return TokenAmounts(x=0.0, y=y)
-    sqrt_price = math.sqrt(price)
-    x = liquidity * (1.0 / sqrt_price - 1.0 / sqrt_upper)
-    y = liquidity * (sqrt_price - sqrt_lower)
+    position = flat_position(price_range.lower, price_range.upper, liquidity)
+    x, y = flat_reserves(position, price, math.sqrt(price))
     return TokenAmounts(x=x, y=y)
 
 
 def position_value(liquidity: float, price_range: PriceRange, price: float) -> float:
     """Mark-to-market value of a position in quote-token units: y + x * p."""
-    amounts = real_reserves(liquidity, price_range, price)
-    return amounts.y + amounts.x * price
+    _validate_liquidity(liquidity)
+    _require_finite_positive(price, "price")
+    position = flat_position(price_range.lower, price_range.upper, liquidity)
+    return flat_value(position, price, math.sqrt(price))
 
 
 def virtual_reserves(liquidity: float, price: float) -> VirtualReserves:
@@ -239,21 +280,13 @@ def liquidity_one_sided(price_range: PriceRange, deposit: TokenAmounts, price: f
     _require_finite_positive(price, "price")
     if deposit.x > 0.0 and deposit.y > 0.0:
         raise ValueError("one-sided deposit cannot contain both tokens")
-    if deposit.x == 0.0 and deposit.y == 0.0:
-        return 0.0
-    sqrt_lower = math.sqrt(price_range.lower)
-    sqrt_upper = math.sqrt(price_range.upper)
-    if deposit.y > 0.0:
-        if price < price_range.upper:
-            raise ValueError(
-                "quote-token deposit needs a range at or below the current price"
-            )
-        return deposit.y / (sqrt_upper - sqrt_lower)
-    if price > price_range.lower:
-        raise ValueError(
-            "base-token deposit needs a range at or above the current price"
-        )
-    return deposit.x / (1.0 / sqrt_lower - 1.0 / sqrt_upper)
+    if deposit.y > 0.0 and price < price_range.upper:
+        raise ValueError("quote-token deposit needs a range at or below the current price")
+    if deposit.x > 0.0 and price > price_range.lower:
+        raise ValueError("base-token deposit needs a range at or above the current price")
+    return flat_one_sided_liquidity(
+        deposit.x, deposit.y, math.sqrt(price_range.lower), math.sqrt(price_range.upper)
+    )
 
 
 def _validate_liquidity(liquidity: float) -> None:

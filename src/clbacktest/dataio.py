@@ -20,7 +20,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .clmath import PairProfile
 from .engine import HourlyBar
@@ -155,11 +155,22 @@ def average_daily_return(
 
 
 def _bar_date(bar: HourlyBar) -> dt.date:
-    return dt.datetime.fromtimestamp(bar.timestamp, tz=dt.timezone.utc).date()
+    try:
+        return dt.datetime.fromtimestamp(bar.timestamp, tz=dt.timezone.utc).date()
+    except (OverflowError, OSError, ValueError):
+        raise DataError(f"timestamp {bar.timestamp} has no UTC calendar date") from None
 
 
 def _read_rows(handle: Iterable[str], label: str) -> tuple[HourlyBar, ...]:
-    reader = csv.reader(handle)
+    try:
+        return _parse_rows(csv.reader(handle), label)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{label}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{label}: malformed CSV: {exc}") from None
+
+
+def _parse_rows(reader: Iterator[list[str]], label: str) -> tuple[HourlyBar, ...]:
     try:
         header = next(reader)
     except StopIteration:

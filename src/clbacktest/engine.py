@@ -16,6 +16,34 @@ mark-to-market of the non-compounding ledger, fee cash excluded), and
 ``total`` (final value of the compounding ledger including the last bar's
 fee). "Final" means at the last bar's close, before any same-bar reset; that
 matches the last trajectory row, and a reset conserves value anyway.
+
+Kernel layout. :func:`run_backtest` validates the bar sequence once (it must
+be non-empty and strictly increasing in time), then copies it into local
+columns: ``price``, ``sqrt(price)``, ``volume * fee_rate`` and
+``pool_liquidity``. The initial state comes from
+:func:`~clbacktest.strategies.initialize`, so snapping and the closed-form
+deposit live in one place. Each ledger is then plain floats: flat positions
+``[lower, upper, L, sqrt(lower), sqrt(upper)]`` (mutable lists; compounding
+scales ``L`` in place), full-range liquidity and loose token amounts. A reset
+strategy's trigger interval is two floats shared by both ledgers, which see
+the same prices and so reset on the same bars. Every bar calls the same flat
+helpers as the dataclass API (``mark_ledger``, ``reset_bounds``,
+``redeposit`` in :mod:`~clbacktest.strategies`, which call ``flat_reserves``,
+``flat_value`` and ``flat_one_sided_liquidity`` in :mod:`~clbacktest.clmath`).
+
+Bit-identity rule. Every expression is evaluated in the order of the
+dataclass API and on the same operands: a column entry or a hoisted square
+root is the same IEEE operation on the same inputs as computing it in place
+(``volume * fee_rate * L / pool_liquidity`` is evaluated left to right either
+way). Changing the order or the operands of any sum or product changes the
+published numbers; the golden tests in ``tests/test_golden.py`` catch it.
+The two ledgers stay separate: the compounding one cannot be derived from
+the plain one bit for bit.
+
+Bars are validated where they are built (:class:`HourlyBar`), not per bar in
+the kernel. A value that overflows the ledger (an infinite fee or scaled
+liquidity), or a range bound beyond float or tick range, raises DataError
+naming the bar.
 """
 
 from __future__ import annotations
@@ -29,11 +57,14 @@ from .strategies import (
     StrategyConfig,
     StrategyState,
     active_liquidity,
+    flat_positions,
     initialize,
-    mark_to_market,
-    on_close,
-    scale_liquidity,
+    mark_ledger,
+    redeposit,
+    reset_bounds,
 )
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -121,19 +152,43 @@ def run_backtest(
     """Run one strategy over a bar sequence and summarize it.
 
     Bars must be in strictly increasing timestamp order. The first bar fixes
-    the entry price; fees start accruing on the second.
+    the entry price; fees start accruing on the second. A ledger that cannot
+    be represented in floats at some bar raises DataError naming that bar.
     """
     if not bars:
         raise UsageError("cannot backtest an empty bar sequence")
     _check_ordering(bars)
 
     budget = config.initial_value
+    strategy = config.strategy
+    fee_rate = config.fee_rate
     first = bars[0]
-    state_plain = initialize(config.strategy, first.price, budget)
-    state_comp = state_plain
+    columns = zip(
+        range(2, len(bars) + 1),
+        [bar.price for bar in bars[1:]],
+        [math.sqrt(bar.price) for bar in bars[1:]],
+        [bar.volume * fee_rate for bar in bars[1:]],
+        [bar.pool_liquidity for bar in bars[1:]],
+    )
+
+    try:
+        state = initialize(strategy, first.price, budget)
+    except ValueError as exc:
+        raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
+    plain = flat_positions(state)
+    comp = flat_positions(state)
+    full_plain = full_comp = state.full_range_liquidity
+    hold_x_plain = hold_x_comp = state.holdings.x
+    hold_y_plain = hold_y_comp = state.holdings.y
+    # Both ledgers see the same prices, so they reset on the same bars and
+    # share one trigger interval; only their liquidity differs.
+    trigger = state.reset_range
+    trigger_lower, trigger_upper = (trigger.lower, trigger.upper) if trigger else (0.0, _INF)
 
     fee_sum = 0.0
-    value_now = mark_to_market(state_plain, first.price)
+    value_now = mark_ledger(
+        plain, full_plain, hold_x_plain, hold_y_plain, first.price, math.sqrt(first.price)
+    )[1]
     total_now = value_now
     trajectory: list[TrajectoryPoint] = []
     if keep_trajectory:
@@ -141,26 +196,47 @@ def run_backtest(
             TrajectoryPoint(first.timestamp, 0.0, value_now / budget, total_now / budget)
         )
 
-    for bar in bars[1:]:
-        price = bar.price
-        fee_plain = accrue_fees(state_plain, bar, config.fee_rate)
-        fee_comp = accrue_fees(state_comp, bar, config.fee_rate)
+    for number, price, sqrt_price, volume_fee, pool_liquidity in columns:
+        active_plain, value_now = mark_ledger(
+            plain, full_plain, hold_x_plain, hold_y_plain, price, sqrt_price
+        )
+        active_comp, value_comp = mark_ledger(
+            comp, full_comp, hold_x_comp, hold_y_comp, price, sqrt_price
+        )
+        fee_plain = volume_fee * active_plain / pool_liquidity
+        fee_comp = volume_fee * active_comp / pool_liquidity
         fee_sum += fee_plain
-
-        value_now = mark_to_market(state_plain, price)
-        value_comp = mark_to_market(state_comp, price)
         total_now = value_comp + fee_comp
 
         if fee_comp > 0.0 and value_comp > 0.0:
-            state_comp = scale_liquidity(state_comp, (value_comp + fee_comp) / value_comp)
+            factor = (value_comp + fee_comp) / value_comp
+            full_comp *= factor
+            hold_x_comp *= factor
+            hold_y_comp *= factor
+            overflow = not factor < _INF or _INF in (full_comp, hold_x_comp, hold_y_comp)
+            for position in comp:
+                position[2] *= factor
+                overflow = overflow or position[2] == _INF
+            if overflow:
+                raise DataError(
+                    f"bar {number}: compounding the fee {fee_comp!r} into value "
+                    f"{value_comp!r} overflows the ledger"
+                )
 
-        state_plain = on_close(state_plain, price)
-        state_comp = on_close(state_comp, price)
+        if not trigger_lower < price < trigger_upper:
+            try:
+                below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(
+                    strategy, price
+                )
+                plain = redeposit(plain, price, sqrt_price, below_lower, above_upper)
+                comp = redeposit(comp, price, sqrt_price, below_lower, above_upper)
+            except ValueError as exc:
+                raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
 
         if keep_trajectory:
             trajectory.append(
                 TrajectoryPoint(
-                    bar.timestamp,
+                    bars[number - 1].timestamp,
                     fee_plain / budget,
                     value_now / budget,
                     total_now / budget,

@@ -13,7 +13,11 @@ the backtest engine asks every bar.
                  interval of half-width ``r`` the position is liquidated at
                  the close and redeposited one-sided around it.
 
-States are frozen dataclasses; every transition returns a new state.
+States are frozen dataclasses; every transition returns a new state. The
+arithmetic behind each transition lives in flat helpers on plain floats
+(:func:`mark_ledger`, :func:`reset_bounds`, :func:`redeposit`), which the
+backtest kernel calls directly on its own flat ledgers; the dataclass
+functions convert a state and call them too.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from dataclasses import dataclass, replace
 from .clmath import (
     PriceRange,
     TokenAmounts,
+    check_range,
+    flat_position,
+    flat_one_sided_liquidity,
+    flat_reserves,
+    flat_value,
     liquidity_for_value,
     liquidity_from_equal_value,
-    liquidity_one_sided,
     nearest_spaced_tick,
-    position_value,
-    real_reserves,
     symmetric_range,
     tick_price,
 )
@@ -41,6 +47,11 @@ FIXED = "fixed"
 RESET = "reset"
 
 KINDS = (NOLP, PASSIVE, FIXED, RESET)
+
+# Smallest accepted half-width ``a`` or ``r``. One tick is a factor of
+# 1.0001, so this is far below any range a pool can hold, yet far above the
+# 2.2e-16 at which ``1 + a`` rounds to 1 and the deposit formulas divide by 0.
+MIN_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,25 +74,31 @@ class StrategyConfig:
             raise UsageError(f"unknown strategy kind {self.kind!r}")
         needs_a = self.kind in (FIXED, RESET)
         if needs_a:
-            if self.a is None or not math.isfinite(self.a) or self.a <= 0.0:
-                raise UsageError(f"strategy {self.kind!r} needs a > 0, got {self.a!r}")
+            if self.a is None or not math.isfinite(self.a) or self.a < MIN_WIDTH:
+                raise UsageError(
+                    f"strategy {self.kind!r} needs a > 0 (at least {MIN_WIDTH!r}), got {self.a!r}"
+                )
         elif self.a is not None:
             raise UsageError(f"strategy {self.kind!r} takes no range width a")
         if self.kind == RESET:
-            if self.r is None or not math.isfinite(self.r) or self.r <= 0.0:
-                raise UsageError(f"strategy {self.kind!r} needs r > 0, got {self.r!r}")
+            if self.r is None or not math.isfinite(self.r) or self.r < MIN_WIDTH:
+                raise UsageError(
+                    f"strategy {self.kind!r} needs r > 0 (at least {MIN_WIDTH!r}), got {self.r!r}"
+                )
         elif self.r is not None:
             raise UsageError(f"strategy {self.kind!r} takes no reset width r")
         if self.snap_spacing is not None and self.snap_spacing < 1:
             raise UsageError(f"snap_spacing must be >= 1, got {self.snap_spacing!r}")
 
+    def params_text(self) -> str:
+        """Parameters as percentages, e.g. ``a=6.0%, r=3.0%``; empty if none."""
+        widths = (("a", self.a), ("r", self.r))
+        return ", ".join(f"{name}={_pct(value)}" for name, value in widths if value is not None)
+
     def label(self) -> str:
         """Human-readable name, e.g. ``fixed(a=6.0%)``."""
-        if self.kind == FIXED:
-            return f"fixed(a={_pct(self.a)})"
-        if self.kind == RESET:
-            return f"reset(a={_pct(self.a)}, r={_pct(self.r)})"
-        return self.kind
+        params = self.params_text()
+        return f"{self.kind}({params})" if params else self.kind
 
 
 def nolp_config() -> StrategyConfig:
@@ -175,66 +192,123 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
         return state
     if state.reset_range.lower < price < state.reset_range.upper:
         return state
-
-    withdrawn_x = 0.0
-    withdrawn_y = 0.0
-    for position in state.positions:
-        amounts = real_reserves(position.liquidity, position.price_range, price)
-        withdrawn_x += amounts.x
-        withdrawn_y += amounts.y
-
-    a = state.config.a
-    below_lower = price / (1.0 + a)
-    above_upper = price * (1.0 + a)
-    if state.config.snap_spacing is not None:
-        spacing = state.config.snap_spacing
-        below_lower = _snap_outer(below_lower, spacing, must_stay_below=price)
-        above_upper = _snap_outer(above_upper, spacing, must_stay_above=price)
-    below = PriceRange(below_lower, price)
-    above = PriceRange(price, above_upper)
-
-    liquidity_below = liquidity_one_sided(below, TokenAmounts(x=0.0, y=withdrawn_y), price)
-    liquidity_above = liquidity_one_sided(above, TokenAmounts(x=withdrawn_x, y=0.0), price)
-    positions = (
-        LiquidityPosition(price_range=below, liquidity=liquidity_below),
-        LiquidityPosition(price_range=above, liquidity=liquidity_above),
-    )
+    below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(state.config, price)
+    positions = redeposit(flat_positions(state), price, math.sqrt(price), below_lower, above_upper)
     return replace(
         state,
-        positions=positions,
-        reset_range=symmetric_range(price, state.config.r),
+        positions=tuple(
+            LiquidityPosition(price_range=PriceRange(lower, upper), liquidity=liquidity)
+            for lower, upper, liquidity, _, _ in positions
+        ),
+        reset_range=PriceRange(trigger_lower, trigger_upper),
     )
 
 
 def active_liquidity(state: StrategyState, price: float) -> float:
-    """Liquidity of the state that earns fees at the given price.
-
-    A position is active when the price is inside its closed range. When two
-    positions share a bound at the price (the situation right after a reset),
-    the shared point is attributed to the lower position only, so the total
-    is never double-counted.
-    """
-    total = state.full_range_liquidity
-    for index, position in enumerate(state.positions):
-        price_range = position.price_range
-        if not price_range.contains(price):
-            continue
-        if price == price_range.lower and _another_ends_here(state.positions, index, price):
-            continue
-        total += position.liquidity
-    return total
+    """Liquidity of the state that earns fees at the given price."""
+    positions = flat_positions(state)
+    return mark_ledger(positions, state.full_range_liquidity, 0.0, 0.0, price, math.sqrt(price))[0]
 
 
 def mark_to_market(state: StrategyState, price: float) -> float:
     """Total state value in quote-token units at the given price."""
-    total = 0.0
-    for position in state.positions:
-        total += position_value(position.liquidity, position.price_range, price)
-    if state.full_range_liquidity > 0.0:
-        total += 2.0 * state.full_range_liquidity * math.sqrt(price)
-    if state.holdings.x > 0.0 or state.holdings.y > 0.0:
-        total += state.holdings.x * price + state.holdings.y
-    return total
+    return mark_ledger(
+        flat_positions(state),
+        state.full_range_liquidity,
+        state.holdings.x,
+        state.holdings.y,
+        price,
+        math.sqrt(price),
+    )[1]
+
+
+def flat_positions(state: StrategyState) -> list[list[float]]:
+    """The state's range positions as fresh flat lists (see ``clmath``)."""
+    return [
+        flat_position(p.price_range.lower, p.price_range.upper, p.liquidity)
+        for p in state.positions
+    ]
+
+
+def mark_ledger(
+    positions: list[list[float]],
+    full: float,
+    hold_x: float,
+    hold_y: float,
+    price: float,
+    sqrt_price: float,
+) -> tuple[float, float]:
+    """Active liquidity and quote-token value of a flat ledger at ``price``.
+
+    The ledger is flat range positions, full-range liquidity ``full`` and
+    loose tokens ``hold_x``/``hold_y``; ``sqrt_price`` is ``sqrt(price)``.
+    A position is active when the price is inside its closed range. When two
+    positions share a bound at the price (the situation right after a
+    reset), the shared point is attributed to the lower position only, so
+    the total is never double-counted.
+    """
+    active = full
+    value = 0.0
+    for position in positions:
+        value += flat_value(position, price, sqrt_price)
+        if position[0] <= price <= position[1] and not (
+            price == position[0]
+            and any(other[1] == price for other in positions if other is not position)
+        ):
+            active += position[2]
+    if full > 0.0:
+        value += 2.0 * full * sqrt_price
+    if hold_x > 0.0 or hold_y > 0.0:
+        value += hold_x * price + hold_y
+    return active, value
+
+
+def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, float, float]:
+    """Outer bounds of the two one-sided ranges and the new trigger interval.
+
+    Returns ``(below_lower, above_upper, trigger_lower, trigger_upper)`` for a
+    reset at ``price``; raises ValueError when a bound is not representable
+    (a float overflow, or no spaced tick on the far side of the price).
+    """
+    a, r = config.a, config.r
+    below_lower = price / (1.0 + a)
+    above_upper = price * (1.0 + a)
+    if config.snap_spacing is not None:
+        below_lower = _snap_outer(below_lower, config.snap_spacing, must_stay_below=price)
+        above_upper = _snap_outer(above_upper, config.snap_spacing, must_stay_above=price)
+    trigger_lower = price / (1.0 + r)
+    trigger_upper = price * (1.0 + r)
+    check_range(below_lower, price)
+    check_range(price, above_upper)
+    check_range(trigger_lower, trigger_upper)
+    return below_lower, above_upper, trigger_lower, trigger_upper
+
+
+def redeposit(
+    positions: list[list[float]],
+    price: float,
+    sqrt_price: float,
+    below_lower: float,
+    above_upper: float,
+) -> list[list[float]]:
+    """Liquidate flat positions at ``price`` and redeposit one-sided around it.
+
+    The quote tokens go into ``[below_lower, price]``, the base tokens into
+    ``[price, above_upper]``; no swap is needed, so value is conserved.
+    """
+    withdrawn_x = 0.0
+    withdrawn_y = 0.0
+    for position in positions:
+        x, y = flat_reserves(position, price, sqrt_price)
+        withdrawn_x += x
+        withdrawn_y += y
+    below = flat_position(below_lower, price, 0.0)
+    above = flat_position(price, above_upper, 0.0)
+    below[2] = flat_one_sided_liquidity(0.0, withdrawn_y, below[3], below[4])
+    above[2] = flat_one_sided_liquidity(withdrawn_x, 0.0, above[3], above[4])
+    if not max(below[2], above[2]) < math.inf:
+        raise ValueError(f"redepositing {withdrawn_x!r} base and {withdrawn_y!r} quote overflows")
+    return [below, above]
 
 
 def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
@@ -251,16 +325,6 @@ def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
         positions=positions,
         holdings=holdings,
         full_range_liquidity=state.full_range_liquidity * factor,
-    )
-
-
-def _another_ends_here(
-    positions: tuple[LiquidityPosition, ...], index: int, price: float
-) -> bool:
-    return any(
-        other.price_range.upper == price
-        for i, other in enumerate(positions)
-        if i != index
     )
 
 

@@ -129,9 +129,7 @@ def run_sweep(
     configs = list(grid)
     if not configs:
         raise UsageError("cannot sweep an empty grid")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    workers = max(1, min(jobs, len(configs)))
+    workers = worker_count(jobs, len(configs), os.cpu_count() or 1)
     if workers == 1:
         results = _run_chunk((configs, series.bars, series.fee_rate, initial_value))
         return list(zip(configs, results))
@@ -146,6 +144,12 @@ def run_sweep(
         for j, result in enumerate(chunk_result):
             results[offset + j * workers] = result
     return list(zip(configs, results))
+
+
+def worker_count(jobs: int | None, configs: int, cpus: int) -> int:
+    """Worker processes for a sweep: ``jobs`` (all ``cpus`` when None), capped
+    at the number of configurations and of CPUs, and at least 1."""
+    return max(1, min(cpus if jobs is None else jobs, configs, cpus))
 
 
 def compute_baselines(series: BarSeries, initial_value: float = 1.0) -> Baselines:
@@ -204,38 +208,26 @@ def render_report(summary: SweepSummary, format: str = "markdown-table") -> str:
             (f"Worst {label} (total)", _extremal(family, "total", best=False)),
             (f"Best {label} (fees)", _extremal(family, "fees", best=True)),
         ):
-            rows.append((row_name, _param_text(item[0]), item[1]))
+            rows.append((row_name, item[0].params_text(), item[1]))
 
     header = ("strategy", "parameters", "fees", "value", "total")
+    table = [header] + [
+        (
+            name,
+            params,
+            f"{result.fees:.{decimals}f}",
+            f"{result.value:.{decimals}f}",
+            f"{result.total:.{decimals}f}",
+        )
+        for name, params, result in rows
+    ]
     if format == "markdown-table":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        for name, params, result in rows:
-            cells = (
-                name,
-                params,
-                f"{result.fees:.{decimals}f}",
-                f"{result.value:.{decimals}f}",
-                f"{result.total:.{decimals}f}",
-            )
-            lines.append("| " + " | ".join(cells) + " |")
+        lines = ["| " + " | ".join(cells) + " |" for cells in table]
+        lines.insert(1, "| " + " | ".join("---" for _ in header) + " |")
         return "\n".join(lines)
     if format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for name, params, result in rows:
-            writer.writerow(
-                [
-                    name,
-                    params,
-                    f"{result.fees:.{decimals}f}",
-                    f"{result.value:.{decimals}f}",
-                    f"{result.total:.{decimals}f}",
-                ]
-            )
+        csv.writer(buffer, lineterminator="\n").writerows(table)
         return buffer.getvalue()
     raise UsageError(f"unknown report format {format!r}")
 
@@ -289,15 +281,3 @@ def _param_key(config: StrategyConfig) -> tuple[float, float]:
         config.a if config.a is not None else math.inf,
         config.r if config.r is not None else math.inf,
     )
-
-
-def _param_text(config: StrategyConfig) -> str:
-    def pct(value: float) -> str:
-        text = f"{100.0 * value:.4f}".rstrip("0")
-        if text.endswith("."):
-            text += "0"
-        return f"{text}%"
-
-    if config.kind == RESET:
-        return f"a={pct(config.a)}, r={pct(config.r)}"
-    return f"a={pct(config.a)}"

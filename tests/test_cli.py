@@ -180,6 +180,55 @@ class TestBacktestCommand:
         assert code == 2
         assert "selects no bars" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["fixed:a=3e-16", "fixed:a=1e-300", "reset:a=0.1,r=1e-12"])
+    def test_unrepresentable_width_is_a_usage_error(self, data_file, capsys, spec):
+        code = main(["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", spec])
+        assert code == 2
+        assert "> 0 (at least 1e-09)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["passive", "fixed:a=0.10"])
+    def test_ledger_overflow_names_the_bar(self, tmp_path, capsys, strategy):
+        path = tmp_path / "overflow.csv"
+        rows = list(FIXTURE_ROWS)
+        rows[1] = (1600003600, 2000.0, 1e308, 1e-300, 5e7)
+        path.write_text(csv_text(rows))
+        code = main(["backtest", "--data", str(path), "--fee", "0.003", "--strategy", strategy])
+        assert code == 1
+        assert "error: bar 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prices, strategy, bar",
+        [
+            ((1e39, 2000.0), "fixed:a=0.10", 1),
+            ((2000.0, 1e39), "reset:a=0.10,r=0.05", 2),
+        ],
+    )
+    def test_snap_beyond_the_tick_range_names_the_bar(
+        self, tmp_path, capsys, prices, strategy, bar
+    ):
+        path = tmp_path / "huge.csv"
+        rows = [(1600000000 + 3600 * i, p, 1e6, 1e4, "") for i, p in enumerate(prices)]
+        path.write_text(csv_text(rows))
+        args = ["backtest", "--data", str(path), "--fee", "0.003", "--strategy", strategy]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--snap-ticks"]) == 1
+        assert f"error: bar {bar}: " in capsys.readouterr().err
+
+    def test_undecodable_csv_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(csv_text(FIXTURE_ROWS).replace("2100.0", "2100.0\xa3").encode("latin-1"))
+        code = main(["backtest", "--data", str(path), "--fee", "0.003", "--strategy", "nolp"])
+        assert code == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_timestamp_without_a_date_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(csv_text([(10**12, 2000.0, 0.0, 1e4, "")]))
+        args = ["backtest", "--data", str(path), "--fee", "0.003", "--strategy", "nolp"]
+        assert main(args + ["--from", "2020-01-01"]) == 1
+        assert "timestamp 1000000000000 has no UTC calendar date" in capsys.readouterr().err
+
     def test_bad_date_flag_exits_two(self, data_file):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -280,6 +329,20 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "MIN,MAX,STEP" in capsys.readouterr().err
+
+    def test_ledger_overflow_in_workers_exits_one(self, tmp_path, capsys):
+        # Passive's fee share stays finite; the concentrated Fixed ranges
+        # earn 100 to 200 times more and overflow inside the sweep workers.
+        path = tmp_path / "overflow.csv"
+        rows = list(FIXTURE_ROWS)
+        rows[1] = (1600003600, 2000.0, 1e308, 1e-3, 5e7)
+        path.write_text(csv_text(rows))
+        code = main(
+            ["sweep", "--data", str(path), "--fee", "0.003", "--kind", "fixed"]
+            + ["--grid", "0.01,0.02,0.01", "--jobs", "2"]
+        )
+        assert code == 1
+        assert "error: bar 2: " in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path):
         code = main(

@@ -59,6 +59,13 @@ class TestLoadBars:
         with pytest.raises(DataError, match="cannot read"):
             load_bars(tmp_path / "absent.csv", VOLATILE, 0.003)
 
+    def test_undecodable_bytes_and_oversized_fields(self):
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_bars(io.BytesIO(GOOD_CSV.encode() + b"\xff\n"), VOLATILE, 0.003)
+        oversized = GOOD_CSV + "1600010800,2000.0,1.0,1.0," + "9" * 200_000 + "\n"
+        with pytest.raises(DataError, match="malformed CSV"):
+            load_bars(io.StringIO(oversized), VOLATILE, 0.003)
+
     def test_negative_volume_names_row_two(self):
         text = csv_text(
             [
@@ -181,6 +188,11 @@ class TestClipWindow:
         tail = clip_window(series, dt.date(2020, 9, 14), None)
         head = clip_window(series, None, dt.date(2020, 9, 13))
         assert len(tail.bars) + len(head.bars) == 30
+
+    def test_timestamp_beyond_the_calendar(self):
+        series = _series(make_bars([1.0], start=10**12))
+        with pytest.raises(DataError, match="no UTC calendar date"):
+            clip_window(series, dt.date(2020, 1, 1), None)
 
     def test_empty_selection(self):
         series = _series(make_bars([1.0] * 3))

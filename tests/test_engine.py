@@ -170,6 +170,15 @@ def test_rejects_empty_and_unsorted_bars():
         run_backtest(BacktestConfig(strategy=nolp_config(), fee_rate=0.003), shuffled)
 
 
+def test_ledger_overflow_is_a_data_error_naming_the_bar():
+    bars = make_bars(
+        [2000.0, 2000.0, 2000.0], volumes=[0.0, 1e6, 1e308], liquidity=[1e4, 1e4, 1e-300]
+    )
+    for strategy in (passive_config(), fixed_config(0.10), reset_config(0.10, 0.05)):
+        with pytest.raises(DataError, match="^bar 3: "):
+            run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
+
+
 def test_bar_validation():
     with pytest.raises(DataError):
         HourlyBar(timestamp=0, price=-1.0, volume=0.0, pool_liquidity=1.0)

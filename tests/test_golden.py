@@ -78,7 +78,8 @@ def _rows(shape):
 
 def _series(shape):
     fee_rate, _ = SERIES[shape]
-    return BarSeries(pair=pair_for_class("volatile"), fee_rate=fee_rate, bars=bars_from_rows(_rows(shape)))
+    bars = bars_from_rows(_rows(shape))
+    return BarSeries(pair=pair_for_class("volatile"), fee_rate=fee_rate, bars=bars)
 
 
 def _grid(spacing):
@@ -110,13 +111,13 @@ def test_long_series_match_the_oracle(shape):
     fee_rate, _ = SERIES[shape]
     for budget in (1.0, 2.5):
         for kind, a, r in ORACLE_CASES:
-            result = run_backtest(
-                BacktestConfig(strategy=_strategy(kind, a, r), fee_rate=fee_rate, initial_value=budget),
-                bars,
-                keep_trajectory=False,
+            config = BacktestConfig(
+                strategy=_strategy(kind, a, r), fee_rate=fee_rate, initial_value=budget
             )
+            result = run_backtest(config, bars, keep_trajectory=False)
             expected = _oracle_metrics(kind, a, r, rows, fee_rate, budget)
-            assert (result.fees, result.value, result.total) == expected, (shape, kind, a, r, budget)
+            got = (result.fees, result.value, result.total)
+            assert got == expected, (shape, kind, a, r, budget)
 
 
 @pytest.mark.parametrize("snap", (False, True), ids=("plain", "snapped"))
@@ -163,7 +164,7 @@ def test_explicit_values(case):
     fee_rate, spacing = SERIES[shape]
     a, r = (0.05, None) if kind == "fixed" else NARROW
     strategy = _strategy(kind, a, r, spacing if snapped == "snapped" else None)
-    result = run_backtest(
-        BacktestConfig(strategy=strategy, fee_rate=fee_rate), bars_from_rows(_rows(shape)), keep_trajectory=False
-    )
+    bars = bars_from_rows(_rows(shape))
+    config = BacktestConfig(strategy=strategy, fee_rate=fee_rate)
+    result = run_backtest(config, bars, keep_trajectory=False)
     assert (result.fees, result.value, result.total) == EXPLICIT[case]

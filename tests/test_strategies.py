@@ -19,6 +19,7 @@ from clbacktest import (
     scale_liquidity,
 )
 from clbacktest.clmath import nearest_spaced_tick, tick_index
+from clbacktest.strategies import MIN_WIDTH
 
 
 def test_config_validation():
@@ -36,6 +37,20 @@ def test_config_validation():
         StrategyConfig(kind="fixed", a=0.1, r=0.05)
     with pytest.raises(UsageError):
         StrategyConfig(kind="fixed", a=0.1, snap_spacing=0)
+
+
+def test_width_floor():
+    assert fixed_config(MIN_WIDTH).a == MIN_WIDTH
+    for below_floor in (MIN_WIDTH / 2.0, 3e-16, 1e-300):
+        with pytest.raises(UsageError, match="at least"):
+            fixed_config(below_floor)
+        with pytest.raises(UsageError, match="at least"):
+            reset_config(0.1, below_floor)
+    # At the floor the closed-form deposit and the reset still hold value.
+    state = initialize(reset_config(MIN_WIDTH, MIN_WIDTH), 2000.0, 1000.0)
+    assert mark_to_market(state, 2000.0) == pytest.approx(1000.0, rel=1e-6)
+    after = on_close(state, 2001.0)
+    assert mark_to_market(after, 2001.0) == pytest.approx(mark_to_market(state, 2001.0), rel=1e-9)
 
 
 def test_config_labels():

@@ -24,6 +24,7 @@ from clbacktest import (
     run_sweep,
     write_results_csv,
 )
+from clbacktest.sweep import worker_count
 from helpers import make_bars
 
 VOLATILE = pair_for_class("volatile")
@@ -132,6 +133,21 @@ class TestRunSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(UsageError):
             run_sweep([], _series())
+
+
+class TestWorkerCount:
+    def test_caps_at_cpus_and_configs(self):
+        assert worker_count(100_000, 2500, 8) == 8
+        assert worker_count(4, 2500, 8) == 4
+        assert worker_count(8, 3, 8) == 3
+
+    def test_default_is_every_cpu(self):
+        assert worker_count(None, 2500, 6) == 6
+        assert worker_count(None, 1, 6) == 1
+
+    def test_at_least_one(self):
+        assert worker_count(0, 10, 4) == 1
+        assert worker_count(-3, 10, 4) == 1
 
 
 class TestRankResults:
