@@ -1,12 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 data error (unreadable or malformed input), 2 usage
-error (bad flags or parameter values).
+Exit codes: 0 success, 1 data error (unreadable or malformed input, or an
+unwritable output file), 2 usage error (bad flags or parameter values).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import logging
@@ -228,21 +229,22 @@ def _cmd_backtest(args) -> int:
         args.strategy, snap_spacing=pair.tick_spacing if args.snap_ticks else None
     )
     config = BacktestConfig(strategy=strategy, fee_rate=args.fee)
-    result = run_backtest(config, series.bars)
-    print(f"strategy  {strategy.label()}")
-    print(f"bars      {len(series.bars)}")
-    print(f"fees      {result.fees:.6f}")
-    print(f"value     {result.value:.6f}")
-    print(f"total     {result.total:.6f}")
-    if args.trajectory:
-        with open(args.trajectory, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("timestamp", "fee", "value", "total"))
-            for point in result.trajectory:
-                writer.writerow(
-                    (point.timestamp, repr(point.fee), repr(point.value), repr(point.total))
-                )
-        logger.debug("wrote %d trajectory rows to %s", len(result.trajectory), args.trajectory)
+    with _output(args.trajectory) as output:
+        result = run_backtest(config, series.bars)
+        print(f"strategy  {strategy.label()}")
+        print(f"bars      {len(series.bars)}")
+        print(f"fees      {result.fees:.6f}")
+        print(f"value     {result.value:.6f}")
+        print(f"total     {result.total:.6f}")
+        if output is not None:
+            with _writing(args.trajectory):
+                writer = csv.writer(output, lineterminator="\n")
+                writer.writerow(("timestamp", "fee", "value", "total"))
+                for point in result.trajectory:
+                    writer.writerow(
+                        (point.timestamp, repr(point.fee), repr(point.value), repr(point.total))
+                    )
+            logger.debug("wrote %d trajectory rows to %s", len(result.trajectory), args.trajectory)
     return 0
 
 
@@ -268,14 +270,44 @@ def _cmd_sweep(args) -> int:
     )
     grid = build_grid(spec)
     logger.debug("sweeping %d configurations", len(grid))
-    baselines = compute_baselines(series)
-    results = run_sweep(grid, series, jobs=args.jobs)
-    summary = rank_results(results, baselines, pair_class=args.pair_class)
-    print(render_report(summary))
-    if args.dump:
-        write_results_csv(results, args.dump)
-        logger.debug("dumped %d rows to %s", len(results), args.dump)
+    with _output(args.dump) as output:
+        baselines = compute_baselines(series)
+        results = run_sweep(grid, series, jobs=args.jobs)
+        summary = rank_results(results, baselines, pair_class=args.pair_class)
+        print(render_report(summary))
+        if output is not None:
+            with _writing(args.dump):
+                write_results_csv(results, output)
+            logger.debug("dumped %d rows to %s", len(results), args.dump)
     return 0
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Open the output file ``path`` before the work that fills it.
+
+    Yields None when no path is given. An unwritable path fails before any
+    work is done or printed, with a DataError that names it.
+    """
+    if not path:
+        yield None
+        return
+    with _writing(path):
+        handle = open(path, "w", newline="", encoding="utf-8")
+    try:
+        yield handle
+    finally:
+        with _writing(path):
+            handle.close()
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing ``path`` into a DataError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_daily_returns(args) -> int:

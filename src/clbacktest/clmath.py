@@ -9,18 +9,26 @@ of the position satisfy
 
 so x' = L / sqrt(p) and y' = L * sqrt(p). The real reserves are the virtual
 reserves minus the amounts the position would hold at the range bounds, which
-gives the piecewise formulas in :func:`real_reserves`.
+gives the piecewise formulas in :func:`mark_pair`.
 
 All arithmetic is plain float64. Formula shapes are deliberately fixed (for
 example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
-The formulas live in flat helpers (:func:`flat_reserves`, :func:`flat_value`,
-:func:`flat_one_sided_liquidity`) that take plain floats and validate
-nothing, so the backtest kernel can call them on every bar. The dataclass
-functions (:func:`real_reserves`, :func:`position_value`,
-:func:`liquidity_one_sided`) validate their arguments and then call the same
-helpers. A flat position is the list
-``[lower, upper, liquidity, sqrt(lower), sqrt(upper)]``.
+The formulas live once, in flat helpers on plain floats that validate
+nothing, so the backtest kernel can call them on every bar:
+:func:`mark_pair` (reserves, value and active liquidity of two ledgers) and
+:func:`one_sided_liquidity`. The dataclass functions (:func:`real_reserves`,
+:func:`position_value`, :func:`liquidity_one_sided`) validate their
+arguments and then call the same helpers.
+
+A range's geometry is the tuple ``(lower, upper, sqrt_lower,
+1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built
+by :func:`range_geometry`: the per-range constants of the reserve formulas.
+A ledger is the list ``[L_1, ..., L_n]`` of the liquidity on each of its
+ranges, in the order of its list of ranges, followed by the tail
+``[full_range_liquidity, hold_x, hold_y]`` when any of these is non-zero.
+Two ledgers that hold positions on the same ranges share one list of
+geometries.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ def _require_finite_positive(value: float, name: str) -> None:
 
 def check_range(lower: float, upper: float) -> None:
     """Raise ValueError unless 0 < lower < upper, both finite."""
+    if 0.0 < lower < upper < math.inf:  # the common case; the checks below name a failure
+        return
     _require_finite_positive(lower, "lower")
     if not math.isfinite(upper):
         raise ValueError(f"upper must be finite, got {upper!r}")
@@ -167,71 +177,160 @@ def symmetric_range(price: float, a: float) -> PriceRange:
     _require_finite_positive(price, "price")
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"a must be a finite positive number, got {a!r}")
-    return PriceRange(price / (1.0 + a), price * (1.0 + a))
+    return PriceRange(*symmetric_bounds(price, a))
 
 
-def flat_position(lower: float, upper: float, liquidity: float) -> list[float]:
-    """``[lower, upper, liquidity, sqrt(lower), sqrt(upper)]``; no validation."""
-    return [lower, upper, liquidity, math.sqrt(lower), math.sqrt(upper)]
+def symmetric_bounds(price: float, a: float) -> tuple[float, float]:
+    """Bounds ``(price / (1 + a), price * (1 + a))``; no validation."""
+    return price / (1.0 + a), price * (1.0 + a)
 
 
-def flat_reserves(position: list[float], price: float, sqrt_price: float) -> tuple[float, float]:
-    """Real ``(x, y)`` of a flat position at ``price``; ``sqrt_price`` is its root.
+def range_geometry(
+    lower: float, upper: float, sqrt_lower: float, sqrt_upper: float
+) -> tuple[float, ...]:
+    """Geometry tuple of ``[lower, upper]`` from its bounds and their roots.
 
-    Inside the range both tokens are held; below the range the position is
-    entirely base token, above it entirely quote token. The boundary points
-    use the in-range branch; both branches agree there.
+    No validation. Taking the roots lets a caller reuse one it already has.
     """
-    lower, upper, liquidity, sqrt_lower, sqrt_upper = position
-    if price < lower:
-        return liquidity * (1.0 / sqrt_lower - 1.0 / sqrt_upper), 0.0
-    if price > upper:
-        return 0.0, liquidity * (sqrt_upper - sqrt_lower)
     return (
-        liquidity * (1.0 / sqrt_price - 1.0 / sqrt_upper),
-        liquidity * (sqrt_price - sqrt_lower),
+        lower,
+        upper,
+        sqrt_lower,
+        1.0 / sqrt_lower - 1.0 / sqrt_upper,
+        sqrt_upper - sqrt_lower,
+        1.0 / sqrt_upper,
     )
 
 
-def flat_value(position: list[float], price: float, sqrt_price: float) -> float:
-    """Mark-to-market value of a flat position in quote-token units: y + x * p."""
-    x, y = flat_reserves(position, price, sqrt_price)
-    return y + x * price
+def geometry_of(lower: float, upper: float) -> tuple[float, ...]:
+    """Geometry tuple of ``[lower, upper]``; no validation."""
+    return range_geometry(lower, upper, math.sqrt(lower), math.sqrt(upper))
 
 
-def flat_one_sided_liquidity(x: float, y: float, sqrt_lower: float, sqrt_upper: float) -> float:
-    """Liquidity minted by non-negative amounts of which at most one is non-zero.
+def mark_pair(
+    ranges: list[tuple[float, ...]],
+    ledger_a: list[float],
+    ledger_b: list[float],
+    price: float,
+    sqrt_price: float,
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """Mark two ledgers holding positions on the same ranges at ``price``.
 
-    Quote tokens fill a range at or below the price, base tokens one at or
-    above it; nothing mints nothing. No validation.
+    Returns ``(active_a, value_a, active_b, value_b, x_a, y_a, x_b, y_b)``:
+    each ledger's active liquidity, its value in quote-token units, and the
+    summed real reserves of its range positions; ``sqrt_price`` is
+    ``sqrt(price)``. Both ledgers must have the same layout; pass one ledger
+    twice to mark it alone. No validation.
+
+    Per range, the reserves per unit of liquidity are computed once and
+    multiplied by each ledger's ``L``: ``L * (1/sqrt(p) - 1/sqrt(upper))``
+    is the same IEEE product whichever ledger it is for. Inside the range
+    both tokens are held; below it the position is entirely base token,
+    above it entirely quote token. The boundary points use the in-range
+    branch; both branches agree there. A position's value is ``y + x * p``,
+    a full-range deposit's ``2 * L * sqrt(p)``, loose tokens' ``x * p + y``;
+    terms that are 0 by construction are not added, which leaves every sum
+    bit-identical because all amounts are non-negative.
+
+    A position is active when the price is inside its closed range. When
+    two positions share a bound at the price (the situation right after a
+    reset), the shared point is attributed to the lower position only, so
+    the total is never double-counted.
     """
-    if y > 0.0:
-        return y / (sqrt_upper - sqrt_lower)
-    if x > 0.0:
-        return x / (1.0 / sqrt_lower - 1.0 / sqrt_upper)
-    return 0.0
+    count = len(ranges)
+    tail = len(ledger_a) > count
+    if tail:
+        active_a = ledger_a[count]
+        active_b = ledger_b[count]
+    else:
+        active_a = active_b = 0.0
+    value_a = value_b = x_a = y_a = x_b = y_b = 0.0
+    index = 0
+    for lower, upper, sqrt_lower, inv_span, sqrt_span, inv_sqrt_upper in ranges:
+        liquidity_a = ledger_a[index]
+        liquidity_b = ledger_b[index]
+        index += 1
+        if price < lower:
+            x = liquidity_a * inv_span
+            value_a += x * price
+            x_a += x
+            x = liquidity_b * inv_span
+            value_b += x * price
+            x_b += x
+        elif price > upper:
+            y = liquidity_a * sqrt_span
+            value_a += y
+            y_a += y
+            y = liquidity_b * sqrt_span
+            value_b += y
+            y_b += y
+        else:
+            unit_x = 1.0 / sqrt_price - inv_sqrt_upper
+            unit_y = sqrt_price - sqrt_lower
+            x = liquidity_a * unit_x
+            y = liquidity_a * unit_y
+            value_a += y + x * price
+            x_a += x
+            y_a += y
+            x = liquidity_b * unit_x
+            y = liquidity_b * unit_y
+            value_b += y + x * price
+            x_b += x
+            y_b += y
+            if price != lower or not any(other[1] == price for other in ranges):
+                active_a += liquidity_a
+                active_b += liquidity_b
+    if tail:
+        value_a = _add_tail(value_a, ledger_a[count:], price, sqrt_price)
+        value_b = _add_tail(value_b, ledger_b[count:], price, sqrt_price)
+    return active_a, value_a, active_b, value_b, x_a, y_a, x_b, y_b
+
+
+def _add_tail(value: float, tail: list[float], price: float, sqrt_price: float) -> float:
+    """``value`` plus the value of a ledger tail ``[full, hold_x, hold_y]``."""
+    full, hold_x, hold_y = tail
+    if full > 0.0:
+        value += 2.0 * full * sqrt_price
+    if hold_x > 0.0 or hold_y > 0.0:
+        value += hold_x * price + hold_y
+    return value
+
+
+def one_sided_liquidity(
+    x: float, y: float, below: tuple[float, ...], above: tuple[float, ...]
+) -> tuple[float, float]:
+    """Liquidity minted by quote tokens ``y`` in the range ``below`` and by
+    base tokens ``x`` in the range ``above`` (geometry tuples).
+
+    ``below`` must lie at or below the price and ``above`` at or above it,
+    so each deposit is one token only; nothing mints nothing. No validation.
+    """
+    return (y / below[4] if y > 0.0 else 0.0, x / above[3] if x > 0.0 else 0.0)
+
+
+def _single_mark(liquidity: float, price_range: PriceRange, price: float) -> tuple[float, ...]:
+    """:func:`mark_pair` of a lone position, after validating its inputs."""
+    check_liquidity(liquidity)
+    _require_finite_positive(price, "price")
+    ranges = [geometry_of(price_range.lower, price_range.upper)]
+    ledger = [liquidity]
+    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))
 
 
 def real_reserves(liquidity: float, price_range: PriceRange, price: float) -> TokenAmounts:
     """Real token amounts held by a position at the given pool price."""
-    _validate_liquidity(liquidity)
-    _require_finite_positive(price, "price")
-    position = flat_position(price_range.lower, price_range.upper, liquidity)
-    x, y = flat_reserves(position, price, math.sqrt(price))
-    return TokenAmounts(x=x, y=y)
+    marks = _single_mark(liquidity, price_range, price)
+    return TokenAmounts(x=marks[4], y=marks[5])
 
 
 def position_value(liquidity: float, price_range: PriceRange, price: float) -> float:
     """Mark-to-market value of a position in quote-token units: y + x * p."""
-    _validate_liquidity(liquidity)
-    _require_finite_positive(price, "price")
-    position = flat_position(price_range.lower, price_range.upper, liquidity)
-    return flat_value(position, price, math.sqrt(price))
+    return _single_mark(liquidity, price_range, price)[1]
 
 
 def virtual_reserves(liquidity: float, price: float) -> VirtualReserves:
     """Virtual reserves implied by liquidity at an in-range price."""
-    _validate_liquidity(liquidity)
+    check_liquidity(liquidity)
     _require_finite_positive(price, "price")
     sqrt_price = math.sqrt(price)
     return VirtualReserves(x_virtual=liquidity / sqrt_price, y_virtual=liquidity * sqrt_price)
@@ -284,11 +383,11 @@ def liquidity_one_sided(price_range: PriceRange, deposit: TokenAmounts, price: f
         raise ValueError("quote-token deposit needs a range at or below the current price")
     if deposit.x > 0.0 and price > price_range.lower:
         raise ValueError("base-token deposit needs a range at or above the current price")
-    return flat_one_sided_liquidity(
-        deposit.x, deposit.y, math.sqrt(price_range.lower), math.sqrt(price_range.upper)
-    )
+    geometry = geometry_of(price_range.lower, price_range.upper)
+    return max(one_sided_liquidity(deposit.x, deposit.y, geometry, geometry))
 
 
-def _validate_liquidity(liquidity: float) -> None:
+def check_liquidity(liquidity: float) -> None:
+    """Raise ValueError unless ``liquidity`` is finite and >= 0."""
     if not math.isfinite(liquidity) or liquidity < 0.0:
         raise ValueError(f"liquidity must be finite and >= 0, got {liquidity!r}")

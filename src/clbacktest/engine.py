@@ -17,28 +17,51 @@ mark-to-market of the non-compounding ledger, fee cash excluded), and
 fee). "Final" means at the last bar's close, before any same-bar reset; that
 matches the last trajectory row, and a reset conserves value anyway.
 
-Kernel layout. :func:`run_backtest` validates the bar sequence once (it must
-be non-empty and strictly increasing in time), then copies it into local
-columns: ``price``, ``sqrt(price)``, ``volume * fee_rate`` and
-``pool_liquidity``. The initial state comes from
+Kernel layout. :func:`run_backtest` copies the bars into rows
+``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)`` after
+checking once that they are strictly increasing in time. The initial deposit
+comes from :func:`~clbacktest.strategies.deploy`, the flat form of
 :func:`~clbacktest.strategies.initialize`, so snapping and the closed-form
-deposit live in one place. Each ledger is then plain floats: flat positions
-``[lower, upper, L, sqrt(lower), sqrt(upper)]`` (mutable lists; compounding
-scales ``L`` in place), full-range liquidity and loose token amounts. A reset
-strategy's trigger interval is two floats shared by both ledgers, which see
-the same prices and so reset on the same bars. Every bar calls the same flat
-helpers as the dataclass API (``mark_ledger``, ``reset_bounds``,
-``redeposit`` in :mod:`~clbacktest.strategies`, which call ``flat_reserves``,
-``flat_value`` and ``flat_one_sided_liquidity`` in :mod:`~clbacktest.clmath`).
+deposit live in one place. Both ledgers start from that one deposit, reset
+on the same bars (they see the same prices) and get the same reset bounds;
+only liquidity, full-range liquidity and loose tokens differ between them.
+So each range position is stored once, as a geometry tuple with its
+per-position constants hoisted (``lower, upper, sqrt_lower,
+1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper``), and
+each ledger is a plain list holding one ``L`` per range (layout in
+:mod:`~clbacktest.clmath`). A reset strategy's trigger interval is two
+floats. Per bar, one call of :func:`~clbacktest.clmath.mark_pair` marks both
+ledgers; a reset calls :func:`~clbacktest.strategies.reset_bounds` and
+:func:`~clbacktest.strategies.redeposit`, which reuses the row's
+``sqrt(price)`` for the new ranges' shared bound, so it takes two new square
+roots. The dataclass API (``initialize``, ``on_close``, ``mark_to_market``,
+``active_liquidity``, ``accrue_fees``) and ``clmath``'s ``real_reserves``,
+``position_value`` and ``liquidity_for_value`` call the same helpers, passing
+one ledger as both ledgers of the pair, so every formula lives once.
 
 Bit-identity rule. Every expression is evaluated in the order of the
-dataclass API and on the same operands: a column entry or a hoisted square
-root is the same IEEE operation on the same inputs as computing it in place
+dataclass API and on the same operands: a row entry or a hoisted constant is
+the same IEEE operation on the same inputs as computing it in place
 (``volume * fee_rate * L / pool_liquidity`` is evaluated left to right either
-way). Changing the order or the operands of any sum or product changes the
-published numbers; the golden tests in ``tests/test_golden.py`` catch it.
-The two ledgers stay separate: the compounding one cannot be derived from
-the plain one bit for bit.
+way). In particular, ``mark_pair`` computes each position's reserves per
+unit of ``L`` once per bar and multiplies them by each ledger's ``L``:
+``L * (1/sqrt_p - 1/sqrt_upper)`` is the same product whichever ledger it is
+for, so sharing the per-unit factor changes no bit. Terms that are zero by
+construction (the missing token of an out-of-range position, an empty
+full-range deposit) are skipped; adding ``+0.0`` to a non-negative sum
+leaves it unchanged. Changing the order or the operands of any sum or product
+changes the published numbers; the golden tests in ``tests/test_golden.py``
+catch it. The two ledgers' amounts stay separate: the compounding one
+cannot be derived from the plain one bit for bit.
+
+Memo rule. A sweep runs many configurations over one series, so a run
+without a trajectory (``keep_trajectory=False``, as sweeps and baselines
+pass) keeps the rows of the last bar sequence in a one-entry memo, keyed on
+the identity of an immutable ``tuple`` of bars and on the fee rate. Other
+sequences, and runs that keep a trajectory, rebuild the rows and hold them
+only for the run, so a long trajectory run does not keep them alive while
+its output is written. Only rows whose ordering check passed are remembered,
+so an unsorted tuple fails on every call.
 
 Bars are validated where they are built (:class:`HourlyBar`), not per bar in
 the kernel. A value that overflows the ledger (an infinite fee or scaled
@@ -50,21 +73,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError, UsageError
+from .clmath import mark_pair
 from .strategies import (
     StrategyConfig,
     StrategyState,
     active_liquidity,
-    flat_positions,
-    initialize,
-    mark_ledger,
+    deploy,
     redeposit,
     reset_bounds,
 )
 
 _INF = math.inf
+
+# The last bar tuple run without a trajectory, its fee rate and its rows.
+_memo: tuple = ((), None, None)
 
 
 @dataclass(frozen=True)
@@ -157,38 +182,27 @@ def run_backtest(
     """
     if not bars:
         raise UsageError("cannot backtest an empty bar sequence")
-    _check_ordering(bars)
-
     budget = config.initial_value
     strategy = config.strategy
     fee_rate = config.fee_rate
+    if keep_trajectory or not isinstance(bars, tuple):
+        rows = _series_rows(bars, fee_rate)
+    else:
+        rows = _memo_rows(bars, fee_rate)
     first = bars[0]
-    columns = zip(
-        range(2, len(bars) + 1),
-        [bar.price for bar in bars[1:]],
-        [math.sqrt(bar.price) for bar in bars[1:]],
-        [bar.volume * fee_rate for bar in bars[1:]],
-        [bar.pool_liquidity for bar in bars[1:]],
-    )
 
     try:
-        state = initialize(strategy, first.price, budget)
+        ranges, plain, trigger = deploy(strategy, first.price, budget)
     except ValueError as exc:
         raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
-    plain = flat_positions(state)
-    comp = flat_positions(state)
-    full_plain = full_comp = state.full_range_liquidity
-    hold_x_plain = hold_x_comp = state.holdings.x
-    hold_y_plain = hold_y_comp = state.holdings.y
+    comp = plain
     # Both ledgers see the same prices, so they reset on the same bars and
-    # share one trigger interval; only their liquidity differs.
-    trigger = state.reset_range
-    trigger_lower, trigger_upper = (trigger.lower, trigger.upper) if trigger else (0.0, _INF)
+    # share one trigger interval and one list of range geometries; only
+    # their liquidity and holdings differ.
+    trigger_lower, trigger_upper = trigger or (0.0, _INF)
 
     fee_sum = 0.0
-    value_now = mark_ledger(
-        plain, full_plain, hold_x_plain, hold_y_plain, first.price, math.sqrt(first.price)
-    )[1]
+    value_now = mark_pair(ranges, plain, plain, first.price, math.sqrt(first.price))[1]
     total_now = value_now
     trajectory: list[TrajectoryPoint] = []
     if keep_trajectory:
@@ -196,12 +210,9 @@ def run_backtest(
             TrajectoryPoint(first.timestamp, 0.0, value_now / budget, total_now / budget)
         )
 
-    for number, price, sqrt_price, volume_fee, pool_liquidity in columns:
-        active_plain, value_now = mark_ledger(
-            plain, full_plain, hold_x_plain, hold_y_plain, price, sqrt_price
-        )
-        active_comp, value_comp = mark_ledger(
-            comp, full_comp, hold_x_comp, hold_y_comp, price, sqrt_price
+    for number, price, sqrt_price, volume_fee, pool_liquidity in rows:
+        active_plain, value_now, active_comp, value_comp, _, _, _, _ = mark_pair(
+            ranges, plain, comp, price, sqrt_price
         )
         fee_plain = volume_fee * active_plain / pool_liquidity
         fee_comp = volume_fee * active_comp / pool_liquidity
@@ -210,14 +221,8 @@ def run_backtest(
 
         if fee_comp > 0.0 and value_comp > 0.0:
             factor = (value_comp + fee_comp) / value_comp
-            full_comp *= factor
-            hold_x_comp *= factor
-            hold_y_comp *= factor
-            overflow = not factor < _INF or _INF in (full_comp, hold_x_comp, hold_y_comp)
-            for position in comp:
-                position[2] *= factor
-                overflow = overflow or position[2] == _INF
-            if overflow:
+            comp = [amount * factor for amount in comp]
+            if not factor < _INF or _INF in comp:
                 raise DataError(
                     f"bar {number}: compounding the fee {fee_comp!r} into value "
                     f"{value_comp!r} overflows the ledger"
@@ -228,8 +233,9 @@ def run_backtest(
                 below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(
                     strategy, price
                 )
-                plain = redeposit(plain, price, sqrt_price, below_lower, above_upper)
-                comp = redeposit(comp, price, sqrt_price, below_lower, above_upper)
+                ranges, plain, comp = redeposit(
+                    ranges, plain, comp, price, sqrt_price, below_lower, above_upper
+                )
             except ValueError as exc:
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
 
@@ -256,6 +262,35 @@ def replay_trajectory(result: BacktestResult) -> list[TrajectoryPoint]:
     if not result.trajectory:
         raise UsageError("result holds no trajectory (run with keep_trajectory=True)")
     return list(result.trajectory)
+
+
+def _series_rows(bars: Sequence[HourlyBar], fee_rate: float) -> Iterator[tuple]:
+    """Check the ordering of ``bars``; return the kernel's rows of bars 2..n:
+    ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``."""
+    _check_ordering(bars)
+    return zip(
+        range(2, len(bars) + 1),
+        [bar.price for bar in bars[1:]],
+        [math.sqrt(bar.price) for bar in bars[1:]],
+        [bar.volume * fee_rate for bar in bars[1:]],
+        [bar.pool_liquidity for bar in bars[1:]],
+    )
+
+
+def _memo_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, ...]:
+    """:func:`_series_rows` as a tuple, remembered for the last tuple and fee rate.
+
+    The memo holds the tuple itself, so its identity cannot be reused while
+    it is remembered, and a tuple of frozen bars cannot change. Only a
+    successful check is remembered.
+    """
+    global _memo
+    memo = _memo
+    if memo[0] is bars and memo[1] == fee_rate:
+        return memo[2]
+    rows = tuple(_series_rows(bars, fee_rate))
+    _memo = (bars, fee_rate, rows)
+    return rows
 
 
 def _check_ordering(bars: Sequence[HourlyBar]) -> None:

@@ -15,9 +15,11 @@ the backtest engine asks every bar.
 
 States are frozen dataclasses; every transition returns a new state. The
 arithmetic behind each transition lives in flat helpers on plain floats
-(:func:`mark_ledger`, :func:`reset_bounds`, :func:`redeposit`), which the
-backtest kernel calls directly on its own flat ledgers; the dataclass
-functions convert a state and call them too.
+(:func:`~clbacktest.clmath.mark_pair`, :func:`reset_bounds`,
+:func:`redeposit`), which the backtest kernel calls directly on its pair of
+ledgers over shared range geometries (layout in :mod:`clbacktest.clmath`),
+starting from :func:`deploy`; the dataclass functions convert a state to
+one flat ledger and pass it as both ledgers of the pair.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from dataclasses import dataclass, replace
 from .clmath import (
     PriceRange,
     TokenAmounts,
+    check_liquidity,
     check_range,
-    flat_position,
-    flat_one_sided_liquidity,
-    flat_reserves,
-    flat_value,
+    geometry_of,
     liquidity_for_value,
     liquidity_from_equal_value,
+    mark_pair,
     nearest_spaced_tick,
-    symmetric_range,
+    one_sided_liquidity,
+    range_geometry,
+    symmetric_bounds,
     tick_price,
 )
 from .errors import UsageError
@@ -125,8 +128,7 @@ class LiquidityPosition:
     liquidity: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.liquidity) or self.liquidity < 0.0:
-            raise ValueError(f"liquidity must be finite and >= 0, got {self.liquidity!r}")
+        check_liquidity(self.liquidity)
 
 
 @dataclass(frozen=True)
@@ -147,37 +149,56 @@ class StrategyState:
 
 
 def initialize(config: StrategyConfig, price: float, budget: float) -> StrategyState:
-    """Deploy ``budget`` (in quote-token units) at the entry price."""
+    """Deploy ``budget`` (in quote-token units) at the entry price (see :func:`deploy`)."""
+    ranges, ledger, trigger = deploy(config, price, budget)
+    full, hold_x, hold_y = ledger[len(ranges):] or (0.0, 0.0, 0.0)
+    return StrategyState(
+        config=config,
+        entry_price=price,
+        positions=_positions(ranges, ledger),
+        holdings=TokenAmounts(x=hold_x, y=hold_y),
+        full_range_liquidity=full,
+        reset_range=None if trigger is None else PriceRange(*trigger),
+    )
+
+
+def deploy(
+    config: StrategyConfig, price: float, budget: float
+) -> tuple[list[tuple[float, ...]], list[float], tuple[float, float] | None]:
+    """Flat form of :func:`initialize`: ``(ranges, ledger, trigger)``.
+
+    ``ranges`` and ``ledger`` are as in ``clmath``; ``trigger`` holds the
+    bounds of a reset strategy's trigger interval, None for other kinds.
+    Raises ValueError when the deposit cannot be represented.
+    """
     if not math.isfinite(price) or price <= 0.0:
         raise ValueError(f"price must be a finite positive number, got {price!r}")
     if not math.isfinite(budget) or budget < 0.0:
         raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
 
     if config.kind == NOLP:
+        # TokenAmounts rejects a split that overflows.
         holdings = TokenAmounts(x=budget / (2.0 * price), y=budget / 2.0)
-        return StrategyState(config=config, entry_price=price, holdings=holdings)
+        return [], _ledger([], 0.0, holdings.x, holdings.y), None
 
     if config.kind == PASSIVE:
-        liquidity = budget / (2.0 * math.sqrt(price))
-        return StrategyState(config=config, entry_price=price, full_range_liquidity=liquidity)
+        return [], _ledger([], budget / (2.0 * math.sqrt(price)), 0.0, 0.0), None
 
-    price_range = symmetric_range(price, config.a)
+    lower, upper = symmetric_bounds(price, config.a)
+    check_range(lower, upper)
     if config.snap_spacing is not None:
-        price_range = _snap_symmetric(price_range, price, config.snap_spacing)
+        price_range = _snap_symmetric(PriceRange(lower, upper), price, config.snap_spacing)
+        lower, upper = price_range.lower, price_range.upper
         liquidity = liquidity_for_value(price_range, price, budget)
     else:
         liquidity = liquidity_from_equal_value(price, config.a, budget)
-    position = LiquidityPosition(price_range=price_range, liquidity=liquidity)
+    check_liquidity(liquidity)
 
-    reset_range = None
+    trigger = None
     if config.kind == RESET:
-        reset_range = symmetric_range(price, config.r)
-    return StrategyState(
-        config=config,
-        entry_price=price,
-        positions=(position,),
-        reset_range=reset_range,
-    )
+        trigger = symmetric_bounds(price, config.r)
+        check_range(*trigger)
+    return [geometry_of(lower, upper)], [liquidity], trigger
 
 
 def on_close(state: StrategyState, price: float) -> StrategyState:
@@ -193,74 +214,52 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
     if state.reset_range.lower < price < state.reset_range.upper:
         return state
     below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(state.config, price)
-    positions = redeposit(flat_positions(state), price, math.sqrt(price), below_lower, above_upper)
+    ranges, ledger = _flat_ledger(state)
+    ranges, ledger, _ = redeposit(
+        ranges, ledger, ledger, price, math.sqrt(price), below_lower, above_upper
+    )
     return replace(
         state,
-        positions=tuple(
-            LiquidityPosition(price_range=PriceRange(lower, upper), liquidity=liquidity)
-            for lower, upper, liquidity, _, _ in positions
-        ),
+        positions=_positions(ranges, ledger),
         reset_range=PriceRange(trigger_lower, trigger_upper),
     )
 
 
 def active_liquidity(state: StrategyState, price: float) -> float:
     """Liquidity of the state that earns fees at the given price."""
-    positions = flat_positions(state)
-    return mark_ledger(positions, state.full_range_liquidity, 0.0, 0.0, price, math.sqrt(price))[0]
+    ranges, ledger = _flat_ledger(state)
+    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))[0]
 
 
 def mark_to_market(state: StrategyState, price: float) -> float:
     """Total state value in quote-token units at the given price."""
-    return mark_ledger(
-        flat_positions(state),
-        state.full_range_liquidity,
-        state.holdings.x,
-        state.holdings.y,
-        price,
-        math.sqrt(price),
-    )[1]
+    ranges, ledger = _flat_ledger(state)
+    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))[1]
 
 
-def flat_positions(state: StrategyState) -> list[list[float]]:
-    """The state's range positions as fresh flat lists (see ``clmath``)."""
-    return [
-        flat_position(p.price_range.lower, p.price_range.upper, p.liquidity)
-        for p in state.positions
-    ]
+def _flat_ledger(state: StrategyState) -> tuple[list[tuple[float, ...]], list[float]]:
+    """The state's range geometries and its ledger list (see ``clmath``)."""
+    positions = state.positions
+    ranges = [geometry_of(p.price_range.lower, p.price_range.upper) for p in positions]
+    liquidities = [p.liquidity for p in positions]
+    holdings = state.holdings
+    return ranges, _ledger(liquidities, state.full_range_liquidity, holdings.x, holdings.y)
 
 
-def mark_ledger(
-    positions: list[list[float]],
-    full: float,
-    hold_x: float,
-    hold_y: float,
-    price: float,
-    sqrt_price: float,
-) -> tuple[float, float]:
-    """Active liquidity and quote-token value of a flat ledger at ``price``.
+def _ledger(liquidities: list[float], full: float, hold_x: float, hold_y: float) -> list[float]:
+    """Ledger list: range liquidities, then the tail if any of it is non-zero."""
+    if full or hold_x or hold_y:
+        return [*liquidities, full, hold_x, hold_y]
+    return liquidities
 
-    The ledger is flat range positions, full-range liquidity ``full`` and
-    loose tokens ``hold_x``/``hold_y``; ``sqrt_price`` is ``sqrt(price)``.
-    A position is active when the price is inside its closed range. When two
-    positions share a bound at the price (the situation right after a
-    reset), the shared point is attributed to the lower position only, so
-    the total is never double-counted.
-    """
-    active = full
-    value = 0.0
-    for position in positions:
-        value += flat_value(position, price, sqrt_price)
-        if position[0] <= price <= position[1] and not (
-            price == position[0]
-            and any(other[1] == price for other in positions if other is not position)
-        ):
-            active += position[2]
-    if full > 0.0:
-        value += 2.0 * full * sqrt_price
-    if hold_x > 0.0 or hold_y > 0.0:
-        value += hold_x * price + hold_y
-    return active, value
+
+def _positions(
+    ranges: list[tuple[float, ...]], ledger: list[float]
+) -> tuple[LiquidityPosition, ...]:
+    return tuple(
+        LiquidityPosition(price_range=PriceRange(geometry[0], geometry[1]), liquidity=liquidity)
+        for geometry, liquidity in zip(ranges, ledger)
+    )
 
 
 def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, float, float]:
@@ -270,14 +269,11 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
     reset at ``price``; raises ValueError when a bound is not representable
     (a float overflow, or no spaced tick on the far side of the price).
     """
-    a, r = config.a, config.r
-    below_lower = price / (1.0 + a)
-    above_upper = price * (1.0 + a)
+    below_lower, above_upper = symmetric_bounds(price, config.a)
     if config.snap_spacing is not None:
         below_lower = _snap_outer(below_lower, config.snap_spacing, must_stay_below=price)
         above_upper = _snap_outer(above_upper, config.snap_spacing, must_stay_above=price)
-    trigger_lower = price / (1.0 + r)
-    trigger_upper = price * (1.0 + r)
+    trigger_lower, trigger_upper = symmetric_bounds(price, config.r)
     check_range(below_lower, price)
     check_range(price, above_upper)
     check_range(trigger_lower, trigger_upper)
@@ -285,30 +281,40 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
 
 
 def redeposit(
-    positions: list[list[float]],
+    ranges: list[tuple[float, ...]],
+    ledger_a: list[float],
+    ledger_b: list[float],
     price: float,
     sqrt_price: float,
     below_lower: float,
     above_upper: float,
-) -> list[list[float]]:
-    """Liquidate flat positions at ``price`` and redeposit one-sided around it.
+) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
+    """Liquidate two ledgers' range positions at ``price`` and redeposit
+    each one-sided around it; returns the new ranges and ledgers.
 
     The quote tokens go into ``[below_lower, price]``, the base tokens into
-    ``[price, above_upper]``; no swap is needed, so value is conserved.
+    ``[price, above_upper]``; no swap is needed, so value is conserved. Both
+    new ranges reuse ``sqrt_price`` for their shared bound. Full-range
+    liquidity and loose tokens are kept. Raises ValueError, for the first
+    ledger first, when a new liquidity overflows.
     """
-    withdrawn_x = 0.0
-    withdrawn_y = 0.0
-    for position in positions:
-        x, y = flat_reserves(position, price, sqrt_price)
-        withdrawn_x += x
-        withdrawn_y += y
-    below = flat_position(below_lower, price, 0.0)
-    above = flat_position(price, above_upper, 0.0)
-    below[2] = flat_one_sided_liquidity(0.0, withdrawn_y, below[3], below[4])
-    above[2] = flat_one_sided_liquidity(withdrawn_x, 0.0, above[3], above[4])
-    if not max(below[2], above[2]) < math.inf:
-        raise ValueError(f"redepositing {withdrawn_x!r} base and {withdrawn_y!r} quote overflows")
-    return [below, above]
+    _, _, _, _, x_a, y_a, x_b, y_b = mark_pair(ranges, ledger_a, ledger_b, price, sqrt_price)
+    below = range_geometry(below_lower, price, math.sqrt(below_lower), sqrt_price)
+    above = range_geometry(price, above_upper, sqrt_price, math.sqrt(above_upper))
+    count = len(ranges)
+    new_a = _mint(x_a, y_a, below, above, ledger_a[count:])
+    new_b = _mint(x_b, y_b, below, above, ledger_b[count:])
+    return [below, above], new_a, new_b
+
+
+def _mint(
+    x: float, y: float, below: tuple[float, ...], above: tuple[float, ...], tail: list[float]
+) -> list[float]:
+    """Ledger of a one-sided redeposit of ``x`` and ``y`` that keeps ``tail``."""
+    below_liquidity, above_liquidity = one_sided_liquidity(x, y, below, above)
+    if not max(below_liquidity, above_liquidity) < math.inf:
+        raise ValueError(f"redepositing {x!r} base and {y!r} quote overflows")
+    return [below_liquidity, above_liquidity, *tail]
 
 
 def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:

@@ -33,6 +33,11 @@ _VOLATILE_AXIS = tuple((6 * k) / 1000 for k in range(1, 167))
 _STABLE_FIXED_AXIS = tuple(k / 1000 for k in range(1, 501))
 _STABLE_RESET_AXIS = tuple(k / 1000 for k in range(1, 51))
 
+# Most grid points a sweep accepts, and most values on one axis. A Reset
+# grid is the product of two axes, so its axes can be at most about 316
+# long. The default grids have at most 2500 points.
+MAX_GRID_POINTS = 100_000
+
 ResultPair = tuple[StrategyConfig, BacktestResult]
 
 
@@ -81,14 +86,23 @@ class SweepSummary:
 
 
 def axis_from_span(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic axis start, start+step, ... up to stop."""
+    """Inclusive arithmetic axis start, start+step, ... up to stop.
+
+    Raises UsageError, before building anything, for an axis of more than
+    ``MAX_GRID_POINTS`` values.
+    """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value) or value <= 0.0:
             raise UsageError(f"axis {name} must be finite and > 0, got {value!r}")
     if stop < start:
         raise UsageError(f"axis stop {stop!r} is below start {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise UsageError(
+            f"axis {start!r}..{stop!r} in steps of {step!r} has more than "
+            f"{MAX_GRID_POINTS} values"
+        )
+    return tuple(start + i * step for i in range(int(math.floor(steps)) + 1))
 
 
 def default_axis(pair_class: str, kind: str) -> tuple[float, ...]:
@@ -99,20 +113,31 @@ def default_axis(pair_class: str, kind: str) -> tuple[float, ...]:
 
 
 def build_grid(spec: GridSpec) -> list[StrategyConfig]:
-    """Expand a GridSpec into concrete strategy configurations."""
+    """Expand a GridSpec into concrete strategy configurations.
+
+    Raises UsageError, before building anything, for a grid of more than
+    ``MAX_GRID_POINTS`` points.
+    """
     a_axis = spec.a_axis if spec.a_axis is not None else default_axis(spec.pair_class, spec.kind)
     if not a_axis:
         raise UsageError("a axis is empty")
     if spec.kind == FIXED:
+        _check_grid_points(len(a_axis))
         return [fixed_config(a, snap_spacing=spec.snap_spacing) for a in a_axis]
     r_axis = spec.r_axis if spec.r_axis is not None else default_axis(spec.pair_class, spec.kind)
     if not r_axis:
         raise UsageError("r axis is empty")
+    _check_grid_points(len(a_axis) * len(r_axis))
     return [
         reset_config(a, r, snap_spacing=spec.snap_spacing)
         for a in a_axis
         for r in r_axis
     ]
+
+
+def _check_grid_points(points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
 
 
 def run_sweep(

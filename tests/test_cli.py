@@ -1,13 +1,18 @@
 """End-to-end command line behavior and the exit-code contract."""
 
+import argparse
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
 from clbacktest import BacktestConfig, UsageError, load_bars, pair_for_class, run_backtest
-from clbacktest.cli import main, parse_strategy_spec
+from clbacktest.cli import build_parser, main, parse_strategy_spec
 from clbacktest.strategies import fixed_config, reset_config
 from helpers import csv_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FIXTURE_ROWS = [
     (1600000000, 2000.0, 0.0, 1e4, 5e7),
@@ -143,6 +148,17 @@ class TestBacktestCommand:
             assert float(row[1]) == point.fee
             assert float(row[2]) == point.value
             assert float(row[3]) == point.total
+
+    def test_unwritable_trajectory_fails_before_the_run(self, data_file, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "traj.csv"
+        code = main(
+            ["backtest", "--data", str(data_file), "--fee", "0.003"]
+            + ["--strategy", "fixed:a=0.10", "--trajectory", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.out == ""
 
     def test_window_filter(self, data_file, capsys):
         code = main(
@@ -360,6 +376,17 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    def test_unwritable_dump_fails_before_the_sweep(self, data_file, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "results.csv"
+        code = main(
+            ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
+            + ["--grid", "0.05,0.15,0.05", "--jobs", "1", "--dump", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.out == ""
+
 
 class TestDailyReturnsCommand:
     def test_prints_rows(self, data_file, capsys):
@@ -407,3 +434,30 @@ class TestSelfcheckCommand:
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) == 12
+
+
+def test_readme_shows_only_accepted_flags():
+    """Every ``--flag`` in the README's command sections is one its command takes."""
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {option for action in sub._actions for option in action.option_strings}
+        for name, sub in subcommands.items()
+    }
+    text = README.read_text(encoding="utf-8")
+    cli = text[text.index("\n## CLI\n") :]
+    cli = cli[: cli.index("\n## ", 1)]
+    intro, *sections = cli.split("\n### ")
+    shown = 0
+    for flag in re.findall(r"--[a-z][a-z-]*", intro):
+        assert any(flag in options for options in accepted.values()), flag
+        shown += 1
+    for section in sections:
+        name = section.split()[0]
+        for flag in re.findall(r"--[a-z][a-z-]*", section):
+            assert flag in accepted[name], f"{name} {flag}"
+            shown += 1
+    assert shown >= 10

@@ -6,6 +6,7 @@ before the engine was written; the engine must reproduce them bit-for-bit.
 
 import pytest
 
+from clbacktest import engine
 from clbacktest import (
     BacktestConfig,
     DataError,
@@ -218,3 +219,46 @@ def test_replay_requires_a_kept_trajectory():
     assert result.fees == LEDGER_FEES
     with pytest.raises(UsageError):
         replay_trajectory(result)
+
+
+class TestSeriesMemo:
+    """Runs without a trajectory reuse the columns of the last bar tuple."""
+
+    BARS = make_bars([2000.0, 2050.0, 1900.0, 2150.0], volumes=[0, 1e6, 2e6, 1e6])
+
+    @staticmethod
+    def _run(bars, fee_rate=0.003, keep_trajectory=False):
+        config = BacktestConfig(strategy=reset_config(0.10, 0.05), fee_rate=fee_rate)
+        result = run_backtest(config, bars, keep_trajectory=keep_trajectory)
+        return result.fees, result.value, result.total
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(engine, "_memo", ((), None, None))
+
+    def test_a_changed_list_gives_fresh_results(self):
+        bars = list(self.BARS)
+        before = self._run(bars)
+        bars[2] = HourlyBar(
+            timestamp=bars[2].timestamp, price=2300.0, volume=2e6, pool_liquidity=1e4
+        )
+        assert self._run(bars) == self._run(tuple(bars))
+        assert self._run(bars) != before
+
+    def test_another_fee_rate_misses_the_memo(self):
+        fresh = self._run(tuple(list(self.BARS)), 0.01)
+        assert self._run(self.BARS, 0.003) != fresh
+        assert self._run(self.BARS, 0.01) == fresh
+
+    def test_an_unsorted_tuple_fails_every_time(self):
+        shuffled = (self.BARS[1], self.BARS[0], *self.BARS[2:])
+        for _ in range(2):
+            with pytest.raises(DataError, match="bar 2"):
+                self._run(shuffled)
+        assert engine._memo[0] is not shuffled
+
+    def test_a_trajectory_run_leaves_the_memo_alone(self):
+        self._run(self.BARS, keep_trajectory=True)
+        assert engine._memo == ((), None, None)
+        self._run(self.BARS)
+        assert engine._memo[0] is self.BARS

@@ -24,7 +24,8 @@ from clbacktest import (
     run_sweep,
     write_results_csv,
 )
-from clbacktest.sweep import worker_count
+from clbacktest import sweep
+from clbacktest.sweep import MAX_GRID_POINTS, worker_count
 from helpers import make_bars
 
 VOLATILE = pair_for_class("volatile")
@@ -72,6 +73,26 @@ class TestBuildGrid:
         spec = GridSpec(pair_class="volatile", kind="fixed", a_axis=(0.05, 0.10))
         assert [c.a for c in build_grid(spec)] == [0.05, 0.10]
 
+    def test_grid_above_the_bound_is_rejected_before_it_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid point was built")
+
+        monkeypatch.setattr(sweep, "fixed_config", refuse)
+        monkeypatch.setattr(sweep, "reset_config", refuse)
+        side = tuple(k / 10_000 for k in range(1, 318))  # 317 * 317 > MAX_GRID_POINTS
+        with pytest.raises(UsageError, match=f"100489 points, more than {MAX_GRID_POINTS}"):
+            build_grid(GridSpec(pair_class="stable", kind="reset", a_axis=side, r_axis=side))
+        long_axis = (0.01,) * (MAX_GRID_POINTS + 1)
+        with pytest.raises(UsageError, match="more than"):
+            build_grid(GridSpec(pair_class="stable", kind="fixed", a_axis=long_axis))
+
+    def test_grid_at_the_bound_is_built(self, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 6)
+        spec = GridSpec("stable", "reset", a_axis=(0.01, 0.02), r_axis=(0.01, 0.02, 0.03))
+        assert len(build_grid(spec)) == 6
+        with pytest.raises(UsageError, match="7 points"):
+            build_grid(GridSpec("stable", "fixed", a_axis=(0.01,) * 7))
+
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             GridSpec(pair_class="exotic", kind="fixed")
@@ -94,6 +115,15 @@ class TestAxisFromSpan:
     def test_endpoint_survives_float_noise(self):
         assert len(axis_from_span(0.1, 0.3, 0.1)) == 3
         assert len(axis_from_span(0.001, 0.05, 0.001)) == 50
+
+    def test_axis_above_the_bound_is_rejected_from_its_count(self):
+        # 1e12 and an infinite number of values: building either would not
+        # finish, so the rejection can only come from the computed count.
+        with pytest.raises(UsageError, match=f"more than {MAX_GRID_POINTS} values"):
+            axis_from_span(0.001, 1.0, 1e-12)
+        with pytest.raises(UsageError, match=f"more than {MAX_GRID_POINTS} values"):
+            axis_from_span(0.1, 1.0, 5e-324)
+        assert len(axis_from_span(0.001, 100.0, 0.001)) == MAX_GRID_POINTS
 
     def test_invalid_spans(self):
         with pytest.raises(UsageError):
