@@ -7,6 +7,10 @@ which the oracle does not model, must reproduce sha256 digests of their
 ``repr`` rows and a few explicit values, all captured from the engine before
 its per-bar loop was rewritten on plain floats. Never regenerate these
 constants to make a change pass: a differing digest means the numbers moved.
+
+The state-machine API (``initialize``, ``accrue_fees``, ``mark_to_market``,
+``scale_liquidity``, ``on_close``), replayed in the engine's per-bar order,
+must also give ``run_backtest``'s trajectory bit for bit, plain and snapped.
 """
 
 import hashlib
@@ -17,13 +21,18 @@ import pytest
 from clbacktest import (
     BacktestConfig,
     BarSeries,
+    accrue_fees,
     fixed_config,
+    initialize,
+    mark_to_market,
     nolp_config,
+    on_close,
     pair_for_class,
     passive_config,
     reset_config,
     run_backtest,
     run_sweep,
+    scale_liquidity,
     write_results_csv,
 )
 from helpers import bars_from_rows, seeded_series
@@ -168,3 +177,37 @@ def test_explicit_values(case):
     config = BacktestConfig(strategy=strategy, fee_rate=fee_rate)
     result = run_backtest(config, bars, keep_trajectory=False)
     assert (result.fees, result.value, result.total) == EXPLICIT[case]
+
+
+def _replay(strategy, bars, fee_rate):
+    """Trajectory of ``strategy`` through the state-machine API, in the
+    engine's per-bar order: fees on both ledgers, marks of both, compounding
+    of the second, then ``on_close`` on both."""
+    first = bars[0]
+    plain = comp = initialize(strategy, first.price, 1.0)
+    value = mark_to_market(plain, first.price)
+    rows = [(first.timestamp, 0.0, value, value)]
+    for bar in bars[1:]:
+        fee_plain = accrue_fees(plain, bar, fee_rate)
+        fee_comp = accrue_fees(comp, bar, fee_rate)
+        value = mark_to_market(plain, bar.price)
+        value_comp = mark_to_market(comp, bar.price)
+        if fee_comp > 0.0 and value_comp > 0.0:
+            comp = scale_liquidity(comp, (value_comp + fee_comp) / value_comp)
+        plain = on_close(plain, bar.price)
+        comp = on_close(comp, bar.price)
+        rows.append((bar.timestamp, fee_plain, value, value_comp + fee_comp))
+    return rows
+
+
+@pytest.mark.parametrize("snap", (False, True), ids=("plain", "snapped"))
+@pytest.mark.parametrize("shape", ("reset_heavy", "volatile"))
+def test_state_machine_replay_matches_run_backtest(shape, snap):
+    bars = bars_from_rows(_rows(shape))
+    fee_rate = SERIES[shape][0]
+    for kind, a, r in ORACLE_CASES:
+        strategy = _strategy(kind, a, r, 60 if snap and a is not None else None)
+        result = run_backtest(BacktestConfig(strategy=strategy, fee_rate=fee_rate), bars)
+        assert _replay(strategy, bars, fee_rate) == [tuple(p) for p in result.trajectory], (
+            strategy.label()
+        )
