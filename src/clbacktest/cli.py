@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .clmath import (
     PairProfile,
-    TokenAmounts,
     liquidity_from_equal_value,
     pair_for_class,
     position_value,
@@ -34,8 +33,6 @@ from .engine import BacktestConfig, run_backtest
 from .errors import DataError, UsageError
 from .strategies import (
     FIXED,
-    NOLP,
-    PASSIVE,
     RESET,
     StrategyConfig,
     initialize,
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes (default: all cores); results do not depend on it",
+        help="worker processes, N >= 1 (default: all cores); results do not depend on it",
     )
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -148,9 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_strategy_spec(text: str, snap_spacing: int | None = None) -> StrategyConfig:
-    """Parse a strategy spec string such as ``fixed:a=0.10``."""
+    """Parse a strategy spec ``kind[:key=value,...]`` such as ``fixed:a=0.10``.
+
+    Only the grammar is checked here; :class:`StrategyConfig` decides which
+    parameters each kind takes.
+    """
     kind, _, params_text = text.strip().partition(":")
-    kind = kind.strip().lower()
     params: dict[str, float] = {}
     if params_text.strip():
         for part in params_text.split(","):
@@ -158,24 +158,17 @@ def parse_strategy_spec(text: str, snap_spacing: int | None = None) -> StrategyC
             key = key.strip()
             if not eq or not key:
                 raise UsageError(f"malformed strategy parameter {part.strip()!r}, expected key=value")
+            if key in params:
+                raise UsageError(f"strategy parameter {key!r} is given more than once")
             try:
                 params[key] = float(value.strip())
             except ValueError:
                 raise UsageError(f"strategy parameter {key!r} must be a number, got {value.strip()!r}") from None
-
-    expected = {NOLP: (), PASSIVE: (), FIXED: ("a",), RESET: ("a", "r")}
-    if kind not in expected:
-        raise UsageError(
-            f"unknown strategy {kind!r}; valid specs: nolp, passive, fixed:a=0.10, reset:a=0.10,r=0.05"
-        )
-    wanted = expected[kind]
-    if set(params) != set(wanted):
-        raise UsageError(
-            f"strategy {kind!r} takes parameters {', '.join(wanted) or '(none)'}, got "
-            f"{', '.join(sorted(params)) or '(none)'}"
-        )
+    unknown = sorted(set(params) - {"a", "r"})
+    if unknown:
+        raise UsageError(f"unknown strategy parameter(s) {', '.join(unknown)}; known: a, r")
     return StrategyConfig(
-        kind=kind,
+        kind=kind.strip().lower(),
         a=params.get("a"),
         r=params.get("r"),
         snap_spacing=snap_spacing,
@@ -249,6 +242,8 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     pair = pair_for_class(args.pair_class)
     series = _load_series(args, pair)
     axis = None
@@ -311,21 +306,12 @@ def _writing(path: str):
 
 
 def _cmd_daily_returns(args) -> int:
-    series = load_bars(args.data, pair_for_class("volatile"), args.fee)
-    points = daily_fee_returns(series)
-    start, end = args.start, args.end
-    shown = [
-        p
-        for p in points
-        if (start is None or p.date >= start) and (end is None or p.date <= end)
-    ]
-    if not shown:
-        raise UsageError(f"window {start}..{end} selects no daily returns")
+    points = daily_fee_returns(_load_series(args, pair_for_class("volatile")))
     print("date,lp_return")
-    for point in shown:
+    for point in points:
         print(f"{point.date.isoformat()},{point.lp_return!r}")
-    if start is not None or end is not None:
-        print(f"average,{average_daily_return(points, start, end)!r}")
+    if args.start is not None or args.end is not None:
+        print(f"average,{average_daily_return(points)!r}")
     return 0
 
 

@@ -19,22 +19,24 @@ nothing, so the backtest kernel can call them on every bar:
 :func:`mark_pair` (reserves, value and active liquidity of two ledgers) and
 :func:`one_sided_liquidity`. The dataclass functions (:func:`real_reserves`,
 :func:`position_value`, :func:`liquidity_one_sided`) validate their
-arguments and then call the same helpers.
+arguments and then call the same helpers. Each argument rule is written
+once: :func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
 1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built
 by :func:`range_geometry`: the per-range constants of the reserve formulas.
-A ledger is the list ``[L_1, ..., L_n]`` of the liquidity on each of its
-ranges, in the order of its list of ranges, followed by the tail
-``[full_range_liquidity, hold_x, hold_y]`` when any of these is non-zero.
-Two ledgers that hold positions on the same ranges share one list of
-geometries.
+A ledger is the sequence ``(L_1, ..., L_n)`` of the liquidity on each of its
+ranges, in the order of its sequence of ranges, optionally followed by the
+tail ``(full_range_liquidity, hold_x, hold_y)``. Two ledgers that hold
+positions on the same ranges share one sequence of geometries. This flat
+form is also what a strategy state stores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 TICK_BASE = 1.0001
 # Largest |i| for which TICK_BASE**i stays comfortably inside float range;
@@ -44,16 +46,23 @@ MAX_TICK = 887272
 _LOG_TICK_BASE = math.log(TICK_BASE)
 
 
-def _require_finite_positive(value: float, name: str) -> None:
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0."""
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_nonnegative(value: float, name: str) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_range(lower: float, upper: float) -> None:
     """Raise ValueError unless 0 < lower < upper, both finite."""
     if 0.0 < lower < upper < math.inf:  # the common case; the checks below name a failure
         return
-    _require_finite_positive(lower, "lower")
+    check_positive(lower, "lower")
     if not math.isfinite(upper):
         raise ValueError(f"upper must be finite, got {upper!r}")
     if upper <= lower:
@@ -82,21 +91,8 @@ class TokenAmounts:
     y: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, amount in (("x", self.x), ("y", self.y)):
-            if not math.isfinite(amount) or amount < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
-
-    def value_at(self, price: float) -> float:
-        """Quote-token value of the pair of amounts at the given price."""
-        return self.x * price + self.y
-
-
-@dataclass(frozen=True)
-class VirtualReserves:
-    """Virtual reserve pair backing liquidity L at a price inside the range."""
-
-    x_virtual: float
-    y_virtual: float
+        check_nonnegative(self.x, "x")
+        check_nonnegative(self.y, "y")
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class PairProfile:
 
     name: str
     tick_spacing: int
-    quote_is_stable: bool = True
 
     def __post_init__(self) -> None:
         if self.tick_spacing < 1:
@@ -142,7 +137,7 @@ def tick_index(price: float) -> int:
     The log-based estimate can land one tick off near boundaries, so the
     result is nudged until tick_price(i) <= price < tick_price(i + 1).
     """
-    _require_finite_positive(price, "price")
+    check_positive(price, "price")
     i = math.floor(math.log(price) / _LOG_TICK_BASE)
     i = max(-MAX_TICK, min(MAX_TICK, i))
     while i < MAX_TICK and tick_price(i + 1) <= price:
@@ -156,7 +151,7 @@ def nearest_spaced_tick(price: float, spacing: int) -> int:
     """Tick index closest to ``price`` in log space among multiples of spacing."""
     if spacing < 1:
         raise ValueError(f"spacing must be >= 1, got {spacing}")
-    _require_finite_positive(price, "price")
+    check_positive(price, "price")
     exact = math.log(price) / _LOG_TICK_BASE
     step = round(exact / spacing)
     bound = MAX_TICK // spacing
@@ -174,9 +169,8 @@ def symmetric_range(price: float, a: float) -> PriceRange:
     The bounds are symmetric multiplicatively: their geometric midpoint is
     ``price`` itself. ``a`` is the half-width factor and must be positive.
     """
-    _require_finite_positive(price, "price")
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"a must be a finite positive number, got {a!r}")
+    check_positive(price, "price")
+    check_positive(a, "a")
     return PriceRange(*symmetric_bounds(price, a))
 
 
@@ -208,9 +202,9 @@ def geometry_of(lower: float, upper: float) -> tuple[float, ...]:
 
 
 def mark_pair(
-    ranges: list[tuple[float, ...]],
-    ledger_a: list[float],
-    ledger_b: list[float],
+    ranges: Sequence[tuple[float, ...]],
+    ledger_a: Sequence[float],
+    ledger_b: Sequence[float],
     price: float,
     sqrt_price: float,
 ) -> tuple[float, float, float, float, float, float, float, float]:
@@ -286,7 +280,7 @@ def mark_pair(
     return active_a, value_a, active_b, value_b, x_a, y_a, x_b, y_b
 
 
-def _add_tail(value: float, tail: list[float], price: float, sqrt_price: float) -> float:
+def _add_tail(value: float, tail: Sequence[float], price: float, sqrt_price: float) -> float:
     """``value`` plus the value of a ledger tail ``[full, hold_x, hold_y]``."""
     full, hold_x, hold_y = tail
     if full > 0.0:
@@ -310,10 +304,10 @@ def one_sided_liquidity(
 
 def _single_mark(liquidity: float, price_range: PriceRange, price: float) -> tuple[float, ...]:
     """:func:`mark_pair` of a lone position, after validating its inputs."""
-    check_liquidity(liquidity)
-    _require_finite_positive(price, "price")
-    ranges = [geometry_of(price_range.lower, price_range.upper)]
-    ledger = [liquidity]
+    check_nonnegative(liquidity, "liquidity")
+    check_positive(price, "price")
+    ranges = (geometry_of(price_range.lower, price_range.upper),)
+    ledger = (liquidity,)
     return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))
 
 
@@ -328,14 +322,6 @@ def position_value(liquidity: float, price_range: PriceRange, price: float) -> f
     return _single_mark(liquidity, price_range, price)[1]
 
 
-def virtual_reserves(liquidity: float, price: float) -> VirtualReserves:
-    """Virtual reserves implied by liquidity at an in-range price."""
-    check_liquidity(liquidity)
-    _require_finite_positive(price, "price")
-    sqrt_price = math.sqrt(price)
-    return VirtualReserves(x_virtual=liquidity / sqrt_price, y_virtual=liquidity * sqrt_price)
-
-
 def liquidity_from_equal_value(price: float, a: float, total_value: float) -> float:
     """Liquidity that deposits ``total_value`` 50/50 into symmetric_range(price, a).
 
@@ -344,11 +330,9 @@ def liquidity_from_equal_value(price: float, a: float, total_value: float) -> fl
 
         L = (total / 2) / (sqrt(p) * (1 - 1 / sqrt(1 + a)))
     """
-    _require_finite_positive(price, "price")
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"a must be a finite positive number, got {a!r}")
-    if not math.isfinite(total_value) or total_value < 0.0:
-        raise ValueError(f"total_value must be finite and >= 0, got {total_value!r}")
+    check_positive(price, "price")
+    check_positive(a, "a")
+    check_nonnegative(total_value, "total_value")
     return (total_value / 2.0) / (math.sqrt(price) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
 
 
@@ -358,8 +342,7 @@ def liquidity_for_value(price_range: PriceRange, price: float, total_value: floa
     Generic inverse of :func:`position_value`; used when the range is not
     centered on the deposit price (tick-snapped ranges).
     """
-    if not math.isfinite(total_value) or total_value < 0.0:
-        raise ValueError(f"total_value must be finite and >= 0, got {total_value!r}")
+    check_nonnegative(total_value, "total_value")
     unit = position_value(1.0, price_range, price)
     if unit <= 0.0:
         raise ValueError(
@@ -376,7 +359,7 @@ def liquidity_one_sided(price_range: PriceRange, deposit: TokenAmounts, price: f
     it. A zero deposit mints zero liquidity. Depositing both tokens at once is
     not a one-sided operation and is rejected.
     """
-    _require_finite_positive(price, "price")
+    check_positive(price, "price")
     if deposit.x > 0.0 and deposit.y > 0.0:
         raise ValueError("one-sided deposit cannot contain both tokens")
     if deposit.y > 0.0 and price < price_range.upper:
@@ -385,9 +368,3 @@ def liquidity_one_sided(price_range: PriceRange, deposit: TokenAmounts, price: f
         raise ValueError("base-token deposit needs a range at or above the current price")
     geometry = geometry_of(price_range.lower, price_range.upper)
     return max(one_sided_liquidity(deposit.x, deposit.y, geometry, geometry))
-
-
-def check_liquidity(liquidity: float) -> None:
-    """Raise ValueError unless ``liquidity`` is finite and >= 0."""
-    if not math.isfinite(liquidity) or liquidity < 0.0:
-        raise ValueError(f"liquidity must be finite and >= 0, got {liquidity!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .clmath import PairProfile
-from .engine import HourlyBar
+from .engine import HourlyBar, check_fee_rate
 from .errors import DataError, UsageError
 
 REQUIRED_COLUMNS = ("timestamp", "price", "volume", "pool_liquidity")
@@ -41,8 +41,7 @@ class BarSeries:
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.fee_rate) or not 0.0 <= self.fee_rate < 1.0:
-            raise UsageError(f"fee_rate must lie in [0, 1), got {self.fee_rate!r}")
+        check_fee_rate(self.fee_rate)
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,7 @@ def clip_window(
     """Restrict a series to bars whose UTC date lies in [start, end]."""
     if start is None and end is None:
         return series
-    kept = tuple(
-        bar
-        for bar in series.bars
-        if (start is None or _bar_date(bar) >= start)
-        and (end is None or _bar_date(bar) <= end)
-    )
+    kept = tuple(bar for bar in series.bars if _in_window(_bar_date(bar), start, end))
     if not kept:
         raise UsageError(
             f"window {start}..{end} selects no bars out of {len(series.bars)}"
@@ -119,10 +113,11 @@ def daily_fee_returns(series: BarSeries) -> list[DailyReturnPoint]:
         raise UsageError("cannot compute daily returns of an empty series")
     volume_by_day: dict[dt.date, float] = {}
     tvl_by_day: dict[dt.date, float] = {}
-    for index, bar in enumerate(series.bars, start=1):
+    for bar in series.bars:
         if bar.tvl is None:
             raise UsageError(
-                f"bar {index} has no tvl; daily returns need the tvl column filled in"
+                f"bar at timestamp {bar.timestamp} has no tvl; "
+                "daily returns need the tvl column filled in"
             )
         day = _bar_date(bar)
         volume_by_day[day] = volume_by_day.get(day, 0.0) + bar.volume
@@ -144,14 +139,14 @@ def average_daily_return(
     end: dt.date | None = None,
 ) -> float:
     """Arithmetic mean of daily returns inside [start, end]."""
-    selected = [
-        p.lp_return
-        for p in points
-        if (start is None or p.date >= start) and (end is None or p.date <= end)
-    ]
+    selected = [p.lp_return for p in points if _in_window(p.date, start, end)]
     if not selected:
         raise UsageError(f"window {start}..{end} selects no daily returns")
     return sum(selected) / len(selected)
+
+
+def _in_window(date: dt.date, start: dt.date | None, end: dt.date | None) -> bool:
+    return (start is None or date >= start) and (end is None or date <= end)
 
 
 def _bar_date(bar: HourlyBar) -> dt.date:

@@ -34,10 +34,13 @@ floats. Per bar, one call of :func:`~clbacktest.clmath.mark_pair` marks both
 ledgers; a reset calls :func:`~clbacktest.strategies.reset_bounds` and
 :func:`~clbacktest.strategies.redeposit`, which reuses the row's
 ``sqrt(price)`` for the new ranges' shared bound, so it takes two new square
-roots. The dataclass API (``initialize``, ``on_close``, ``mark_to_market``,
-``active_liquidity``, ``accrue_fees``) and ``clmath``'s ``real_reserves``,
-``position_value`` and ``liquidity_for_value`` call the same helpers, passing
-one ledger as both ledgers of the pair, so every formula lives once.
+roots. A :class:`~clbacktest.strategies.StrategyState` stores this same flat
+form (its ranges, one ledger and its trigger), so the state API
+(``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
+``scale_liquidity``, ``accrue_fees``) converts nothing; it and ``clmath``'s
+``real_reserves``, ``position_value`` and ``liquidity_for_value`` call the
+same helpers, passing one ledger as both ledgers of the pair, so every
+formula lives once.
 
 Bit-identity rule. Every expression is evaluated in the order of the
 dataclass API and on the same operands: a row entry or a hoisted constant is
@@ -131,12 +134,17 @@ class BacktestConfig:
     initial_value: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.fee_rate) or not 0.0 <= self.fee_rate < 1.0:
-            raise UsageError(f"fee_rate must lie in [0, 1), got {self.fee_rate!r}")
+        check_fee_rate(self.fee_rate)
         if not math.isfinite(self.initial_value) or self.initial_value <= 0.0:
             raise UsageError(
                 f"initial_value must be finite and > 0, got {self.initial_value!r}"
             )
+
+
+def check_fee_rate(fee_rate: float) -> None:
+    """Raise UsageError unless ``fee_rate`` lies in [0, 1)."""
+    if not 0.0 <= fee_rate < 1.0:
+        raise UsageError(f"fee_rate must lie in [0, 1), got {fee_rate!r}")
 
 
 class TrajectoryPoint(NamedTuple):
@@ -255,13 +263,6 @@ def run_backtest(
         total=total_now / budget,
         trajectory=tuple(trajectory),
     )
-
-
-def replay_trajectory(result: BacktestResult) -> list[TrajectoryPoint]:
-    """Per-bar rows of a stored result, oldest first."""
-    if not result.trajectory:
-        raise UsageError("result holds no trajectory (run with keep_trajectory=True)")
-    return list(result.trajectory)
 
 
 def _series_rows(bars: Sequence[HourlyBar], fee_rate: float) -> Iterator[tuple]:

@@ -13,24 +13,27 @@ the backtest engine asks every bar.
                  interval of half-width ``r`` the position is liquidated at
                  the close and redeposited one-sided around it.
 
-States are frozen dataclasses; every transition returns a new state. The
-arithmetic behind each transition lives in flat helpers on plain floats
+States are frozen dataclasses; every transition returns a new state. A
+state stores the kernel's flat form: range geometries, one ledger and the
+trigger interval (layout in :mod:`clbacktest.clmath`). The arithmetic
+behind each transition lives in flat helpers on plain floats
 (:func:`~clbacktest.clmath.mark_pair`, :func:`reset_bounds`,
 :func:`redeposit`), which the backtest kernel calls directly on its pair of
-ledgers over shared range geometries (layout in :mod:`clbacktest.clmath`),
-starting from :func:`deploy`; the dataclass functions convert a state to
-one flat ledger and pass it as both ledgers of the pair.
+ledgers, starting from :func:`deploy`; the state functions pass the state's
+one ledger as both ledgers of the pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 from .clmath import (
     PriceRange,
     TokenAmounts,
-    check_liquidity,
+    check_nonnegative,
+    check_positive,
     check_range,
     geometry_of,
     liquidity_for_value,
@@ -74,22 +77,21 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise UsageError(f"unknown strategy kind {self.kind!r}")
-        needs_a = self.kind in (FIXED, RESET)
-        if needs_a:
-            if self.a is None or not math.isfinite(self.a) or self.a < MIN_WIDTH:
+            raise UsageError(
+                f"unknown strategy kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
+            )
+        for name, width, value, needed in (
+            ("a", "range width", self.a, self.kind in (FIXED, RESET)),
+            ("r", "reset width", self.r, self.kind == RESET),
+        ):
+            if not needed:
+                if value is not None:
+                    raise UsageError(f"strategy {self.kind!r} takes no {width} {name}")
+            elif value is None or not math.isfinite(value) or value < MIN_WIDTH:
                 raise UsageError(
-                    f"strategy {self.kind!r} needs a > 0 (at least {MIN_WIDTH!r}), got {self.a!r}"
+                    f"strategy {self.kind!r} needs {name} > 0 (at least {MIN_WIDTH!r}), "
+                    f"got {value!r}"
                 )
-        elif self.a is not None:
-            raise UsageError(f"strategy {self.kind!r} takes no range width a")
-        if self.kind == RESET:
-            if self.r is None or not math.isfinite(self.r) or self.r < MIN_WIDTH:
-                raise UsageError(
-                    f"strategy {self.kind!r} needs r > 0 (at least {MIN_WIDTH!r}), got {self.r!r}"
-                )
-        elif self.r is not None:
-            raise UsageError(f"strategy {self.kind!r} takes no reset width r")
         if self.snap_spacing is not None and self.snap_spacing < 1:
             raise UsageError(f"snap_spacing must be >= 1, got {self.snap_spacing!r}")
 
@@ -120,6 +122,11 @@ def reset_config(a: float, r: float, snap_spacing: int | None = None) -> Strateg
     return StrategyConfig(kind=RESET, a=a, r=r, snap_spacing=snap_spacing)
 
 
+Ranges = tuple[tuple[float, ...], ...]
+Ledger = tuple[float, ...]
+Trigger = tuple[float, float] | None
+
+
 @dataclass(frozen=True)
 class LiquidityPosition:
     """One range position: where the liquidity sits and how much of it."""
@@ -128,77 +135,90 @@ class LiquidityPosition:
     liquidity: float
 
     def __post_init__(self) -> None:
-        check_liquidity(self.liquidity)
+        check_nonnegative(self.liquidity, "liquidity")
 
 
 @dataclass(frozen=True)
 class StrategyState:
-    """Everything a strategy owns between bars.
+    """Everything a strategy owns between bars, in the kernel's flat form.
 
-    ``positions`` holds range positions (fixed/reset), ``full_range_liquidity``
-    the passive deposit, and ``holdings`` loose tokens (nolp). ``reset_range``
-    is the trigger interval of a reset strategy, None for everything else.
+    ``ranges`` holds the geometry tuple of each range position and ``ledger``
+    its liquidity, followed for nolp and passive by the tail
+    ``(full_range_liquidity, hold_x, hold_y)`` (layout in ``clmath``).
+    ``trigger`` holds the bounds of a reset strategy's trigger interval, None
+    for everything else. The properties give the same state as dataclasses.
     """
 
     config: StrategyConfig
     entry_price: float
-    positions: tuple[LiquidityPosition, ...] = ()
-    holdings: TokenAmounts = TokenAmounts()
-    full_range_liquidity: float = 0.0
-    reset_range: PriceRange | None = None
+    ranges: Ranges
+    ledger: Ledger
+    trigger: Trigger
+
+    @property
+    def positions(self) -> tuple[LiquidityPosition, ...]:
+        """Range positions (fixed/reset)."""
+        return tuple(
+            LiquidityPosition(PriceRange(geometry[0], geometry[1]), liquidity)
+            for geometry, liquidity in zip(self.ranges, self.ledger)
+        )
+
+    @property
+    def full_range_liquidity(self) -> float:
+        """The passive deposit."""
+        return self._tail()[0]
+
+    @property
+    def holdings(self) -> TokenAmounts:
+        """Loose tokens (nolp)."""
+        return TokenAmounts(*self._tail()[1:])
+
+    @property
+    def reset_range(self) -> PriceRange | None:
+        """The trigger interval of a reset strategy, None for everything else."""
+        return None if self.trigger is None else PriceRange(*self.trigger)
+
+    def _tail(self) -> Sequence[float]:
+        return self.ledger[len(self.ranges):] or (0.0, 0.0, 0.0)
 
 
 def initialize(config: StrategyConfig, price: float, budget: float) -> StrategyState:
     """Deploy ``budget`` (in quote-token units) at the entry price (see :func:`deploy`)."""
-    ranges, ledger, trigger = deploy(config, price, budget)
-    full, hold_x, hold_y = ledger[len(ranges):] or (0.0, 0.0, 0.0)
-    return StrategyState(
-        config=config,
-        entry_price=price,
-        positions=_positions(ranges, ledger),
-        holdings=TokenAmounts(x=hold_x, y=hold_y),
-        full_range_liquidity=full,
-        reset_range=None if trigger is None else PriceRange(*trigger),
-    )
+    return StrategyState(config, price, *deploy(config, price, budget))
 
 
-def deploy(
-    config: StrategyConfig, price: float, budget: float
-) -> tuple[list[tuple[float, ...]], list[float], tuple[float, float] | None]:
+def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges, Ledger, Trigger]:
     """Flat form of :func:`initialize`: ``(ranges, ledger, trigger)``.
 
     ``ranges`` and ``ledger`` are as in ``clmath``; ``trigger`` holds the
     bounds of a reset strategy's trigger interval, None for other kinds.
     Raises ValueError when the deposit cannot be represented.
     """
-    if not math.isfinite(price) or price <= 0.0:
-        raise ValueError(f"price must be a finite positive number, got {price!r}")
-    if not math.isfinite(budget) or budget < 0.0:
-        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
+    check_positive(price, "price")
+    check_nonnegative(budget, "budget")
 
     if config.kind == NOLP:
-        # TokenAmounts rejects a split that overflows.
-        holdings = TokenAmounts(x=budget / (2.0 * price), y=budget / 2.0)
-        return [], _ledger([], 0.0, holdings.x, holdings.y), None
+        hold_x = budget / (2.0 * price)
+        check_nonnegative(hold_x, "x")
+        return (), (0.0, hold_x, budget / 2.0), None
 
     if config.kind == PASSIVE:
-        return [], _ledger([], budget / (2.0 * math.sqrt(price)), 0.0, 0.0), None
+        return (), (budget / (2.0 * math.sqrt(price)), 0.0, 0.0), None
 
     lower, upper = symmetric_bounds(price, config.a)
     check_range(lower, upper)
     if config.snap_spacing is not None:
-        price_range = _snap_symmetric(PriceRange(lower, upper), price, config.snap_spacing)
-        lower, upper = price_range.lower, price_range.upper
-        liquidity = liquidity_for_value(price_range, price, budget)
+        lower, upper = _snap_outward(lower, upper, price, config.snap_spacing)
+        liquidity = liquidity_for_value(PriceRange(lower, upper), price, budget)
     else:
         liquidity = liquidity_from_equal_value(price, config.a, budget)
-    check_liquidity(liquidity)
+    check_nonnegative(liquidity, "liquidity")
 
     trigger = None
     if config.kind == RESET:
         trigger = symmetric_bounds(price, config.r)
         check_range(*trigger)
-    return [geometry_of(lower, upper)], [liquidity], trigger
+    return (geometry_of(lower, upper),), (liquidity,), trigger
 
 
 def on_close(state: StrategyState, price: float) -> StrategyState:
@@ -209,57 +229,29 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
     are liquidated at the close and redeposited one-sided around it, and a new
     trigger interval is centered on the close.
     """
-    if state.config.kind != RESET or state.reset_range is None:
-        return state
-    if state.reset_range.lower < price < state.reset_range.upper:
+    trigger = state.trigger
+    if trigger is None or trigger[0] < price < trigger[1]:
         return state
     below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(state.config, price)
-    ranges, ledger = _flat_ledger(state)
+    ledger = state.ledger
     ranges, ledger, _ = redeposit(
-        ranges, ledger, ledger, price, math.sqrt(price), below_lower, above_upper
+        state.ranges, ledger, ledger, price, math.sqrt(price), below_lower, above_upper
     )
-    return replace(
-        state,
-        positions=_positions(ranges, ledger),
-        reset_range=PriceRange(trigger_lower, trigger_upper),
+    return StrategyState(
+        state.config, state.entry_price, ranges, ledger, (trigger_lower, trigger_upper)
     )
 
 
 def active_liquidity(state: StrategyState, price: float) -> float:
     """Liquidity of the state that earns fees at the given price."""
-    ranges, ledger = _flat_ledger(state)
-    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))[0]
+    ledger = state.ledger
+    return mark_pair(state.ranges, ledger, ledger, price, math.sqrt(price))[0]
 
 
 def mark_to_market(state: StrategyState, price: float) -> float:
     """Total state value in quote-token units at the given price."""
-    ranges, ledger = _flat_ledger(state)
-    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))[1]
-
-
-def _flat_ledger(state: StrategyState) -> tuple[list[tuple[float, ...]], list[float]]:
-    """The state's range geometries and its ledger list (see ``clmath``)."""
-    positions = state.positions
-    ranges = [geometry_of(p.price_range.lower, p.price_range.upper) for p in positions]
-    liquidities = [p.liquidity for p in positions]
-    holdings = state.holdings
-    return ranges, _ledger(liquidities, state.full_range_liquidity, holdings.x, holdings.y)
-
-
-def _ledger(liquidities: list[float], full: float, hold_x: float, hold_y: float) -> list[float]:
-    """Ledger list: range liquidities, then the tail if any of it is non-zero."""
-    if full or hold_x or hold_y:
-        return [*liquidities, full, hold_x, hold_y]
-    return liquidities
-
-
-def _positions(
-    ranges: list[tuple[float, ...]], ledger: list[float]
-) -> tuple[LiquidityPosition, ...]:
-    return tuple(
-        LiquidityPosition(price_range=PriceRange(geometry[0], geometry[1]), liquidity=liquidity)
-        for geometry, liquidity in zip(ranges, ledger)
-    )
+    ledger = state.ledger
+    return mark_pair(state.ranges, ledger, ledger, price, math.sqrt(price))[1]
 
 
 def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, float, float]:
@@ -271,8 +263,9 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
     """
     below_lower, above_upper = symmetric_bounds(price, config.a)
     if config.snap_spacing is not None:
-        below_lower = _snap_outer(below_lower, config.snap_spacing, must_stay_below=price)
-        above_upper = _snap_outer(above_upper, config.snap_spacing, must_stay_above=price)
+        below_lower, above_upper = _snap_outward(
+            below_lower, above_upper, price, config.snap_spacing
+        )
     trigger_lower, trigger_upper = symmetric_bounds(price, config.r)
     check_range(below_lower, price)
     check_range(price, above_upper)
@@ -281,14 +274,14 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
 
 
 def redeposit(
-    ranges: list[tuple[float, ...]],
-    ledger_a: list[float],
-    ledger_b: list[float],
+    ranges: Sequence[tuple[float, ...]],
+    ledger_a: Sequence[float],
+    ledger_b: Sequence[float],
     price: float,
     sqrt_price: float,
     below_lower: float,
     above_upper: float,
-) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
+) -> tuple[Ranges, Ledger, Ledger]:
     """Liquidate two ledgers' range positions at ``price`` and redeposit
     each one-sided around it; returns the new ranges and ledgers.
 
@@ -304,62 +297,38 @@ def redeposit(
     count = len(ranges)
     new_a = _mint(x_a, y_a, below, above, ledger_a[count:])
     new_b = _mint(x_b, y_b, below, above, ledger_b[count:])
-    return [below, above], new_a, new_b
+    return (below, above), new_a, new_b
 
 
 def _mint(
-    x: float, y: float, below: tuple[float, ...], above: tuple[float, ...], tail: list[float]
-) -> list[float]:
+    x: float, y: float, below: tuple[float, ...], above: tuple[float, ...], tail: Sequence[float]
+) -> Ledger:
     """Ledger of a one-sided redeposit of ``x`` and ``y`` that keeps ``tail``."""
     below_liquidity, above_liquidity = one_sided_liquidity(x, y, below, above)
     if not max(below_liquidity, above_liquidity) < math.inf:
         raise ValueError(f"redepositing {x!r} base and {y!r} quote overflows")
-    return [below_liquidity, above_liquidity, *tail]
+    return (below_liquidity, above_liquidity, *tail)
 
 
 def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
     """Scale every liquidity amount and holding by ``factor`` (compounding)."""
-    if not math.isfinite(factor) or factor < 0.0:
-        raise ValueError(f"factor must be finite and >= 0, got {factor!r}")
-    positions = tuple(
-        LiquidityPosition(price_range=p.price_range, liquidity=p.liquidity * factor)
-        for p in state.positions
-    )
-    holdings = TokenAmounts(x=state.holdings.x * factor, y=state.holdings.y * factor)
-    return replace(
-        state,
-        positions=positions,
-        holdings=holdings,
-        full_range_liquidity=state.full_range_liquidity * factor,
-    )
+    check_nonnegative(factor, "factor")
+    ledger = tuple([amount * factor for amount in state.ledger])
+    if math.inf in ledger:
+        raise ValueError(f"scaling the ledger by {factor!r} overflows")
+    return StrategyState(state.config, state.entry_price, state.ranges, ledger, state.trigger)
 
 
-def _snap_symmetric(price_range: PriceRange, price: float, spacing: int) -> PriceRange:
-    """Snap both bounds to spaced ticks, keeping the deposit price inside."""
-    lower_tick = nearest_spaced_tick(price_range.lower, spacing)
-    upper_tick = nearest_spaced_tick(price_range.upper, spacing)
+def _snap_outward(lower: float, upper: float, price: float, spacing: int) -> tuple[float, float]:
+    """Snap both bounds to the nearest spaced ticks, moving each outward
+    until ``price`` lies strictly inside."""
+    lower_tick = nearest_spaced_tick(lower, spacing)
+    upper_tick = nearest_spaced_tick(upper, spacing)
     while tick_price(lower_tick) >= price:
         lower_tick -= spacing
     while tick_price(upper_tick) <= price:
         upper_tick += spacing
-    return PriceRange(tick_price(lower_tick), tick_price(upper_tick))
-
-
-def _snap_outer(
-    bound: float,
-    spacing: int,
-    must_stay_below: float | None = None,
-    must_stay_above: float | None = None,
-) -> float:
-    """Snap an outer reset bound without crossing the trigger price."""
-    tick = nearest_spaced_tick(bound, spacing)
-    if must_stay_below is not None:
-        while tick_price(tick) >= must_stay_below:
-            tick -= spacing
-    if must_stay_above is not None:
-        while tick_price(tick) <= must_stay_above:
-            tick += spacing
-    return tick_price(tick)
+    return tick_price(lower_tick), tick_price(upper_tick)
 
 
 def _pct(value: float | None) -> str:

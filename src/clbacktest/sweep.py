@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -144,7 +143,6 @@ def run_sweep(
     grid: Sequence[StrategyConfig],
     series: BarSeries,
     jobs: int | None = 1,
-    initial_value: float = 1.0,
 ) -> list[ResultPair]:
     """Backtest every configuration in the grid over the series.
 
@@ -156,11 +154,11 @@ def run_sweep(
         raise UsageError("cannot sweep an empty grid")
     workers = worker_count(jobs, len(configs), os.cpu_count() or 1)
     if workers == 1:
-        results = _run_chunk((configs, series.bars, series.fee_rate, initial_value))
+        results = _run_chunk((configs, series.bars, series.fee_rate))
         return list(zip(configs, results))
 
     chunks = [configs[i::workers] for i in range(workers)]
-    payloads = [(chunk, series.bars, series.fee_rate, initial_value) for chunk in chunks]
+    payloads = [(chunk, series.bars, series.fee_rate) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk_results = list(pool.map(_run_chunk, payloads))
     # Stitch the strided chunks back into grid order.
@@ -177,18 +175,9 @@ def worker_count(jobs: int | None, configs: int, cpus: int) -> int:
     return max(1, min(cpus if jobs is None else jobs, configs, cpus))
 
 
-def compute_baselines(series: BarSeries, initial_value: float = 1.0) -> Baselines:
+def compute_baselines(series: BarSeries) -> Baselines:
     """Run the no-deposit and full-range reference strategies."""
-    nolp = run_backtest(
-        BacktestConfig(strategy=nolp_config(), fee_rate=series.fee_rate, initial_value=initial_value),
-        series.bars,
-        keep_trajectory=False,
-    )
-    passive = run_backtest(
-        BacktestConfig(strategy=passive_config(), fee_rate=series.fee_rate, initial_value=initial_value),
-        series.bars,
-        keep_trajectory=False,
-    )
+    nolp, passive = _run_chunk(([nolp_config(), passive_config()], series.bars, series.fee_rate))
     return Baselines(nolp=nolp, passive=passive)
 
 
@@ -212,8 +201,8 @@ def rank_results(
     )
 
 
-def render_report(summary: SweepSummary, format: str = "markdown-table") -> str:
-    """Render the ranked summary as a table.
+def render_report(summary: SweepSummary) -> str:
+    """Render the ranked summary as a markdown table.
 
     Baseline rows come first, then Best/Worst (total) and Best (fees) rows
     for each strategy family present in the results. Metrics display with 3
@@ -246,15 +235,9 @@ def render_report(summary: SweepSummary, format: str = "markdown-table") -> str:
         )
         for name, params, result in rows
     ]
-    if format == "markdown-table":
-        lines = ["| " + " | ".join(cells) + " |" for cells in table]
-        lines.insert(1, "| " + " | ".join("---" for _ in header) + " |")
-        return "\n".join(lines)
-    if format == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(table)
-        return buffer.getvalue()
-    raise UsageError(f"unknown report format {format!r}")
+    lines = ["| " + " | ".join(cells) + " |" for cells in table]
+    lines.insert(1, "| " + " | ".join("---" for _ in header) + " |")
+    return "\n".join(lines)
 
 
 def write_results_csv(results: Sequence[ResultPair], dest) -> None:
@@ -283,14 +266,11 @@ def write_results_csv(results: Sequence[ResultPair], dest) -> None:
 
 
 def _run_chunk(payload) -> list[BacktestResult]:
-    configs, bars, fee_rate, initial_value = payload
-    out = []
-    for config in configs:
-        run_config = BacktestConfig(
-            strategy=config, fee_rate=fee_rate, initial_value=initial_value
-        )
-        out.append(run_backtest(run_config, bars, keep_trajectory=False))
-    return out
+    configs, bars, fee_rate = payload
+    return [
+        run_backtest(BacktestConfig(strategy=config, fee_rate=fee_rate), bars, keep_trajectory=False)
+        for config in configs
+    ]
 
 
 def _extremal(results: Sequence[ResultPair], metric: str, best: bool) -> ResultPair:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from clbacktest import BacktestConfig, UsageError, load_bars, pair_for_class, run_backtest
+from clbacktest import BacktestConfig, UsageError, cli, load_bars, pair_for_class, run_backtest
+from clbacktest import sweep
 from clbacktest.cli import build_parser, main, parse_strategy_spec
 from clbacktest.strategies import fixed_config, reset_config
 from helpers import csv_text
@@ -62,6 +63,12 @@ class TestParseStrategySpec:
             parse_strategy_spec("reset:a=0.1")
         with pytest.raises(UsageError):
             parse_strategy_spec("passive:a=0.1")
+
+    def test_repeated_and_unknown_parameters(self):
+        with pytest.raises(UsageError, match="'a' is given more than once"):
+            parse_strategy_spec("fixed:a=0.1,a=0.2")
+        with pytest.raises(UsageError, match="unknown strategy parameter"):
+            parse_strategy_spec("fixed:a=0.1,b=0.2")
 
     def test_bad_values(self):
         with pytest.raises(UsageError):
@@ -346,6 +353,22 @@ class TestSweepCommand:
         assert code == 2
         assert "MIN,MAX,STEP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ("0", "-3"))
+    def test_jobs_below_one_is_a_usage_error(self, data_file, capsys, monkeypatch, jobs):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_sweep)
+        code = main(
+            ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
+            + ["--jobs", jobs]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in captured.err
+        assert captured.out == ""
+
     def test_ledger_overflow_in_workers_exits_one(self, tmp_path, capsys):
         # Passive's fee share stays finite; the concentrated Fixed ranges
         # earn 100 to 200 times more and overflow inside the sweep workers.
@@ -416,6 +439,24 @@ class TestDailyReturnsCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("average,")
+
+    def test_window_ignores_missing_tvl_outside_it(self, tmp_path, capsys):
+        # 2020-09-14 has no tvl; 2020-09-15 has it on every bar.
+        day = 1600041600
+        rows = [(day, 2000.0, 1e6, 1e4, ""), (day + 3600, 2000.0, 1e6, 1e4, "")]
+        rows += [(day + 86400 + 3600 * i, 2000.0, 1e6 * (i + 1), 1e4, 4e7) for i in range(3)]
+        path = tmp_path / "gap.csv"
+        path.write_text(csv_text(rows))
+        args = ["daily-returns", "--data", str(path), "--fee", "0.003"]
+        assert main(args) == 2
+        assert "bar at timestamp 1600041600 has no tvl" in capsys.readouterr().err
+        assert main(args + ["--from", "2020-09-15"]) == 0
+        expected = (1e6 + 2e6 + 3e6) * 0.003 / 4e7
+        assert capsys.readouterr().out.splitlines() == [
+            "date,lp_return",
+            f"2020-09-15,{expected!r}",
+            f"average,{expected!r}",
+        ]
 
     def test_missing_tvl_exits_two(self, tmp_path, capsys):
         path = tmp_path / "no_tvl.csv"

@@ -18,7 +18,6 @@ from clbacktest import (
     symmetric_range,
     tick_index,
     tick_price,
-    virtual_reserves,
 )
 from clbacktest.clmath import (
     MAX_TICK,
@@ -113,9 +112,6 @@ class TestTokenAmounts:
         with pytest.raises(ValueError):
             TokenAmounts(x=0.0, y=-0.5)
 
-    def test_value_at(self):
-        assert TokenAmounts(x=0.25, y=500.0).value_at(1900.0) == 975.0
-
 
 class TestSymmetricRange:
     def test_narrow_example(self):
@@ -209,15 +205,6 @@ class TestPositionValue:
             above = position_value(7.0, rng, bound + eps)
             assert below == pytest.approx(mid, rel=1e-6)
             assert above == pytest.approx(mid, rel=1e-6)
-
-
-class TestVirtualReserves:
-    def test_identities(self):
-        liquidity = 240.3
-        price = 1900.0
-        res = virtual_reserves(liquidity, price)
-        assert res.x_virtual * res.y_virtual == pytest.approx(liquidity**2, rel=1e-9)
-        assert res.y_virtual / res.x_virtual == pytest.approx(price, rel=1e-9)
 
 
 class TestLiquidityFromEqualValue:

@@ -17,7 +17,6 @@ from clbacktest import (
     initialize,
     nolp_config,
     passive_config,
-    replay_trajectory,
     reset_config,
     run_backtest,
 )
@@ -202,23 +201,11 @@ def test_config_validation():
         BacktestConfig(strategy=nolp_config(), fee_rate=0.003, initial_value=0.0)
 
 
-def test_replay_trajectory():
-    config = BacktestConfig(strategy=fixed_config(0.10), fee_rate=0.003)
-    result = run_backtest(config, THREE_BARS)
-    rows = replay_trajectory(result)
-    assert len(rows) == 3
-    assert rows == list(result.trajectory)
-    assert sum(row.fee for row in rows) == pytest.approx(result.fees, rel=1e-12)
-    assert rows[0].value == pytest.approx(1.0, rel=1e-12)
-
-
 def test_replay_requires_a_kept_trajectory():
     config = BacktestConfig(strategy=fixed_config(0.10), fee_rate=0.003)
     result = run_backtest(config, THREE_BARS, keep_trajectory=False)
     assert result.trajectory == ()
     assert result.fees == LEDGER_FEES
-    with pytest.raises(UsageError):
-        replay_trajectory(result)
 
 
 class TestSeriesMemo:

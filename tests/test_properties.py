@@ -22,7 +22,6 @@ from clbacktest import (
     symmetric_range,
     tick_index,
     tick_price,
-    virtual_reserves,
 )
 from helpers import make_bars
 
@@ -130,14 +129,6 @@ def test_equal_value_liquidity_scales_with_budget(p, a, budget, k):
 @given(i=st.integers(min_value=-887272, max_value=887272))
 def test_tick_round_trip(i):
     assert tick_index(tick_price(i)) == i
-
-
-@given(liquidity=liquidities, p=prices)
-def test_virtual_reserve_identities(liquidity, p):
-    assume(liquidity > 0)
-    res = virtual_reserves(liquidity, p)
-    assert math.isclose(res.x_virtual * res.y_virtual, liquidity * liquidity, rel_tol=1e-9)
-    assert math.isclose(res.y_virtual / res.x_virtual, p, rel_tol=1e-9)
 
 
 @given(p0=prices, factor=st.floats(min_value=0.5, max_value=2.0), bump=st.floats(min_value=0.0, max_value=9.0))

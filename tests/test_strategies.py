@@ -230,6 +230,13 @@ def test_scale_liquidity():
         scale_liquidity(state, -1.0)
 
 
+def test_scale_liquidity_overflow_raises():
+    for config in (fixed_config(0.10), nolp_config(), passive_config()):
+        state = initialize(config, 2000.0, 1000.0)
+        with pytest.raises(ValueError):
+            scale_liquidity(state, 1e308)
+
+
 class TestSnappedRanges:
     def test_snapped_fixed_bounds_sit_on_spaced_ticks(self):
         state = initialize(fixed_config(0.10, snap_spacing=60), 2000.0, 1000.0)

@@ -284,21 +284,6 @@ class TestRenderReport:
         text = render_report(self._summary())
         assert "a=5.0%, r=5.0%" in text
 
-    def test_csv_round_trip_preserves_rounded_values(self):
-        summary = self._summary()
-        table = render_report(summary)
-        rows = list(csv.reader(io.StringIO(render_report(summary, format="csv"))))
-        assert rows[0] == ["strategy", "parameters", "fees", "value", "total"]
-        table_lines = table.splitlines()[2:]
-        assert len(rows) == 1 + len(table_lines)
-        for csv_row, line in zip(rows[1:], table_lines):
-            cells = [cell.strip() for cell in line.split("|")[1:-1]]
-            assert csv_row == cells
-
-    def test_unknown_format(self):
-        with pytest.raises(UsageError):
-            render_report(self._summary(), format="yaml")
-
 
 class TestWriteResultsCsv:
     def test_one_row_per_config_with_full_precision(self):
