@@ -306,8 +306,8 @@ def _single_mark(liquidity: float, price_range: PriceRange, price: float) -> tup
     """:func:`mark_pair` of a lone position, after validating its inputs."""
     check_nonnegative(liquidity, "liquidity")
     check_positive(price, "price")
-    ranges = (geometry_of(price_range.lower, price_range.upper),)
-    ledger = (liquidity,)
+    ranges = [geometry_of(price_range.lower, price_range.upper)]
+    ledger = [liquidity]
     return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))
 
 

@@ -18,7 +18,7 @@ from clbacktest import (
     reset_config,
     scale_liquidity,
 )
-from clbacktest.clmath import nearest_spaced_tick, tick_index
+from clbacktest.clmath import nearest_spaced_tick, tick_index, tick_price
 from clbacktest.strategies import MIN_WIDTH
 
 
@@ -263,7 +263,11 @@ class TestSnappedRanges:
 
     def test_narrow_snapped_range_still_straddles_price(self):
         # A 0.1% half-width is narrower than one 60-tick step; snapping must
-        # widen outward rather than collapse the range.
-        state = initialize(fixed_config(0.001, snap_spacing=60), 2000.0, 1000.0)
-        rng = state.positions[0].price_range
-        assert rng.lower < 2000.0 < rng.upper
+        # widen outward rather than collapse the range. Just above (below)
+        # tick 6000 the upper (lower) bound snaps back to 6000 first.
+        for price in (2000.0, tick_price(6000) * 1.0001, tick_price(6000) * 0.9999):
+            state = initialize(fixed_config(0.001, snap_spacing=60), price, 1000.0)
+            rng = state.positions[0].price_range
+            assert rng.lower < price < rng.upper
+            assert tick_index(rng.lower) % 60 == 0
+            assert tick_index(rng.upper) % 60 == 0
