@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import datetime as dt
 import logging
 import sys
@@ -231,12 +230,13 @@ def _cmd_backtest(args) -> int:
         print(f"total     {result.total:.6f}")
         if output is not None:
             with _writing(args.trajectory):
-                writer = csv.writer(output, lineterminator="\n")
-                writer.writerow(("timestamp", "fee", "value", "total"))
-                for point in result.trajectory:
-                    writer.writerow(
-                        (point.timestamp, repr(point.fee), repr(point.value), repr(point.total))
-                    )
+                output.write("timestamp,fee,value,total\n")
+                output.writelines(
+                    [
+                        f"{timestamp},{fee!r},{value!r},{total!r}\n"
+                        for timestamp, fee, value, total in result.trajectory
+                    ]
+                )
             logger.debug("wrote %d trajectory rows to %s", len(result.trajectory), args.trajectory)
     return 0
 

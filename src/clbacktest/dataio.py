@@ -9,7 +9,21 @@ close in quote-token units, ``volume`` the hour's traded volume and ``tvl``
 the pool's total value locked, both in quote-token units. The ``tvl`` column
 may be left empty (or omitted entirely); it is only needed by the daily
 return estimate. Data rows are numbered from 1, excluding the header, and
-every validation error names its row.
+every validation error names its row. One leading byte-order mark (U+FEFF,
+as spreadsheet exports write) is dropped from the header.
+
+Ingest reads every row first, then checks one rule at a time over a whole
+column: row width, integer timestamps, numbers, finiteness, the bounds of
+:data:`~clbacktest.engine.BAR_FIELDS` (the table :class:`HourlyBar` checks
+too), and strictly increasing timestamps. Only when all pass are the bars
+built. If any check fails, a row-by-row reporter walks the rows in order and
+raises the first defect, so the error is the one a row-at-a-time reader
+would meet first: within a row, the timestamp and then each value is parsed
+in column order, then the values are bounded, then the timestamp is compared
+with the previous row's. The reporter never returns bars. Rows are read
+until the first undecodable byte or CSV syntax error; a defect in a row read
+before it is reported in its place. The file is decoded in blocks, so an
+undecodable byte in the first block is reported before any row is checked.
 """
 
 from __future__ import annotations
@@ -18,12 +32,14 @@ import csv
 import datetime as dt
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import islice, repeat
+from typing import Iterable, Sequence, TextIO
 
 from .clmath import PairProfile
-from .engine import HourlyBar, check_fee_rate
+from .engine import BAR_FIELDS, HourlyBar, check_fee_rate
 from .errors import DataError, UsageError
 
 REQUIRED_COLUMNS = ("timestamp", "price", "volume", "pool_liquidity")
@@ -157,19 +173,40 @@ def _bar_date(bar: HourlyBar) -> dt.date:
 
 
 def _read_rows(handle: Iterable[str], label: str) -> tuple[HourlyBar, ...]:
-    try:
-        return _parse_rows(csv.reader(handle), label)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{label}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise DataError(f"{label}: malformed CSV: {exc}") from None
-
-
-def _parse_rows(reader: Iterator[list[str]], label: str) -> tuple[HourlyBar, ...]:
+    reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{label}: empty file, expected a header row") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _read_error(label, exc) from None
+    index = _column_index(header, label)
+    rows: list[list[str]] = []
+    try:
+        rows.extend(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # A bad row read before the unreadable one is reported first.
+        _raise_first_error(rows, index)
+        raise _read_error(label, exc) from None
+    if not rows:
+        raise DataError(f"{label}: no data rows")
+    bars = _bars_from_columns(rows, index)
+    if bars is None:
+        _raise_first_error(rows, index)
+        raise RuntimeError(f"{label}: the column checks reject rows the row checks accept")
+    return bars
+
+
+def _read_error(label: str, exc: Exception) -> DataError:
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{label}: not UTF-8 text: {exc}")
+    return DataError(f"{label}: malformed CSV: {exc}")
+
+
+def _column_index(header: list[str], label: str) -> dict[str, int]:
+    """Check the header row; return each column's position."""
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     header = [name.strip() for name in header]
     missing = [name for name in REQUIRED_COLUMNS if name not in header]
     if missing:
@@ -179,37 +216,66 @@ def _parse_rows(reader: Iterator[list[str]], label: str) -> tuple[HourlyBar, ...
         raise DataError(f"{label}: unknown column(s) {', '.join(unknown)}")
     if len(set(header)) != len(header):
         raise DataError(f"{label}: duplicate column names in header")
-    column = {name: header.index(name) for name in header}
-    has_tvl = "tvl" in column
+    return {name: header.index(name) for name in header}
 
-    bars: list[HourlyBar] = []
+
+def _bars_from_columns(
+    rows: list[list[str]], index: dict[str, int]
+) -> tuple[HourlyBar, ...] | None:
+    """Check every rule a column at a time; return the bars, or None if any
+    check fails (:func:`_raise_first_error` then names the first bad row)."""
+    if set(map(len, rows)) != {len(index)}:
+        return None
+    cells = list(zip(*rows))
+    try:
+        timestamps = list(map(int, map(str.strip, cells[index["timestamp"]])))
+        columns = []
+        for name, strict in BAR_FIELDS:
+            if name not in index:
+                columns.append(repeat(None, len(rows)))
+                continue
+            text = map(str.strip, cells[index[name]])
+            if name in OPTIONAL_COLUMNS:
+                values = [float(cell) if cell else None for cell in text]
+                present = [value for value in values if value is not None]
+            else:
+                values = present = list(map(float, text))
+            if present and not (
+                all(map(math.isfinite, present))
+                and (min(present) > 0.0 if strict else min(present) >= 0.0)
+            ):
+                return None
+            columns.append(values)
+    except ValueError:
+        return None
+    if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+        return None
+    return tuple(map(HourlyBar, timestamps, *columns))
+
+
+def _raise_first_error(rows: list[list[str]], index: dict[str, int]) -> None:
+    """Check ``rows`` one at a time, in the order the module docstring gives,
+    and raise the first defect's DataError; return if every row is valid."""
     previous_ts: int | None = None
-    for row_number, row in enumerate(reader, start=1):
+    for row_number, row in enumerate(rows, start=1):
         if not row or all(cell.strip() == "" for cell in row):
             raise DataError(f"row {row_number}: blank line")
-        if len(row) != len(header):
+        if len(row) != len(index):
             raise DataError(
-                f"row {row_number}: expected {len(header)} fields, got {len(row)}"
+                f"row {row_number}: expected {len(index)} fields, got {len(row)}"
             )
-        timestamp = _parse_int(row[column["timestamp"]], row_number, "timestamp")
-        price = _parse_float(row[column["price"]], row_number, "price")
-        volume = _parse_float(row[column["volume"]], row_number, "volume")
-        pool_liquidity = _parse_float(
-            row[column["pool_liquidity"]], row_number, "pool_liquidity"
-        )
-        tvl: float | None = None
-        if has_tvl:
-            cell = row[column["tvl"]].strip()
-            if cell != "":
-                tvl = _parse_float(cell, row_number, "tvl")
+        timestamp = _parse_int(row[index["timestamp"]], row_number, "timestamp")
+        values: list[float | None] = []
+        for name, _ in BAR_FIELDS:
+            cell = row[index[name]] if name in index else ""
+            if name in OPTIONAL_COLUMNS:
+                cell = cell.strip()
+                if cell == "":
+                    values.append(None)
+                    continue
+            values.append(_parse_float(cell, row_number, name))
         try:
-            bar = HourlyBar(
-                timestamp=timestamp,
-                price=price,
-                volume=volume,
-                pool_liquidity=pool_liquidity,
-                tvl=tvl,
-            )
+            HourlyBar(timestamp, *values)
         except DataError as exc:
             raise DataError(f"row {row_number}: {exc}") from None
         if previous_ts is not None and timestamp <= previous_ts:
@@ -218,10 +284,6 @@ def _parse_rows(reader: Iterator[list[str]], label: str) -> tuple[HourlyBar, ...
                 f"over previous {previous_ts}"
             )
         previous_ts = timestamp
-        bars.append(bar)
-    if not bars:
-        raise DataError(f"{label}: no data rows")
-    return tuple(bars)
 
 
 def _write_rows(series: BarSeries, handle: TextIO | io.TextIOBase) -> None:

@@ -94,6 +94,11 @@ _INF = math.inf
 # The last bar tuple run without a trajectory, its fee rate and its rows.
 _memo: tuple = ((), None, None)
 
+# The float fields of a bar, in field order, and whether each must be finite
+# and > 0 (strict) or finite and >= 0. ``tvl`` may also be None. CSV ingest
+# checks whole columns against the same table.
+BAR_FIELDS = (("price", True), ("volume", False), ("pool_liquidity", True), ("tvl", False))
+
 
 @dataclass(frozen=True)
 class HourlyBar:
@@ -113,16 +118,14 @@ class HourlyBar:
     def __post_init__(self) -> None:
         if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
             raise DataError(f"timestamp must be an integer, got {self.timestamp!r}")
-        if not math.isfinite(self.price) or self.price <= 0.0:
-            raise DataError(f"price must be finite and > 0, got {self.price!r}")
-        if not math.isfinite(self.volume) or self.volume < 0.0:
-            raise DataError(f"volume must be finite and >= 0, got {self.volume!r}")
-        if not math.isfinite(self.pool_liquidity) or self.pool_liquidity <= 0.0:
-            raise DataError(
-                f"pool_liquidity must be finite and > 0, got {self.pool_liquidity!r}"
-            )
-        if self.tvl is not None and (not math.isfinite(self.tvl) or self.tvl < 0.0):
-            raise DataError(f"tvl must be finite and >= 0, got {self.tvl!r}")
+        for name, strict in BAR_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "tvl":
+                continue
+            if not (0.0 < value < _INF if strict else 0.0 <= value < _INF):
+                raise DataError(
+                    f"{name} must be finite and {'>' if strict else '>='} 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

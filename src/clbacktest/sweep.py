@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -244,25 +243,24 @@ def write_results_csv(results: Sequence[ResultPair], dest) -> None:
     """Dump per-configuration metrics at full precision for machine use."""
 
     def _write(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("kind", "a", "r", "fees", "value", "total"))
-        for config, result in results:
-            writer.writerow(
-                (
-                    config.kind,
-                    "" if config.a is None else repr(config.a),
-                    "" if config.r is None else repr(config.r),
-                    repr(result.fees),
-                    repr(result.value),
-                    repr(result.total),
-                )
-            )
+        handle.write("kind,a,r,fees,value,total\n")
+        handle.writelines(
+            [
+                f"{config.kind},{_cell(config.a)},{_cell(config.r)},"
+                f"{result.fees!r},{result.value!r},{result.total!r}\n"
+                for config, result in results
+            ]
+        )
 
     if hasattr(dest, "write"):
         _write(dest)
         return
     with open(os.fspath(dest), "w", newline="", encoding="utf-8") as handle:
         _write(handle)
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def _run_chunk(payload) -> list[BacktestResult]:

@@ -19,7 +19,6 @@ from clbacktest import (
     DataError,
     GridSpec,
     HourlyBar,
-    TokenAmounts,
     build_grid,
     compute_baselines,
     fixed_config,

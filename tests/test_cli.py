@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from clbacktest import BacktestConfig, UsageError, cli, load_bars, pair_for_clas
 from clbacktest import sweep
 from clbacktest.cli import build_parser, main, parse_strategy_spec
 from clbacktest.strategies import fixed_config, reset_config
-from helpers import csv_text
+from helpers import csv_text, seeded_series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -409,6 +410,54 @@ class TestSweepCommand:
         assert code == 1
         assert captured.err.startswith(f"error: cannot write {path}: ")
         assert captured.out == ""
+
+
+@pytest.fixture
+def seeded_file(tmp_path):
+    """300 seeded bars on which a narrow Reset fires on most bars."""
+    path = tmp_path / "seeded.csv"
+    path.write_text(csv_text([row + ("",) for row in seeded_series("reset_heavy", count=300)]))
+    return path
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+class TestOutputFiles:
+    """The CLI's CSV files equal csv.writer over in-process results, byte for byte."""
+
+    @pytest.mark.parametrize("snap", [False, True], ids=["plain", "snapped"])
+    @pytest.mark.parametrize("spec", ["nolp", "passive", "fixed:a=0.10", "reset:a=0.05,r=0.02"])
+    def test_trajectory(self, seeded_file, tmp_path, spec, snap):
+        path = tmp_path / "trajectory.csv"
+        argv = ["backtest", "--data", str(seeded_file), "--fee", "0.003", "--strategy", spec]
+        argv += ["--trajectory", str(path)] + (["--snap-ticks"] if snap else [])
+        assert main(argv) == 0
+        pair = pair_for_class("volatile")
+        strategy = parse_strategy_spec(spec, snap_spacing=pair.tick_spacing if snap else None)
+        bars = load_bars(seeded_file, pair, 0.003).bars
+        result = run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
+        header = ("timestamp", "fee", "value", "total")
+        assert path.read_bytes() == _csv_bytes(header, result.trajectory)
+
+    @pytest.mark.parametrize("kind, grid", [("fixed", "0.02,0.2,0.02"), ("reset", "0.02,0.1,0.02")])
+    def test_dump(self, seeded_file, tmp_path, kind, grid):
+        path = tmp_path / "dump.csv"
+        argv = ["sweep", "--data", str(seeded_file), "--fee", "0.003", "--kind", kind]
+        argv += ["--grid", grid, "--jobs", "1", "--dump", str(path)]
+        assert main(argv) == 0
+        axis = sweep.axis_from_span(*(float(value) for value in grid.split(",")))
+        spec = sweep.GridSpec("volatile", kind, a_axis=axis, r_axis=axis if kind == "reset" else None)
+        series = load_bars(seeded_file, pair_for_class("volatile"), 0.003)
+        results = sweep.run_sweep(sweep.build_grid(spec), series, jobs=1)
+        rows = [(c.kind, c.a, c.r, r.fees, r.value, r.total) for c, r in results]
+        header = ("kind", "a", "r", "fees", "value", "total")
+        assert path.read_bytes() == _csv_bytes(header, rows)
 
 
 class TestDailyReturnsCommand:

@@ -1,5 +1,6 @@
 """CSV ingestion, row-accurate validation, round-trips, daily returns."""
 
+import csv
 import datetime as dt
 import io
 
@@ -17,8 +18,9 @@ from clbacktest import (
     pair_for_class,
     save_bars,
 )
+from clbacktest import dataio
 from clbacktest.dataio import DailyReturnPoint
-from helpers import csv_text, make_bars
+from helpers import csv_text, make_bars, seeded_series
 
 VOLATILE = pair_for_class("volatile")
 
@@ -143,6 +145,117 @@ class TestLoadBars:
     def test_bad_fee_rate(self):
         with pytest.raises(UsageError):
             load_bars(io.StringIO(GOOD_CSV), VOLATILE, 1.0)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "exported.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode())
+        expected = load_bars(io.StringIO(GOOD_CSV), VOLATILE, 0.003).bars
+        for source in (path, io.BytesIO(path.read_bytes()), io.StringIO("\ufeff" + GOOD_CSV)):
+            assert load_bars(source, VOLATILE, 0.003).bars == expected
+        with pytest.raises(DataError, match="missing column"):
+            load_bars(io.StringIO("\ufeff\ufeff" + GOOD_CSV), VOLATILE, 0.003)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1600003600, "nan", 1e6, 1e4, 5e7), "row 2: price must be finite, got 'nan'"),
+            ((1600003600, 2000.0, "abc", 1e4, 5e7), "row 2: volume must be a number, got 'abc'"),
+            ((1600003600, 2000.0, 1e6, 0, 5e7), "row 2: pool_liquidity must be finite and > 0, got 0.0"),
+            ((1600003600, 2000.0, 1e6, 1e4, " -1 "), "row 2: tvl must be finite and >= 0, got -1.0"),
+            ((1600003600, -1, "abc", 1e4, 5e7), "row 2: volume must be a number, got 'abc'"),
+            ((1600000000, -1, 1e6, 1e4, 5e7), "row 2: price must be finite and > 0, got -1.0"),
+            (
+                (1600000000, 2000.0, 1e6, 1e4, 5e7),
+                "row 2: timestamp 1600000000 does not increase over previous 1600000000",
+            ),
+        ],
+    )
+    def test_first_defect_of_a_row_wins(self, row, message):
+        rows = [(1600000000, 2000.0, 1e6, 1e4, 5e7), row, (1600000000, "x", "", "", "")]
+        with pytest.raises(DataError) as excinfo:
+            load_bars(io.StringIO(csv_text(rows)), VOLATILE, 0.003)
+        assert str(excinfo.value) == message
+
+    def test_bad_row_wins_over_a_later_unreadable_one(self):
+        # The file is decoded in blocks, so the undecodable byte must lie
+        # beyond the first block for row 2 to be read before it.
+        rows = [(ts, p, v, lq, "") for ts, p, v, lq in seeded_series("volatile", count=400)]
+        rows[1] = (rows[1][0], rows[1][1], -1.0, rows[1][3], "")
+        text = csv_text(rows)
+        assert len(text) > 16_384
+        message = "row 2: volume must be finite and >= 0, got -1.0"
+        sources = [
+            io.BytesIO(text.encode() + b"1600000000,\xff,1,1,\n"),
+            io.StringIO(text + "1600000000,2000.0,1.0,1.0," + "9" * 200_000 + "\n"),
+        ]
+        for source in sources:
+            with pytest.raises(DataError) as excinfo:
+                load_bars(source, VOLATILE, 0.003)
+            assert str(excinfo.value) == message
+
+
+def _seeded_rows() -> list[list[str]]:
+    rows = []
+    for i, (ts, price, volume, liquidity) in enumerate(seeded_series("volatile", count=30)):
+        tvl = "" if i % 3 == 1 else repr(2 * liquidity)
+        rows.append([str(ts), repr(price), repr(volume), repr(liquidity), tvl])
+    return rows
+
+
+def _corruptions(position: int):
+    """Seeded rows with one defect at data row ``position`` (0-based)."""
+    # str.strip drops the separators \x1c..\x1f; int and float alone reject them.
+    cells = ("nan", "inf", "-1", "0", "", "abc", " 2000.5 ", "1_000", "1e400", "\x1c5\x1f")
+    for column in range(5):
+        for cell in cells:
+            rows = _seeded_rows()
+            rows[position][column] = cell
+            yield f"column {column} = {cell!r}", rows
+    rows = _seeded_rows()
+    rows[position] = rows[position][:3]
+    yield "short row", rows
+    rows = _seeded_rows()
+    rows[position] = []
+    yield "blank line", rows
+    neighbour = position - 1 if position else position + 1
+    rows = _seeded_rows()
+    rows[position][0] = rows[neighbour][0]
+    yield "repeated timestamp", rows
+    rows = _seeded_rows()
+    rows[position][0] = str(int(rows[neighbour][0]) + (-7200 if position else 7200))
+    yield "decreasing timestamp", rows
+
+
+def _bars_of(rows: list[list[str]]) -> tuple[HourlyBar, ...]:
+    return tuple(
+        HourlyBar(
+            int(ts.strip()),
+            float(price.strip()),
+            float(volume.strip()),
+            float(liquidity.strip()),
+            float(tvl.strip()) if tvl.strip() else None,
+        )
+        for ts, price, volume, liquidity, tvl in rows
+    )
+
+
+@pytest.mark.parametrize("position", [0, 14, 29], ids=["first", "middle", "last"])
+def test_column_checks_agree_with_the_row_reporter(position):
+    """Each defect is the row reporter's error, or the bars are accepted."""
+    errors = 0
+    for case, rows in _corruptions(position):
+        text = csv_text(rows)
+        header, *data = csv.reader(io.StringIO(text))
+        try:
+            dataio._raise_first_error(data, dataio._column_index(header, "<stream>"))
+        except DataError as exc:
+            errors += 1
+            with pytest.raises(DataError) as excinfo:
+                load_bars(io.StringIO(text), VOLATILE, 0.003)
+            assert str(excinfo.value) == str(exc), case
+        else:
+            assert load_bars(io.StringIO(text), VOLATILE, 0.003).bars == _bars_of(rows), case
+    assert 0 < errors < 54
 
 
 class TestRoundTrip:

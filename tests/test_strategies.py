@@ -18,7 +18,7 @@ from clbacktest import (
     reset_config,
     scale_liquidity,
 )
-from clbacktest.clmath import nearest_spaced_tick, tick_index, tick_price
+from clbacktest.clmath import tick_index, tick_price
 from clbacktest.strategies import MIN_WIDTH
 
 
