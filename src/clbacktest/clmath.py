@@ -14,12 +14,15 @@ gives the piecewise formulas in :func:`mark_pair`.
 All arithmetic is plain float64. Formula shapes are deliberately fixed (for
 example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
-The formulas live once, in flat helpers on plain floats that validate
-nothing, so the backtest kernel can call them on every bar:
+The formulas live in flat helpers on plain floats that validate nothing:
 :func:`mark_pair` (reserves, value and active liquidity of two ledgers) and
 :func:`one_sided_liquidity`. The dataclass functions (:func:`real_reserves`,
-:func:`position_value`, :func:`liquidity_one_sided`) validate their
-arguments and then call the same helpers. Each argument rule is written
+:func:`position_value`, :func:`liquidity_one_sided`), the strategy state
+API and a reset's redeposit call the same helpers; the dataclass functions
+validate their arguments first. The backtest kernel's per-bar loop is the
+one other spelling of :func:`mark_pair`'s arithmetic, written out on local
+floats so that a bar costs no call; ``mark_pair`` is its reference, and the
+golden replay test holds the two equal bit for bit. Each argument rule is written
 once: :func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,

@@ -25,37 +25,47 @@ comes from :func:`~clbacktest.strategies.deploy`, the flat form of
 deposit live in one place. Both ledgers start from that one deposit, reset
 on the same bars (they see the same prices) and get the same reset bounds;
 only liquidity, full-range liquidity and loose tokens differ between them.
-So each range position is stored once, as a geometry tuple with its
-per-position constants hoisted (``lower, upper, sqrt_lower,
-1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper``), and
-each ledger is a plain list holding one ``L`` per range (layout in
-:mod:`~clbacktest.clmath`). A reset strategy's trigger interval is two
-floats. Per bar, one call of :func:`~clbacktest.clmath.mark_pair` marks both
-ledgers; a reset calls :func:`~clbacktest.strategies.reset_bounds` and
+So the loop keeps, in local floats, at most two range slots whose geometry
+(``lower, upper, sqrt_lower, 1/sqrt_lower - 1/sqrt_upper, sqrt_upper -
+sqrt_lower, 1/sqrt_upper``, as in :mod:`~clbacktest.clmath`) both ledgers
+share, one ``L`` per slot and ledger, and for nolp and passive each
+ledger's tail (full-range liquidity, ``hold_x``, ``hold_y``). Slot 1 holds
+the deployed range, and after a reset the range below the price; slot 2
+holds the range above the price and is empty until the first reset. An
+empty slot has bounds at +inf, so it is never in range and no bound of it
+equals a price. A reset strategy's trigger interval is two floats. Each bar
+marks both ledgers in straight-line code that calls no function and builds
+no tuple. A reset calls :func:`~clbacktest.strategies.reset_bounds` and
 :func:`~clbacktest.strategies.redeposit`, which reuses the row's
-``sqrt(price)`` for the new ranges' shared bound, so it takes two new square
-roots. A :class:`~clbacktest.strategies.StrategyState` stores this same flat
-form (its ranges, one ledger and its trigger), so the state API
+``sqrt(price)`` for the new ranges' shared bound (so it takes two new
+square roots), and unpacks the two new ranges into the slots. A
+:class:`~clbacktest.strategies.StrategyState` stores the same flat form as
+tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
-``scale_liquidity``, ``accrue_fees``) converts nothing; it and ``clmath``'s
-``real_reserves``, ``position_value`` and ``liquidity_for_value`` call the
-same helpers, passing one ledger as both ledgers of the pair, so every
-formula lives once.
+``scale_liquidity``, ``accrue_fees``) and ``clmath``'s ``real_reserves``,
+``position_value`` and ``liquidity_for_value`` mark it with
+:func:`~clbacktest.clmath.mark_pair`.
 
-Bit-identity rule. Every expression is evaluated in the order of the
-dataclass API and on the same operands: a row entry or a hoisted constant is
-the same IEEE operation on the same inputs as computing it in place
-(``volume * fee_rate * L / pool_liquidity`` is evaluated left to right either
-way). In particular, ``mark_pair`` computes each position's reserves per
-unit of ``L`` once per bar and multiplies them by each ledger's ``L``:
-``L * (1/sqrt_p - 1/sqrt_upper)`` is the same product whichever ledger it is
-for, so sharing the per-unit factor changes no bit. Terms that are zero by
-construction (the missing token of an out-of-range position, an empty
-full-range deposit) are skipped; adding ``+0.0`` to a non-negative sum
-leaves it unchanged. Changing the order or the operands of any sum or product
-changes the published numbers; the golden tests in ``tests/test_golden.py``
-catch it. The two ledgers' amounts stay separate: the compounding one
-cannot be derived from the plain one bit for bit.
+Bit-identity rule. The loop's marking is a second spelling of
+``mark_pair``'s arithmetic, and must stay the same IEEE operations on the
+same operands in the same order: per slot, the reserves per unit of ``L``
+(``1/sqrt_p - 1/sqrt_upper`` and ``sqrt_p - sqrt_lower``) are computed once
+and shared by both ledgers; below the range a ledger's term is ``L *
+inv_span * price``, above it ``L * sqrt_span``, inside it ``L * unit_y + L *
+unit_x * price``; slot 1 is summed before slot 2, and tail terms are added
+only when non-zero. Every amount is non-negative, so skipping a term that is
+zero by construction, or the ``0.0 +`` that ``mark_pair`` starts its sums
+from, leaves a sum unchanged. The shared-bound tie rule is ``mark_pair``'s
+too: a slot whose lower bound equals the price is inactive when any slot's
+upper bound also equals it. A row entry or a hoisted constant is the same
+operation on the same inputs as computing it in place (``volume * fee_rate
+* L / pool_liquidity`` is evaluated left to right either way). Changing the
+order or the operands of any sum or product changes the published numbers.
+The golden tests in ``tests/test_golden.py`` catch that, and their replay
+of the state API, which runs on ``mark_pair``, must equal the loop bit for
+bit, including on bars that close exactly on a shared bound. The two
+ledgers' amounts stay separate: the compounding one cannot be derived from
+the plain one bit for bit.
 
 Memo rule. A sweep runs many configurations over one series, so a run
 without a trajectory (``keep_trajectory=False``, as sweeps and baselines
@@ -90,6 +100,9 @@ from .strategies import (
 )
 
 _INF = math.inf
+
+# Geometry of an unused slot: never in range, no bound equals a price.
+_EMPTY_SLOT = (_INF, _INF, 0.0, 0.0, 0.0, 0.0)
 
 # The last bar tuple run without a trajectory, its fee rate and its rows.
 _memo: tuple = ((), None, None)
@@ -203,17 +216,30 @@ def run_backtest(
     first = bars[0]
 
     try:
-        ranges, plain, trigger = deploy(strategy, first.price, budget)
+        ranges, ledger, trigger = deploy(strategy, first.price, budget)
     except ValueError as exc:
         raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
-    comp = plain
     # Both ledgers see the same prices, so they reset on the same bars and
-    # share one trigger interval and one list of range geometries; only
-    # their liquidity and holdings differ.
+    # share one trigger interval and the geometry of each slot; only their
+    # liquidity and holdings differ.
     trigger_lower, trigger_upper = trigger or (0.0, _INF)
+    tail = not ranges
+    if tail:
+        (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1) = _EMPTY_SLOT
+        plain1 = 0.0
+        full_plain, hold_x_plain, hold_y_plain = ledger
+    else:
+        ((lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1),) = ranges
+        (plain1,) = ledger
+        full_plain = hold_x_plain = hold_y_plain = 0.0
+    (lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2) = _EMPTY_SLOT
+    plain2 = 0.0
+    two = False
+    comp1, comp2 = plain1, plain2
+    full_comp, hold_x_comp, hold_y_comp = full_plain, hold_x_plain, hold_y_plain
 
     fee_sum = 0.0
-    value_now = mark_pair(ranges, plain, plain, first.price, math.sqrt(first.price))[1]
+    value_now = mark_pair(ranges, ledger, ledger, first.price, math.sqrt(first.price))[1]
     total_now = value_now
     trajectory: list[TrajectoryPoint] = []
     if keep_trajectory:
@@ -222,9 +248,48 @@ def run_backtest(
         )
 
     for number, price, sqrt_price, volume_fee, pool_liquidity in rows:
-        active_plain, value_now, active_comp, value_comp, _, _, _, _ = mark_pair(
-            ranges, plain, comp, price, sqrt_price
-        )
+        # mark_pair's arithmetic, written out for the two slots and the tail.
+        active_plain = full_plain
+        active_comp = full_comp
+        if price < lower1:
+            value_now = plain1 * inv_span1 * price
+            value_comp = comp1 * inv_span1 * price
+        elif price > upper1:
+            value_now = plain1 * sqrt_span1
+            value_comp = comp1 * sqrt_span1
+        else:
+            unit_x = 1.0 / sqrt_price - inv_sqrt_upper1
+            unit_y = sqrt_price - sqrt_lower1
+            value_now = plain1 * unit_y + plain1 * unit_x * price
+            value_comp = comp1 * unit_y + comp1 * unit_x * price
+            if price != lower1 or not (price == upper1 or price == upper2):
+                active_plain += plain1
+                active_comp += comp1
+        if two:
+            if price < lower2:
+                value_now += plain2 * inv_span2 * price
+                value_comp += comp2 * inv_span2 * price
+            elif price > upper2:
+                value_now += plain2 * sqrt_span2
+                value_comp += comp2 * sqrt_span2
+            else:
+                unit_x = 1.0 / sqrt_price - inv_sqrt_upper2
+                unit_y = sqrt_price - sqrt_lower2
+                value_now += plain2 * unit_y + plain2 * unit_x * price
+                value_comp += comp2 * unit_y + comp2 * unit_x * price
+                if price != lower2 or not (price == upper1 or price == upper2):
+                    active_plain += plain2
+                    active_comp += comp2
+        if tail:
+            if full_plain > 0.0:
+                value_now += 2.0 * full_plain * sqrt_price
+            if hold_x_plain > 0.0 or hold_y_plain > 0.0:
+                value_now += hold_x_plain * price + hold_y_plain
+            if full_comp > 0.0:
+                value_comp += 2.0 * full_comp * sqrt_price
+            if hold_x_comp > 0.0 or hold_y_comp > 0.0:
+                value_comp += hold_x_comp * price + hold_y_comp
+
         fee_plain = volume_fee * active_plain / pool_liquidity
         fee_comp = volume_fee * active_comp / pool_liquidity
         fee_sum += fee_plain
@@ -232,8 +297,15 @@ def run_backtest(
 
         if fee_comp > 0.0 and value_comp > 0.0:
             factor = (value_comp + fee_comp) / value_comp
-            comp = [amount * factor for amount in comp]
-            if not factor < _INF or _INF in comp:
+            comp1 *= factor
+            comp2 *= factor
+            if tail:
+                full_comp *= factor
+                hold_x_comp *= factor
+                hold_y_comp *= factor
+            if not (factor < _INF and comp1 < _INF and comp2 < _INF) or (
+                tail and not (full_comp < _INF and hold_x_comp < _INF and hold_y_comp < _INF)
+            ):
                 raise DataError(
                     f"bar {number}: compounding the fee {fee_comp!r} into value "
                     f"{value_comp!r} overflows the ledger"
@@ -244,11 +316,22 @@ def run_backtest(
                 below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(
                     strategy, price
                 )
-                ranges, plain, comp = redeposit(
-                    ranges, plain, comp, price, sqrt_price, below_lower, above_upper
+                ranges, (plain1, plain2), (comp1, comp2) = redeposit(
+                    ranges,
+                    (plain1, plain2) if two else (plain1,),
+                    (comp1, comp2) if two else (comp1,),
+                    price,
+                    sqrt_price,
+                    below_lower,
+                    above_upper,
                 )
             except ValueError as exc:
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
+            (
+                (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1),
+                (lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2),
+            ) = ranges
+            two = True
 
         if keep_trajectory:
             trajectory.append(

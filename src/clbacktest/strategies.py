@@ -18,9 +18,11 @@ state stores the kernel's flat form: range geometries, one ledger and the
 trigger interval (layout in :mod:`clbacktest.clmath`). The arithmetic
 behind each transition lives in flat helpers on plain floats
 (:func:`~clbacktest.clmath.mark_pair`, :func:`reset_bounds`,
-:func:`redeposit`), which the backtest kernel calls directly on its pair of
-ledgers, starting from :func:`deploy`; the state functions pass the state's
-one ledger as both ledgers of the pair.
+:func:`redeposit`); the state functions pass the state's one ledger as both
+ledgers of the pair. The backtest kernel starts from :func:`deploy` and
+calls :func:`reset_bounds` and :func:`redeposit` on its pair of ledgers; it
+marks them per bar with ``mark_pair``'s arithmetic written out on local
+floats.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ constants to make a change pass: a differing digest means the numbers moved.
 
 The state-machine API (``initialize``, ``accrue_fees``, ``mark_to_market``,
 ``scale_liquidity``, ``on_close``), replayed in the engine's per-bar order,
-must also give ``run_backtest``'s trajectory bit for bit, plain and snapped.
+must also give ``run_backtest``'s trajectory bit for bit, plain and snapped,
+on two of those series and on a short one whose bars close exactly on the
+bound shared by a reset's two ranges.
 """
 
 import hashlib
@@ -35,7 +37,7 @@ from clbacktest import (
     scale_liquidity,
     write_results_csv,
 )
-from helpers import bars_from_rows, seeded_series
+from helpers import bars_from_rows, make_bars, seeded_series
 from test_acceptance import _oracle_metrics
 
 # shape -> (fee rate, tick spacing used when snapping)
@@ -200,11 +202,24 @@ def _replay(strategy, bars, fee_rate):
     return rows
 
 
+# A Reset (r = 5% or 0.5%) fires at 2100 and 2205 (both are exactly 1.05
+# times the previous reset price), and the next bar closes on the bound its
+# two new ranges share, where only the lower range earns fees; it fires
+# again at 1990.
+SHARED_BOUND_PRICES = (2000.0, 2100.0, 2100.0, 2205.0, 2205.0, 1990.0)
+
+
+def _replay_series(shape):
+    if shape == "shared_bound":
+        prices = SHARED_BOUND_PRICES
+        return make_bars(prices, volumes=[1000.0] * len(prices)), SERIES["volatile"][0]
+    return bars_from_rows(_rows(shape)), SERIES[shape][0]
+
+
 @pytest.mark.parametrize("snap", (False, True), ids=("plain", "snapped"))
-@pytest.mark.parametrize("shape", ("reset_heavy", "volatile"))
+@pytest.mark.parametrize("shape", ("reset_heavy", "volatile", "shared_bound"))
 def test_state_machine_replay_matches_run_backtest(shape, snap):
-    bars = bars_from_rows(_rows(shape))
-    fee_rate = SERIES[shape][0]
+    bars, fee_rate = _replay_series(shape)
     for kind, a, r in ORACLE_CASES:
         strategy = _strategy(kind, a, r, 60 if snap and a is not None else None)
         result = run_backtest(BacktestConfig(strategy=strategy, fee_rate=fee_rate), bars)
