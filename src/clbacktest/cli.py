@@ -124,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes, N >= 1 (default: all cores); results do not depend on it",
+        help=(
+            "worker processes, N >= 1 (default: all CPUs this process may use); "
+            "results do not depend on it"
+        ),
     )
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -146,12 +146,13 @@ def run_sweep(
     """Backtest every configuration in the grid over the series.
 
     Results come back in grid order and are identical whatever ``jobs`` is;
-    trajectories are dropped to keep memory flat across large grids.
+    ``jobs=None`` uses every CPU this process may run on. Trajectories are
+    dropped to keep memory flat across large grids.
     """
     configs = list(grid)
     if not configs:
         raise UsageError("cannot sweep an empty grid")
-    workers = worker_count(jobs, len(configs), os.cpu_count() or 1)
+    workers = worker_count(jobs, len(configs), usable_cpus())
     if workers == 1:
         results = _run_chunk((configs, series.bars, series.fee_rate))
         return list(zip(configs, results))
@@ -172,6 +173,15 @@ def worker_count(jobs: int | None, configs: int, cpus: int) -> int:
     """Worker processes for a sweep: ``jobs`` (all ``cpus`` when None), capped
     at the number of configurations and of CPUs, and at least 1."""
     return max(1, min(cpus if jobs is None else jobs, configs, cpus))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def compute_baselines(series: BarSeries) -> Baselines:

@@ -179,6 +179,24 @@ class TestWorkerCount:
         assert worker_count(0, 10, 4) == 1
         assert worker_count(-3, 10, 4) == 1
 
+    def test_default_jobs_follow_the_cpu_affinity(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep pinned to one CPU started a pool")
+
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        grid = [fixed_config(0.05), fixed_config(0.10)]
+        results = run_sweep(grid, _series(), jobs=None)
+        assert [config for config, _ in results] == grid
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        assert sweep.usable_cpus() == 3
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep.usable_cpus() == 1
+
 
 class TestRankResults:
     def _results(self, totals, fees=None):
