@@ -21,9 +21,16 @@ raises the first defect, so the error is the one a row-at-a-time reader
 would meet first: within a row, the timestamp and then each value is parsed
 in column order, then the values are bounded, then the timestamp is compared
 with the previous row's. The reporter never returns bars. Rows are read
-until the first undecodable byte or CSV syntax error; a defect in a row read
-before it is reported in its place. The file is decoded in blocks, so an
-undecodable byte in the first block is reported before any row is checked.
+until the first CSV syntax error; a defect in a row read before it is
+reported in its place.
+
+Paths and byte streams are decoded with ``errors="surrogateescape"``, so an
+undecodable byte reaches its cell as a lone surrogate, which valid UTF-8
+never decodes to. Such a cell fails the column checks, and the reporter
+checks for one before anything else in a row, so it reports "row k: not
+UTF-8 text" in row order: the first defect in the file wins, wherever the
+decoder's blocks fall. The header is checked the same way before its
+column names.
 """
 
 from __future__ import annotations
@@ -76,13 +83,15 @@ def load_bars(
     """Read and validate a bar CSV; any defect raises DataError naming the row."""
     if hasattr(source, "read"):
         if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-            source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            source = io.TextIOWrapper(
+                source, encoding="utf-8", newline="", errors="surrogateescape"
+            )
         label = getattr(source, "name", "<stream>")
         bars = _read_rows(source, label)
     else:
         label = os.fspath(source)
         try:
-            handle = open(label, newline="", encoding="utf-8")
+            handle = open(label, newline="", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise DataError(f"cannot read {label}: {exc}") from exc
         with handle:
@@ -180,6 +189,8 @@ def _read_rows(handle: Iterable[str], label: str) -> tuple[HourlyBar, ...]:
         raise DataError(f"{label}: empty file, expected a header row") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _read_error(label, exc) from None
+    if not _is_text(header):
+        raise DataError(f"{label}: not UTF-8 text in the header")
     index = _column_index(header, label)
     rows: list[list[str]] = []
     try:
@@ -258,6 +269,8 @@ def _raise_first_error(rows: list[list[str]], index: dict[str, int]) -> None:
     and raise the first defect's DataError; return if every row is valid."""
     previous_ts: int | None = None
     for row_number, row in enumerate(rows, start=1):
+        if not _is_text(row):
+            raise DataError(f"row {row_number}: not UTF-8 text")
         if not row or all(cell.strip() == "" for cell in row):
             raise DataError(f"row {row_number}: blank line")
         if len(row) != len(index):
@@ -284,6 +297,16 @@ def _raise_first_error(rows: list[list[str]], index: dict[str, int]) -> None:
                 f"over previous {previous_ts}"
             )
         previous_ts = timestamp
+
+
+def _is_text(cells: list[str]) -> bool:
+    """False when a cell holds a lone surrogate, such as an undecodable byte
+    kept by ``surrogateescape``; only those fail to encode as UTF-8."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _write_rows(series: BarSeries, handle: TextIO | io.TextIOBase) -> None:

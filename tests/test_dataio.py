@@ -177,21 +177,65 @@ class TestLoadBars:
         assert str(excinfo.value) == message
 
     def test_bad_row_wins_over_a_later_unreadable_one(self):
-        # The file is decoded in blocks, so the undecodable byte must lie
-        # beyond the first block for row 2 to be read before it.
-        rows = [(ts, p, v, lq, "") for ts, p, v, lq in seeded_series("volatile", count=400)]
+        text = _long_csv(bad_row_2=True)
+        source = io.StringIO(text + "1600000000,2000.0,1.0,1.0," + "9" * 200_000 + "\n")
+        with pytest.raises(DataError) as excinfo:
+            load_bars(source, VOLATILE, 0.003)
+        assert str(excinfo.value) == BAD_ROW_2
+
+    # The decoder reads 8 KB blocks: bytes 8191 and 8192 lie on either side
+    # of the first block's end, so either side must give the same report.
+    @pytest.mark.parametrize("where", ("row 3", "8191", "8192", "last row"))
+    @pytest.mark.parametrize("bad_row_2", (False, True), ids=("clean", "bad_row_2"))
+    @pytest.mark.parametrize("kind", ("path", "bytes"))
+    def test_undecodable_byte_is_reported_in_row_order(self, tmp_path, kind, bad_row_2, where):
+        text = _long_csv(bad_row_2)
+        lines = text.splitlines(keepends=True)
+        offsets = {
+            "row 3": len("".join(lines[:3])) + 3,
+            "8191": 8191,
+            "8192": 8192,
+            "last row": len(text) - 3,
+        }
+        offset = offsets[where]
+        data = text[:offset].encode() + b"\xff" + text[offset:].encode()
+        assert data.index(b"\xff") == offset
+        row = text[:offset].count("\n")
+        assert row >= 3
+        message = BAD_ROW_2 if bad_row_2 else f"row {row}: not UTF-8 text"
+        with pytest.raises(DataError) as excinfo:
+            load_bars(_byte_source(tmp_path, kind, data), VOLATILE, 0.003)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("kind", ("path", "bytes"))
+    def test_undecodable_byte_in_the_header(self, tmp_path, kind):
+        data = GOOD_CSV.replace("price", "pr\udcffice").encode("utf-8", "surrogateescape")
+        source = _byte_source(tmp_path, kind, data)
+        label = str(tmp_path / "bars.csv") if kind == "path" else "<stream>"
+        with pytest.raises(DataError) as excinfo:
+            load_bars(source, VOLATILE, 0.003)
+        assert str(excinfo.value) == f"{label}: not UTF-8 text in the header"
+
+
+BAD_ROW_2 = "row 2: volume must be finite and >= 0, got -1.0"
+
+
+def _long_csv(bad_row_2: bool) -> str:
+    """400 seeded rows (over 16 KB), row 2 with a negative volume if asked."""
+    rows = [(ts, p, v, lq, "") for ts, p, v, lq in seeded_series("volatile", count=400)]
+    if bad_row_2:
         rows[1] = (rows[1][0], rows[1][1], -1.0, rows[1][3], "")
-        text = csv_text(rows)
-        assert len(text) > 16_384
-        message = "row 2: volume must be finite and >= 0, got -1.0"
-        sources = [
-            io.BytesIO(text.encode() + b"1600000000,\xff,1,1,\n"),
-            io.StringIO(text + "1600000000,2000.0,1.0,1.0," + "9" * 200_000 + "\n"),
-        ]
-        for source in sources:
-            with pytest.raises(DataError) as excinfo:
-                load_bars(source, VOLATILE, 0.003)
-            assert str(excinfo.value) == message
+    text = csv_text(rows)
+    assert len(text) > 16_384
+    return text
+
+
+def _byte_source(tmp_path, kind: str, data: bytes):
+    if kind == "bytes":
+        return io.BytesIO(data)
+    path = tmp_path / "bars.csv"
+    path.write_bytes(data)
+    return path
 
 
 def _seeded_rows() -> list[list[str]]:
