@@ -179,6 +179,49 @@ def test_ledger_overflow_is_a_data_error_naming_the_bar():
             run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
 
 
+@pytest.mark.parametrize(
+    "strategy, initial_value, prices, reason",
+    [
+        (
+            reset_config(1e-9, 1e-9),
+            1e149,
+            [1e-300, 0.99e-300],
+            "redepositing inf base and 0.0 quote overflows",
+        ),
+        (
+            reset_config(1e-9, 1e-9),
+            1e149,
+            [1e-300, 1.01e-300],
+            "redepositing 0.0 base and 1.0000001396196635e+149 quote overflows",
+        ),
+        (reset_config(0.10, 0.05), 1.0, [2000.0, 1.7e308], "upper must be finite, got inf"),
+        (
+            reset_config(0.10, 0.05),
+            1.0,
+            [2000.0, 5e-324],
+            "upper must exceed lower, got [5e-324, 5e-324]",
+        ),
+        (
+            reset_config(0.10, 0.05, 60),
+            1.0,
+            [2000.0, 1e308],
+            "tick index 887280 outside [-887272, 887272]",
+        ),
+        (
+            reset_config(0.10, 0.05, 60),
+            1.0,
+            [2000.0, 1e-300],
+            "tick index -887280 outside [-887272, 887272]",
+        ),
+    ],
+)
+def test_reset_failure_names_the_bar_strategy_and_reason(strategy, initial_value, prices, reason):
+    config = BacktestConfig(strategy=strategy, fee_rate=0.003, initial_value=initial_value)
+    with pytest.raises(DataError) as caught:
+        run_backtest(config, make_bars(prices))
+    assert str(caught.value) == f"bar 2: cannot reset {strategy.label()}: {reason}"
+
+
 def test_bar_validation():
     with pytest.raises(DataError):
         HourlyBar(timestamp=0, price=-1.0, volume=0.0, pool_liquidity=1.0)
