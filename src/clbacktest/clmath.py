@@ -9,30 +9,30 @@ of the position satisfy
 
 so x' = L / sqrt(p) and y' = L * sqrt(p). The real reserves are the virtual
 reserves minus the amounts the position would hold at the range bounds, which
-gives the piecewise formulas in :func:`mark_pair`.
+gives the piecewise formulas in :func:`mark`.
 
 All arithmetic is plain float64. Formula shapes are deliberately fixed (for
 example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
 The formulas live in flat helpers on plain floats that validate nothing:
-:func:`mark_pair` (reserves, value and active liquidity of two ledgers) and
+:func:`mark` (active liquidity, value and reserves of one ledger) and
 :func:`one_sided_liquidity`. The dataclass functions (:func:`real_reserves`,
 :func:`position_value`, :func:`liquidity_one_sided`), the strategy state
-API and a reset's redeposit call the same helpers; the dataclass functions
-validate their arguments first. The backtest kernel's per-bar loop is the
-one other spelling of :func:`mark_pair`'s arithmetic, written out on local
-floats so that a bar costs no call; ``mark_pair`` is its reference, and the
-golden replay test holds the two equal bit for bit. Each argument rule is written
-once: :func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
+API and :func:`~clbacktest.strategies.redeposit` call the same helpers; the
+dataclass functions validate their arguments first. The backtest kernel is
+the one other spelling of this arithmetic: it marks and redeposits both of
+its ledgers on local floats so that a bar costs no call. ``mark`` and
+``redeposit`` are its reference, and the golden replay test holds the two
+equal bit for bit. Each argument rule is written once:
+:func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
 1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built
 by :func:`range_geometry`: the per-range constants of the reserve formulas.
 A ledger is the sequence ``(L_1, ..., L_n)`` of the liquidity on each of its
 ranges, in the order of its sequence of ranges, optionally followed by the
-tail ``(full_range_liquidity, hold_x, hold_y)``. Two ledgers that hold
-positions on the same ranges share one sequence of geometries. This flat
-form is also what a strategy state stores.
+tail ``(full_range_liquidity, hold_x, hold_y)``. This flat form is also what
+a strategy state stores.
 """
 
 from __future__ import annotations
@@ -204,30 +204,26 @@ def geometry_of(lower: float, upper: float) -> tuple[float, ...]:
     return range_geometry(lower, upper, math.sqrt(lower), math.sqrt(upper))
 
 
-def mark_pair(
+def mark(
     ranges: Sequence[tuple[float, ...]],
-    ledger_a: Sequence[float],
-    ledger_b: Sequence[float],
+    ledger: Sequence[float],
     price: float,
     sqrt_price: float,
-) -> tuple[float, float, float, float, float, float, float, float]:
-    """Mark two ledgers holding positions on the same ranges at ``price``.
+) -> tuple[float, float, float, float]:
+    """Mark a ledger holding positions on ``ranges`` at ``price``.
 
-    Returns ``(active_a, value_a, active_b, value_b, x_a, y_a, x_b, y_b)``:
-    each ledger's active liquidity, its value in quote-token units, and the
-    summed real reserves of its range positions; ``sqrt_price`` is
-    ``sqrt(price)``. Both ledgers must have the same layout; pass one ledger
-    twice to mark it alone. No validation.
+    Returns ``(active, value, x, y)``: the ledger's active liquidity, its
+    value in quote-token units, and the summed real reserves of its range
+    positions; ``sqrt_price`` is ``sqrt(price)``. No validation.
 
-    Per range, the reserves per unit of liquidity are computed once and
-    multiplied by each ledger's ``L``: ``L * (1/sqrt(p) - 1/sqrt(upper))``
-    is the same IEEE product whichever ledger it is for. Inside the range
-    both tokens are held; below it the position is entirely base token,
-    above it entirely quote token. The boundary points use the in-range
-    branch; both branches agree there. A position's value is ``y + x * p``,
-    a full-range deposit's ``2 * L * sqrt(p)``, loose tokens' ``x * p + y``;
-    terms that are 0 by construction are not added, which leaves every sum
-    bit-identical because all amounts are non-negative.
+    Per range, the reserves are ``L`` times the reserves per unit of
+    liquidity. Inside the range both tokens are held; below it the position
+    is entirely base token, above it entirely quote token. The boundary
+    points use the in-range branch; both branches agree there. A position's
+    value is ``y + x * p``, a full-range deposit's ``2 * L * sqrt(p)``, loose
+    tokens' ``x * p + y``; terms that are 0 by construction are not added,
+    which leaves every sum bit-identical because all amounts are
+    non-negative.
 
     A position is active when the price is inside its closed range. When
     two positions share a bound at the price (the situation right after a
@@ -235,62 +231,35 @@ def mark_pair(
     the total is never double-counted.
     """
     count = len(ranges)
-    tail = len(ledger_a) > count
-    if tail:
-        active_a = ledger_a[count]
-        active_b = ledger_b[count]
-    else:
-        active_a = active_b = 0.0
-    value_a = value_b = x_a = y_a = x_b = y_b = 0.0
-    index = 0
-    for lower, upper, sqrt_lower, inv_span, sqrt_span, inv_sqrt_upper in ranges:
-        liquidity_a = ledger_a[index]
-        liquidity_b = ledger_b[index]
-        index += 1
+    tail = len(ledger) > count
+    active = ledger[count] if tail else 0.0
+    value = x_sum = y_sum = 0.0
+    for (lower, upper, sqrt_lower, inv_span, sqrt_span, inv_sqrt_upper), liquidity in zip(
+        ranges, ledger
+    ):
         if price < lower:
-            x = liquidity_a * inv_span
-            value_a += x * price
-            x_a += x
-            x = liquidity_b * inv_span
-            value_b += x * price
-            x_b += x
+            x = liquidity * inv_span
+            value += x * price
+            x_sum += x
         elif price > upper:
-            y = liquidity_a * sqrt_span
-            value_a += y
-            y_a += y
-            y = liquidity_b * sqrt_span
-            value_b += y
-            y_b += y
+            y = liquidity * sqrt_span
+            value += y
+            y_sum += y
         else:
-            unit_x = 1.0 / sqrt_price - inv_sqrt_upper
-            unit_y = sqrt_price - sqrt_lower
-            x = liquidity_a * unit_x
-            y = liquidity_a * unit_y
-            value_a += y + x * price
-            x_a += x
-            y_a += y
-            x = liquidity_b * unit_x
-            y = liquidity_b * unit_y
-            value_b += y + x * price
-            x_b += x
-            y_b += y
+            x = liquidity * (1.0 / sqrt_price - inv_sqrt_upper)
+            y = liquidity * (sqrt_price - sqrt_lower)
+            value += y + x * price
+            x_sum += x
+            y_sum += y
             if price != lower or not any(other[1] == price for other in ranges):
-                active_a += liquidity_a
-                active_b += liquidity_b
+                active += liquidity
     if tail:
-        value_a = _add_tail(value_a, ledger_a[count:], price, sqrt_price)
-        value_b = _add_tail(value_b, ledger_b[count:], price, sqrt_price)
-    return active_a, value_a, active_b, value_b, x_a, y_a, x_b, y_b
-
-
-def _add_tail(value: float, tail: Sequence[float], price: float, sqrt_price: float) -> float:
-    """``value`` plus the value of a ledger tail ``[full, hold_x, hold_y]``."""
-    full, hold_x, hold_y = tail
-    if full > 0.0:
-        value += 2.0 * full * sqrt_price
-    if hold_x > 0.0 or hold_y > 0.0:
-        value += hold_x * price + hold_y
-    return value
+        full, hold_x, hold_y = ledger[count:]
+        if full > 0.0:
+            value += 2.0 * full * sqrt_price
+        if hold_x > 0.0 or hold_y > 0.0:
+            value += hold_x * price + hold_y
+    return active, value, x_sum, y_sum
 
 
 def one_sided_liquidity(
@@ -306,18 +275,17 @@ def one_sided_liquidity(
 
 
 def _single_mark(liquidity: float, price_range: PriceRange, price: float) -> tuple[float, ...]:
-    """:func:`mark_pair` of a lone position, after validating its inputs."""
+    """:func:`mark` of a lone position, after validating its inputs."""
     check_nonnegative(liquidity, "liquidity")
     check_positive(price, "price")
     ranges = [geometry_of(price_range.lower, price_range.upper)]
-    ledger = [liquidity]
-    return mark_pair(ranges, ledger, ledger, price, math.sqrt(price))
+    return mark(ranges, [liquidity], price, math.sqrt(price))
 
 
 def real_reserves(liquidity: float, price_range: PriceRange, price: float) -> TokenAmounts:
     """Real token amounts held by a position at the given pool price."""
     marks = _single_mark(liquidity, price_range, price)
-    return TokenAmounts(x=marks[4], y=marks[5])
+    return TokenAmounts(x=marks[2], y=marks[3])
 
 
 def position_value(liquidity: float, price_range: PriceRange, price: float) -> float:

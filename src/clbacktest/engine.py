@@ -35,37 +35,50 @@ holds the range above the price and is empty until the first reset. An
 empty slot has bounds at +inf, so it is never in range and no bound of it
 equals a price. A reset strategy's trigger interval is two floats. Each bar
 marks both ledgers in straight-line code that calls no function and builds
-no tuple. A reset calls :func:`~clbacktest.strategies.reset_bounds` and
-:func:`~clbacktest.strategies.redeposit`, which reuses the row's
-``sqrt(price)`` for the new ranges' shared bound (so it takes two new
-square roots), and unpacks the two new ranges into the slots. A
+no tuple. A reset calls :func:`~clbacktest.strategies.reset_bounds`, the one
+place where bounds, tick snapping and their range checks are written; the
+rest of the reset, liquidating both ledgers and redepositing them
+one-sided, is done on the slot locals with no further call or tuple. Its
+two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
+reset takes two new square roots). A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
 ``scale_liquidity``, ``accrue_fees``) and ``clmath``'s ``real_reserves``,
-``position_value`` and ``liquidity_for_value`` mark it with
-:func:`~clbacktest.clmath.mark_pair`.
+``position_value`` and ``liquidity_for_value`` run on the one-ledger
+helpers :func:`~clbacktest.clmath.mark` and
+:func:`~clbacktest.strategies.redeposit`.
 
-Bit-identity rule. The loop's marking is a second spelling of
-``mark_pair``'s arithmetic, and must stay the same IEEE operations on the
-same operands in the same order: per slot, the reserves per unit of ``L``
-(``1/sqrt_p - 1/sqrt_upper`` and ``sqrt_p - sqrt_lower``) are computed once
-and shared by both ledgers; below the range a ledger's term is ``L *
-inv_span * price``, above it ``L * sqrt_span``, inside it ``L * unit_y + L *
-unit_x * price``; slot 1 is summed before slot 2, and tail terms are added
-only when non-zero. Every amount is non-negative, so skipping a term that is
-zero by construction, or the ``0.0 +`` that ``mark_pair`` starts its sums
-from, leaves a sum unchanged. The shared-bound tie rule is ``mark_pair``'s
-too: a slot whose lower bound equals the price is inactive when any slot's
-upper bound also equals it. A row entry or a hoisted constant is the same
-operation on the same inputs as computing it in place (``volume * fee_rate
-* L / pool_liquidity`` is evaluated left to right either way). Changing the
-order or the operands of any sum or product changes the published numbers.
-The golden tests in ``tests/test_golden.py`` catch that, and their replay
-of the state API, which runs on ``mark_pair``, must equal the loop bit for
-bit, including on bars that close exactly on a shared bound. The two
-ledgers' amounts stay separate: the compounding one cannot be derived from
-the plain one bit for bit.
+Bit-identity rule. The loop's marking is a second spelling of ``mark``'s
+arithmetic, and its reset block a second spelling of ``redeposit``'s; both
+must stay the same IEEE operations on the same operands in the same order.
+Marking: per slot, the reserves per unit of ``L`` (``1/sqrt_p -
+1/sqrt_upper`` and ``sqrt_p - sqrt_lower``) are computed once and shared by
+both ledgers; below the range a ledger's term is ``L * inv_span * price``,
+above it ``L * sqrt_span``, inside it ``L * unit_y + L * unit_x * price``;
+slot 1 is summed before slot 2, and tail terms are added only when
+non-zero. Every amount is non-negative, so skipping a term that is zero by
+construction, or the ``0.0 +`` that ``mark`` starts its sums from, leaves a
+sum unchanged. The shared-bound tie rule is ``mark``'s too: a slot whose
+lower bound equals the price is inactive when any slot's upper bound also
+equals it. Reset: after compounding, the reserves of each ledger are
+computed again from its slot ``L``s (``x = L * inv_span`` below a slot, ``y
+= L * sqrt_span`` above it, ``L * unit_x`` and ``L * unit_y`` inside it,
+slot 1 before slot 2). The marking's products cannot stand in for them:
+the compounding ledger was marked before it was compounded, and ``(L * f)
+* u`` is not ``(L * u) * f`` bit for bit. The new geometry is
+``range_geometry``'s, with ``1/sqrt(price)`` computed once; each ledger
+mints ``y / sqrt_span`` below and ``x / inv_span`` above, and an overflow
+is checked for the plain ledger first. A row entry or a hoisted constant is
+the same operation on the same inputs as computing it in place (``volume *
+fee_rate * L / pool_liquidity`` is evaluated left to right either way).
+Changing the order or the operands of any sum or product changes the
+published numbers. The golden tests in ``tests/test_golden.py`` catch
+that, and their replay of the state API, which runs on ``mark`` and
+``redeposit``, must equal the loop bit for bit, including on bars that
+close exactly on a shared or an outer bound. The two ledgers' amounts stay
+separate: the compounding one cannot be derived from the plain one bit for
+bit.
 
 Memo rule. A sweep runs many configurations over one series, so a run
 without a trajectory (``keep_trajectory=False``, as sweeps and baselines
@@ -89,13 +102,12 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError, UsageError
-from .clmath import mark_pair
+from .clmath import mark
 from .strategies import (
     StrategyConfig,
     StrategyState,
     active_liquidity,
     deploy,
-    redeposit,
     reset_bounds,
 )
 
@@ -239,7 +251,7 @@ def run_backtest(
     full_comp, hold_x_comp, hold_y_comp = full_plain, hold_x_plain, hold_y_plain
 
     fee_sum = 0.0
-    value_now = mark_pair(ranges, ledger, ledger, first.price, math.sqrt(first.price))[1]
+    value_now = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
     total_now = value_now
     trajectory: list[TrajectoryPoint] = []
     if keep_trajectory:
@@ -248,7 +260,7 @@ def run_backtest(
         )
 
     for number, price, sqrt_price, volume_fee, pool_liquidity in rows:
-        # mark_pair's arithmetic, written out for the two slots and the tail.
+        # mark's arithmetic, written out for both ledgers, the two slots and the tail.
         active_plain = full_plain
         active_comp = full_comp
         if price < lower1:
@@ -316,21 +328,64 @@ def run_backtest(
                 below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(
                     strategy, price
                 )
-                ranges, (plain1, plain2), (comp1, comp2) = redeposit(
-                    ranges,
-                    (plain1, plain2) if two else (plain1,),
-                    (comp1, comp2) if two else (comp1,),
-                    price,
-                    sqrt_price,
-                    below_lower,
-                    above_upper,
-                )
+                # redeposit's arithmetic for both ledgers: the reserves of the
+                # compounded slots, slot 1 before slot 2, ...
+                if price < lower1:
+                    x_plain = plain1 * inv_span1
+                    x_comp = comp1 * inv_span1
+                    y_plain = y_comp = 0.0
+                elif price > upper1:
+                    x_plain = x_comp = 0.0
+                    y_plain = plain1 * sqrt_span1
+                    y_comp = comp1 * sqrt_span1
+                else:
+                    unit_x = 1.0 / sqrt_price - inv_sqrt_upper1
+                    unit_y = sqrt_price - sqrt_lower1
+                    x_plain = plain1 * unit_x
+                    y_plain = plain1 * unit_y
+                    x_comp = comp1 * unit_x
+                    y_comp = comp1 * unit_y
+                if two:
+                    if price < lower2:
+                        x_plain += plain2 * inv_span2
+                        x_comp += comp2 * inv_span2
+                    elif price > upper2:
+                        y_plain += plain2 * sqrt_span2
+                        y_comp += comp2 * sqrt_span2
+                    else:
+                        unit_x = 1.0 / sqrt_price - inv_sqrt_upper2
+                        unit_y = sqrt_price - sqrt_lower2
+                        x_plain += plain2 * unit_x
+                        y_plain += plain2 * unit_y
+                        x_comp += comp2 * unit_x
+                        y_comp += comp2 * unit_y
+                # ... the geometry of [below_lower, price] and [price, above_upper] ...
+                inv_sqrt_price = 1.0 / sqrt_price
+                lower1 = below_lower
+                upper1 = lower2 = price
+                upper2 = above_upper
+                sqrt_lower1 = math.sqrt(below_lower)
+                sqrt_lower2 = sqrt_price
+                sqrt_upper2 = math.sqrt(above_upper)
+                inv_span1 = 1.0 / sqrt_lower1 - inv_sqrt_price
+                sqrt_span1 = sqrt_price - sqrt_lower1
+                inv_sqrt_upper1 = inv_sqrt_price
+                inv_sqrt_upper2 = 1.0 / sqrt_upper2
+                inv_span2 = inv_sqrt_price - inv_sqrt_upper2
+                sqrt_span2 = sqrt_upper2 - sqrt_price
+                # ... and the one-sided deposits, the plain ledger first.
+                plain1 = y_plain / sqrt_span1 if y_plain > 0.0 else 0.0
+                plain2 = x_plain / inv_span2 if x_plain > 0.0 else 0.0
+                if not (plain1 < _INF and plain2 < _INF):
+                    raise ValueError(
+                        f"redepositing {x_plain!r} base and {y_plain!r} quote overflows"
+                    )
+                comp1 = y_comp / sqrt_span1 if y_comp > 0.0 else 0.0
+                comp2 = x_comp / inv_span2 if x_comp > 0.0 else 0.0
+                if not (comp1 < _INF and comp2 < _INF):
+                    raise ValueError(f"redepositing {x_comp!r} base and {y_comp!r} quote overflows")
             except ValueError as exc:
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
-            (
-                (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1),
-                (lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2),
-            ) = ranges
             two = True
 
         if keep_trajectory:

@@ -16,12 +16,11 @@ the backtest engine asks every bar.
 States are frozen dataclasses; every transition returns a new state. A
 state stores the kernel's flat form: range geometries, one ledger and the
 trigger interval (layout in :mod:`clbacktest.clmath`). The arithmetic
-behind each transition lives in flat helpers on plain floats
-(:func:`~clbacktest.clmath.mark_pair`, :func:`reset_bounds`,
-:func:`redeposit`); the state functions pass the state's one ledger as both
-ledgers of the pair. The backtest kernel starts from :func:`deploy` and
-calls :func:`reset_bounds` and :func:`redeposit` on its pair of ledgers; it
-marks them per bar with ``mark_pair``'s arithmetic written out on local
+behind each transition lives in flat helpers on plain floats that take one
+ledger (:func:`~clbacktest.clmath.mark`, :func:`reset_bounds`,
+:func:`redeposit`). The backtest kernel starts from :func:`deploy` and calls
+:func:`reset_bounds` on a reset; it marks and redeposits its two ledgers
+with the arithmetic of ``mark`` and :func:`redeposit` written out on local
 floats.
 """
 
@@ -40,7 +39,7 @@ from .clmath import (
     geometry_of,
     liquidity_for_value,
     liquidity_from_equal_value,
-    mark_pair,
+    mark,
     nearest_spaced_tick,
     one_sided_liquidity,
     range_geometry,
@@ -235,9 +234,8 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
     if trigger is None or trigger[0] < price < trigger[1]:
         return state
     below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(state.config, price)
-    ledger = state.ledger
-    ranges, ledger, _ = redeposit(
-        state.ranges, ledger, ledger, price, math.sqrt(price), below_lower, above_upper
+    ranges, ledger = redeposit(
+        state.ranges, state.ledger, price, math.sqrt(price), below_lower, above_upper
     )
     return StrategyState(
         state.config, state.entry_price, ranges, ledger, (trigger_lower, trigger_upper)
@@ -246,14 +244,12 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
 
 def active_liquidity(state: StrategyState, price: float) -> float:
     """Liquidity of the state that earns fees at the given price."""
-    ledger = state.ledger
-    return mark_pair(state.ranges, ledger, ledger, price, math.sqrt(price))[0]
+    return mark(state.ranges, state.ledger, price, math.sqrt(price))[0]
 
 
 def mark_to_market(state: StrategyState, price: float) -> float:
     """Total state value in quote-token units at the given price."""
-    ledger = state.ledger
-    return mark_pair(state.ranges, ledger, ledger, price, math.sqrt(price))[1]
+    return mark(state.ranges, state.ledger, price, math.sqrt(price))[1]
 
 
 def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, float, float]:
@@ -277,39 +273,28 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
 
 def redeposit(
     ranges: Sequence[tuple[float, ...]],
-    ledger_a: Sequence[float],
-    ledger_b: Sequence[float],
+    ledger: Sequence[float],
     price: float,
     sqrt_price: float,
     below_lower: float,
     above_upper: float,
-) -> tuple[Ranges, Ledger, Ledger]:
-    """Liquidate two ledgers' range positions at ``price`` and redeposit
-    each one-sided around it; returns the new ranges and ledgers.
+) -> tuple[Ranges, Ledger]:
+    """Liquidate a ledger's range positions at ``price`` and redeposit them
+    one-sided around it; returns the new ranges and ledger.
 
     The quote tokens go into ``[below_lower, price]``, the base tokens into
     ``[price, above_upper]``; no swap is needed, so value is conserved. Both
     new ranges reuse ``sqrt_price`` for their shared bound. Full-range
-    liquidity and loose tokens are kept. Raises ValueError, for the first
-    ledger first, when a new liquidity overflows.
+    liquidity and loose tokens are kept. Raises ValueError when a new
+    liquidity overflows.
     """
-    _, _, _, _, x_a, y_a, x_b, y_b = mark_pair(ranges, ledger_a, ledger_b, price, sqrt_price)
+    x, y = mark(ranges, ledger, price, sqrt_price)[2:]
     below = range_geometry(below_lower, price, math.sqrt(below_lower), sqrt_price)
     above = range_geometry(price, above_upper, sqrt_price, math.sqrt(above_upper))
-    count = len(ranges)
-    new_a = _mint(x_a, y_a, below, above, ledger_a[count:])
-    new_b = _mint(x_b, y_b, below, above, ledger_b[count:])
-    return (below, above), new_a, new_b
-
-
-def _mint(
-    x: float, y: float, below: tuple[float, ...], above: tuple[float, ...], tail: Sequence[float]
-) -> Ledger:
-    """Ledger of a one-sided redeposit of ``x`` and ``y`` that keeps ``tail``."""
     below_liquidity, above_liquidity = one_sided_liquidity(x, y, below, above)
-    if not max(below_liquidity, above_liquidity) < math.inf:
+    if not (below_liquidity < math.inf and above_liquidity < math.inf):
         raise ValueError(f"redepositing {x!r} base and {y!r} quote overflows")
-    return (below_liquidity, above_liquidity, *tail)
+    return (below, above), (below_liquidity, above_liquidity, *ledger[len(ranges):])
 
 
 def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:

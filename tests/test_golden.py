@@ -17,6 +17,7 @@ bound shared by a reset's two ranges.
 
 import hashlib
 import io
+import math
 
 import pytest
 
@@ -208,16 +209,30 @@ def _replay(strategy, bars, fee_rate):
 # again at 1990.
 SHARED_BOUND_PRICES = (2000.0, 2100.0, 2100.0, 2205.0, 2205.0, 1990.0)
 
+# Reset(a=10%, r=5%) fires at 2100; the next bar closes one float above the
+# shared bound (only the upper range earns fees), the one after exactly on
+# the lower range's outer bound (which earns fees and fires a reset), and
+# the last one float above the outer bound of the range it redeposited
+# into (which earns none).
+_OUTER = 2100.0 / (1.0 + 0.10)
+OUTER_BOUND_PRICES = (
+    2000.0,
+    2100.0,
+    math.nextafter(2100.0, math.inf),
+    _OUTER,
+    math.nextafter(_OUTER * (1.0 + 0.10), math.inf),
+)
+
 
 def _replay_series(shape):
-    if shape == "shared_bound":
-        prices = SHARED_BOUND_PRICES
+    if shape in ("shared_bound", "outer_bound"):
+        prices = SHARED_BOUND_PRICES if shape == "shared_bound" else OUTER_BOUND_PRICES
         return make_bars(prices, volumes=[1000.0] * len(prices)), SERIES["volatile"][0]
     return bars_from_rows(_rows(shape)), SERIES[shape][0]
 
 
 @pytest.mark.parametrize("snap", (False, True), ids=("plain", "snapped"))
-@pytest.mark.parametrize("shape", ("reset_heavy", "volatile", "shared_bound"))
+@pytest.mark.parametrize("shape", ("reset_heavy", "volatile", "shared_bound", "outer_bound"))
 def test_state_machine_replay_matches_run_backtest(shape, snap):
     bars, fee_rate = _replay_series(shape)
     for kind, a, r in ORACLE_CASES:
