@@ -383,7 +383,9 @@ def run_backtest(
                 comp1 = y_comp / sqrt_span1 if y_comp > 0.0 else 0.0
                 comp2 = x_comp / inv_span2 if x_comp > 0.0 else 0.0
                 if not (comp1 < _INF and comp2 < _INF):
-                    raise ValueError(f"redepositing {x_comp!r} base and {y_comp!r} quote overflows")
+                    raise ValueError(
+                        f"redepositing {x_comp!r} base and {y_comp!r} quote overflows"
+                    )
             except ValueError as exc:
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
             two = True
