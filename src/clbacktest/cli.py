@@ -195,7 +195,7 @@ def _add_window_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--from",
         dest="start",
-        type=dt.date.fromisoformat,
+        type=_date_flag,
         default=None,
         metavar="DATE",
         help="first UTC date to include (YYYY-MM-DD)",
@@ -203,11 +203,20 @@ def _add_window_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--to",
         dest="end",
-        type=dt.date.fromisoformat,
+        type=_date_flag,
         default=None,
         metavar="DATE",
         help="last UTC date to include (YYYY-MM-DD)",
     )
+
+
+def _date_flag(text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid date value: {text!r} (expected YYYY-MM-DD)"
+        ) from None
 
 
 def _load_series(args, pair: PairProfile) -> BarSeries:

@@ -14,14 +14,16 @@ as spreadsheet exports write) is dropped from the header.
 
 Ingest reads every row first, then checks one rule at a time over a whole
 column: row width, integer timestamps, numbers, finiteness, the bounds of
-:data:`~clbacktest.engine.BAR_FIELDS` (the table :class:`HourlyBar` checks
-too), and strictly increasing timestamps. Only when all pass are the bars
-built. If any check fails, a row-by-row reporter walks the rows in order and
-raises the first defect, so the error is the one a row-at-a-time reader
-would meet first: within a row, the timestamp and then each value is parsed
-in column order, then the values are bounded, then the timestamp is compared
-with the previous row's. The reporter never returns bars. Rows are read
-until the first CSV syntax error; a defect in a row read before it is
+:data:`~clbacktest.engine.BAR_FIELDS` (the table :class:`HourlyBar`'s
+constructor checks one bar at a time), and strictly increasing timestamps.
+Only when all pass are the bars built, and then without that constructor's
+checks, so each value is checked once. If any check fails, a row-by-row
+reporter walks the rows in order and raises the first defect, so the error
+is the one a row-at-a-time reader would meet first: within a row, the
+timestamp and then each value is parsed in column order, then the values
+are bounded (through the checked constructor), then the timestamp is
+compared with the previous row's. The reporter never returns bars. Rows are
+read until the first CSV syntax error; a defect in a row read before it is
 reported in its place.
 
 Paths and byte streams are decoded with ``errors="surrogateescape"``, so an
@@ -261,7 +263,8 @@ def _bars_from_columns(
         return None
     if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
         return None
-    return tuple(map(HourlyBar, timestamps, *columns))
+    # Every field passed the checks HourlyBar's constructor would repeat.
+    return tuple(map(tuple.__new__, repeat(HourlyBar), zip(timestamps, *columns)))
 
 
 def _raise_first_error(rows: list[list[str]], index: dict[str, int]) -> None:

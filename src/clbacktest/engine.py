@@ -89,10 +89,11 @@ only for the run, so a long trajectory run does not keep them alive while
 its output is written. Only rows whose ordering check passed are remembered,
 so an unsorted tuple fails on every call.
 
-Bars are validated where they are built (:class:`HourlyBar`), not per bar in
-the kernel. A value that overflows the ledger (an infinite fee or scaled
-liquidity), or a range bound beyond float or tick range, raises DataError
-naming the bar.
+Bars are validated once, where they are built, and not per bar in the
+kernel: :class:`HourlyBar`'s constructor checks each field, and CSV ingest
+checks whole columns and then builds the bars without that per-bar check. A
+value that overflows the ledger (an infinite fee or scaled liquidity), or a
+range bound beyond float or tick range, raises DataError naming the bar.
 """
 
 from __future__ import annotations
@@ -125,32 +126,57 @@ _memo: tuple = ((), None, None)
 BAR_FIELDS = (("price", True), ("volume", False), ("pool_liquidity", True), ("tvl", False))
 
 
-@dataclass(frozen=True)
-class HourlyBar:
-    """One hour of pool history: close price, traded volume, pool liquidity.
-
-    ``volume`` and ``tvl`` are in quote-token units; ``pool_liquidity`` is the
-    pool-wide liquidity in the same scale as position liquidity. ``tvl`` is
-    optional and only needed for daily pool-level return estimates.
-    """
-
+# typing.NamedTuple forbids overriding __new__, so HourlyBar's checks live in
+# a subclass of this unchecked base.
+class _BarFields(NamedTuple):
     timestamp: int
     price: float
     volume: float
     pool_liquidity: float
     tvl: float | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
-            raise DataError(f"timestamp must be an integer, got {self.timestamp!r}")
-        for name, strict in BAR_FIELDS:
-            value = getattr(self, name)
+
+class HourlyBar(_BarFields):
+    """One hour of pool history: close price, traded volume, pool liquidity.
+
+    ``volume`` and ``tvl`` are in quote-token units; ``pool_liquidity`` is the
+    pool-wide liquidity in the same scale as position liquidity. ``tvl`` is
+    optional and only needed for daily pool-level return estimates.
+
+    An immutable named tuple whose constructor, ``_make`` and ``_replace``
+    (which calls ``_make``) raise DataError on a value outside its bounds in
+    :data:`BAR_FIELDS` or a timestamp that is not an integer. CSV ingest,
+    which checks whole columns first, and unpickling build bars without
+    checking them again.
+    """
+
+    __slots__ = ()  # no per-bar __dict__
+
+    def __new__(
+        cls,
+        timestamp: int,
+        price: float,
+        volume: float,
+        pool_liquidity: float,
+        tvl: float | None = None,
+    ) -> HourlyBar:
+        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+            raise DataError(f"timestamp must be an integer, got {timestamp!r}")
+        for (name, strict), value in zip(BAR_FIELDS, (price, volume, pool_liquidity, tvl)):
             if value is None and name == "tvl":
                 continue
             if not (0.0 < value < _INF if strict else 0.0 <= value < _INF):
                 raise DataError(
                     f"{name} must be finite and {'>' if strict else '>='} 0, got {value!r}"
                 )
+        return tuple.__new__(cls, (timestamp, price, volume, pool_liquidity, tvl))
+
+    @classmethod
+    def _make(cls, iterable) -> HourlyBar:
+        return cls(*_BarFields._make(iterable))
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
 
 
 @dataclass(frozen=True)

@@ -253,22 +253,15 @@ class TestBacktestCommand:
         assert main(args + ["--from", "2020-01-01"]) == 1
         assert "timestamp 1000000000000 has no UTC calendar date" in capsys.readouterr().err
 
-    def test_bad_date_flag_exits_two(self, data_file):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "backtest",
-                    "--data",
-                    str(data_file),
-                    "--fee",
-                    "0.003",
-                    "--strategy",
-                    "nolp",
-                    "--from",
-                    "tomorrow",
-                ]
+    def test_bad_date_flag_exits_two(self, data_file, capsys):
+        args = ["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
+        for flag, value in [("--from", "tomorrow"), ("--from", "2021-13-01"), ("--to", "")]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(args + [flag, value])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(
+                f"error: argument {flag}: invalid date value: {value!r} (expected YYYY-MM-DD)"
             )
-        assert excinfo.value.code == 2
 
 
 class TestSweepCommand:

@@ -298,7 +298,9 @@ def test_column_checks_agree_with_the_row_reporter(position):
                 load_bars(io.StringIO(text), VOLATILE, 0.003)
             assert str(excinfo.value) == str(exc), case
         else:
-            assert load_bars(io.StringIO(text), VOLATILE, 0.003).bars == _bars_of(rows), case
+            bars = load_bars(io.StringIO(text), VOLATILE, 0.003).bars
+            assert bars == _bars_of(rows), case
+            assert all(type(bar) is HourlyBar for bar in bars), case
     assert 0 < errors < 54
 
 

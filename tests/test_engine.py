@@ -4,6 +4,9 @@ The 3-bar expectations below are a spreadsheet-style ledger computed by hand
 before the engine was written; the engine must reproduce them bit-for-bit.
 """
 
+import math
+import pickle
+
 import pytest
 
 from clbacktest import engine
@@ -222,17 +225,65 @@ def test_reset_failure_names_the_bar_strategy_and_reason(strategy, initial_value
     assert str(caught.value) == f"bar 2: cannot reset {strategy.label()}: {reason}"
 
 
-def test_bar_validation():
-    with pytest.raises(DataError):
-        HourlyBar(timestamp=0, price=-1.0, volume=0.0, pool_liquidity=1.0)
-    with pytest.raises(DataError):
-        HourlyBar(timestamp=0, price=1.0, volume=-1.0, pool_liquidity=1.0)
-    with pytest.raises(DataError):
-        HourlyBar(timestamp=0, price=1.0, volume=0.0, pool_liquidity=0.0)
-    with pytest.raises(DataError):
-        HourlyBar(timestamp=0.5, price=1.0, volume=0.0, pool_liquidity=1.0)
-    with pytest.raises(DataError):
-        HourlyBar(timestamp=0, price=1.0, volume=0.0, pool_liquidity=1.0, tvl=-2.0)
+GOOD_BAR = {"timestamp": 0, "price": 1.0, "volume": 0.0, "pool_liquidity": 1.0, "tvl": None}
+
+BAR_BUILDERS = {
+    "new": lambda fields: HourlyBar(**fields),
+    "make": lambda fields: HourlyBar._make(fields.values()),
+    "replace": lambda fields: HourlyBar(**GOOD_BAR)._replace(**fields),
+}
+
+BAD_BAR_FIELDS = [
+    ("price", -1.0, "price must be finite and > 0, got -1.0"),
+    ("price", 0.0, "price must be finite and > 0, got 0.0"),
+    ("price", math.nan, "price must be finite and > 0, got nan"),
+    ("price", math.inf, "price must be finite and > 0, got inf"),
+    ("volume", -1.0, "volume must be finite and >= 0, got -1.0"),
+    ("volume", math.nan, "volume must be finite and >= 0, got nan"),
+    ("volume", math.inf, "volume must be finite and >= 0, got inf"),
+    ("pool_liquidity", -1.0, "pool_liquidity must be finite and > 0, got -1.0"),
+    ("pool_liquidity", 0.0, "pool_liquidity must be finite and > 0, got 0.0"),
+    ("pool_liquidity", math.nan, "pool_liquidity must be finite and > 0, got nan"),
+    ("pool_liquidity", math.inf, "pool_liquidity must be finite and > 0, got inf"),
+    ("tvl", -2.0, "tvl must be finite and >= 0, got -2.0"),
+    ("tvl", math.nan, "tvl must be finite and >= 0, got nan"),
+    ("tvl", math.inf, "tvl must be finite and >= 0, got inf"),
+    ("timestamp", 0.5, "timestamp must be an integer, got 0.5"),
+    ("timestamp", True, "timestamp must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("build", BAR_BUILDERS)
+@pytest.mark.parametrize(
+    "field, value, message",
+    BAD_BAR_FIELDS,
+    ids=[f"{field}={value!r}" for field, value, _ in BAD_BAR_FIELDS],
+)
+def test_bar_validation(build, field, value, message):
+    with pytest.raises(DataError) as caught:
+        BAR_BUILDERS[build]({**GOOD_BAR, field: value})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("tvl", [None, 0.0, 5e7])
+def test_bar_is_an_immutable_tuple_that_unpickles_unchecked(tvl, monkeypatch):
+    bar = HourlyBar(timestamp=3600, price=2000.0, volume=1e6, pool_liquidity=1e4, tvl=tvl)
+    assert bar == (3600, 2000.0, 1e6, 1e4, tvl)
+    assert hash(bar) == hash((3600, 2000.0, 1e6, 1e4, tvl))
+    with pytest.raises(AttributeError):
+        bar.price = 1.0
+    with pytest.raises(AttributeError):
+        bar.extra = 1.0
+    pickled = [pickle.dumps(bar, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+    def checked_constructor_called(*args, **kwargs):
+        raise AssertionError("unpickling checked the bar again")
+
+    monkeypatch.setattr(HourlyBar, "__new__", checked_constructor_called)
+    for data in pickled:
+        restored = pickle.loads(data)
+        assert type(restored) is HourlyBar
+        assert restored == bar
 
 
 def test_config_validation():
