@@ -89,6 +89,15 @@ only for the run, so a long trajectory run does not keep them alive while
 its output is written. Only rows whose ordering check passed are remembered,
 so an unsorted tuple fails on every call.
 
+Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
+budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
+three float lists, and builds the :class:`TrajectoryPoint` rows once, after
+the loop, in one C-level pass over the bars' timestamps and those three
+columns (``map(tuple.__new__, repeat(TrajectoryPoint), zip(...))``), with
+no constructor call or bar lookup per bar. The rows hold the same
+divisions of the same values as the metrics, so the last row equals them.
+A run without a trajectory allocates none of this.
+
 Bars are validated once, where they are built, and not per bar in the
 kernel: :class:`HourlyBar`'s constructor checks each field, and CSV ingest
 checks whole columns and then builds the bars without that per-bar check. A
@@ -100,6 +109,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError, UsageError
@@ -279,11 +289,10 @@ def run_backtest(
     fee_sum = 0.0
     value_now = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
     total_now = value_now
-    trajectory: list[TrajectoryPoint] = []
     if keep_trajectory:
-        trajectory.append(
-            TrajectoryPoint(first.timestamp, 0.0, value_now / budget, total_now / budget)
-        )
+        fees = [0.0]
+        values = [value_now / budget]
+        totals = [total_now / budget]
 
     for number, price, sqrt_price, volume_fee, pool_liquidity in rows:
         # mark's arithmetic, written out for both ledgers, the two slots and the tail.
@@ -417,20 +426,21 @@ def run_backtest(
             two = True
 
         if keep_trajectory:
-            trajectory.append(
-                TrajectoryPoint(
-                    bars[number - 1].timestamp,
-                    fee_plain / budget,
-                    value_now / budget,
-                    total_now / budget,
-                )
-            )
+            fees.append(fee_plain / budget)
+            values.append(value_now / budget)
+            totals.append(total_now / budget)
 
+    trajectory: tuple[TrajectoryPoint, ...] = ()
+    if keep_trajectory:
+        timestamps = [bar.timestamp for bar in bars]
+        trajectory = tuple(
+            map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, fees, values, totals))
+        )
     return BacktestResult(
         fees=fee_sum / budget,
         value=value_now / budget,
         total=total_now / budget,
-        trajectory=tuple(trajectory),
+        trajectory=trajectory,
     )
 
 

@@ -2,8 +2,13 @@
 
 import argparse
 import csv
+import errno
+import gc
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,7 +260,15 @@ class TestBacktestCommand:
 
     def test_bad_date_flag_exits_two(self, data_file, capsys):
         args = ["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
-        for flag, value in [("--from", "tomorrow"), ("--from", "2021-13-01"), ("--to", "")]:
+        for flag, value in [
+            ("--from", "tomorrow"),
+            ("--from", "2021-13-01"),
+            ("--to", ""),
+            # Other ISO 8601 forms, which fromisoformat takes on Python 3.11+.
+            ("--from", "20210301"),
+            ("--from", "2021-W09-1"),
+            ("--from", "2021-03-01T00:00"),
+        ]:
             with pytest.raises(SystemExit) as excinfo:
                 main(args + [flag, value])
             assert excinfo.value.code == 2
@@ -517,6 +530,113 @@ class TestSelfcheckCommand:
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) == 12
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic garbage collector's state after the test."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    @pytest.mark.parametrize("collecting", (True, False))
+    @pytest.mark.parametrize(
+        "strategy, data, code",
+        [("nolp", "bars.csv", 0), ("nolp", "absent.csv", 1), ("fixed:a=-1", "bars.csv", 2)],
+    )
+    def test_main_restores_the_collector_state(
+        self, data_file, collector, capsys, monkeypatch, collecting, strategy, data, code
+    ):
+        seen = []
+
+        def recording_load_bars(*args):
+            seen.append(gc.isenabled())
+            return load_bars(*args)
+
+        monkeypatch.setattr(cli, "load_bars", recording_load_bars)
+        gc.enable() if collecting else gc.disable()
+        code_seen = main(
+            ["backtest", "--data", str(data_file.parent / data), "--fee", "0.003"]
+            + ["--strategy", strategy]
+        )
+        assert (code_seen, seen) == (code, [False])
+        assert gc.isenabled() is collecting
+
+    def test_cyclic_garbage_does_not_grow_with_the_grid(self, data_file, collector, capsys):
+        def garbage_after(grid):
+            gc.collect()
+            code = main(
+                ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
+                + ["--grid", grid, "--jobs", "1"]
+            )
+            assert code == 0
+            return gc.collect()
+
+        gc.enable()
+        garbage_after("0.05,0.20,0.05")  # warm-up: first-call imports and caches
+        small = garbage_after("0.05,0.20,0.05")
+        large = garbage_after("0.001,0.400,0.001")
+        assert small == large
+
+
+class FailingStdout(io.StringIO):
+    """A standard output whose writes (or only its flushes) fail."""
+
+    def __init__(self, on_write: bool):
+        super().__init__()
+        self.on_write = on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestStandardOutput:
+    @pytest.mark.parametrize("on_write", (True, False))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["backtest", "--data", "{data}", "--fee", "0.003", "--strategy", "nolp"],
+            ["sweep", "--data", "{data}", "--fee", "0.003", "--kind", "fixed", "--jobs", "1"],
+            ["daily-returns", "--data", "{data}", "--fee", "0.003"],
+            ["selfcheck"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_failed_write_exits_one(self, data_file, capsys, monkeypatch, command, on_write):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(on_write))
+        code = main([arg.format(data=data_file) for arg in command])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write standard output: [Errno 32] Broken pipe\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_one_without_a_traceback(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with open("/dev/full", "w") as full:
+            process = subprocess.run(
+                [sys.executable, "-m", "clbacktest.cli", "selfcheck"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=60,
+            )
+        assert process.returncode == 1
+        assert process.stderr == (
+            "error: cannot write standard output: [Errno 28] No space left on device\n"
+        )
 
 
 def test_readme_shows_only_accepted_flags():

@@ -14,6 +14,7 @@ from clbacktest import (
     BacktestConfig,
     DataError,
     HourlyBar,
+    TrajectoryPoint,
     UsageError,
     accrue_fees,
     fixed_config,
@@ -50,6 +51,7 @@ def test_three_bar_trajectory_rows():
     config = BacktestConfig(strategy=fixed_config(0.10), fee_rate=0.003)
     result = run_backtest(config, THREE_BARS)
     assert len(result.trajectory) == 3
+    assert all(type(point) is TrajectoryPoint for point in result.trajectory)
     first, second, third = result.trajectory
     assert first.timestamp == 0
     assert first.fee == 0.0
