@@ -24,6 +24,7 @@ import gc
 import logging
 import os
 import re
+import stat
 import sys
 from typing import Sequence
 
@@ -77,10 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = args.handler(args)
-        with _printing():
-            sys.stdout.flush()
-        return code
+        return args.handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -111,11 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy spec: nolp | passive | fixed:a=0.10 | reset:a=0.10,r=0.05",
     )
     backtest.add_argument(
-        "--snap-ticks",
-        action="store_true",
-        help="snap range bounds to the pair's tick spacing",
-    )
-    backtest.add_argument(
         "--trajectory", metavar="PATH", help="write per-bar rows to this CSV file"
     )
     backtest.set_defaults(handler=_cmd_backtest)
@@ -132,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         metavar="MIN,MAX,STEP",
         help="override the parameter axis (applies to both axes of a reset grid)",
-    )
-    sweep.add_argument(
-        "--snap-ticks",
-        action="store_true",
-        help="snap range bounds to the pair's tick spacing",
     )
     sweep.add_argument(
         "--dump", metavar="PATH", help="write per-configuration metrics to this CSV file"
@@ -211,6 +199,11 @@ def _add_data_flags(sub: argparse.ArgumentParser, pair_class: bool = True) -> No
             default="volatile",
             help="tick spacing and report rounding preset (default: volatile)",
         )
+        sub.add_argument(
+            "--snap-ticks",
+            action="store_true",
+            help="snap range bounds to the pair's tick spacing",
+        )
 
 
 def _add_window_flags(sub: argparse.ArgumentParser) -> None:
@@ -251,12 +244,14 @@ def _load_series(args, pair: PairProfile) -> BarSeries:
     return series
 
 
+def _snap_spacing(args, series: BarSeries) -> int | None:
+    """The tick spacing that ``--snap-ticks`` asks for: the series pair's, or None."""
+    return series.pair.tick_spacing if args.snap_ticks else None
+
+
 def _cmd_backtest(args) -> int:
-    pair = pair_for_class(args.pair_class)
-    series = _load_series(args, pair)
-    strategy = parse_strategy_spec(
-        args.strategy, snap_spacing=pair.tick_spacing if args.snap_ticks else None
-    )
+    series = _load_series(args, pair_for_class(args.pair_class))
+    strategy = parse_strategy_spec(args.strategy, _snap_spacing(args, series))
     config = BacktestConfig(strategy=strategy, fee_rate=args.fee)
     with _output(args.trajectory) as output:
         result = run_backtest(config, series.bars)
@@ -267,7 +262,7 @@ def _cmd_backtest(args) -> int:
             print(f"value     {result.value:.6f}")
             print(f"total     {result.total:.6f}")
         if output is not None:
-            with _writing(args.trajectory):
+            with _replacing(args.trajectory, output):
                 output.write("timestamp,fee,value,total\n")
                 output.writelines(
                     [
@@ -282,8 +277,7 @@ def _cmd_backtest(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    pair = pair_for_class(args.pair_class)
-    series = _load_series(args, pair)
+    series = _load_series(args, pair_for_class(args.pair_class))
     axis = None
     if args.grid:
         pieces = args.grid.split(",")
@@ -299,7 +293,7 @@ def _cmd_sweep(args) -> int:
         kind=args.kind,
         a_axis=axis,
         r_axis=axis if args.kind == RESET else None,
-        snap_spacing=pair.tick_spacing if args.snap_ticks else None,
+        snap_spacing=_snap_spacing(args, series),
     )
     grid = build_grid(spec)
     logger.debug("sweeping %d configurations", len(grid))
@@ -310,7 +304,7 @@ def _cmd_sweep(args) -> int:
         with _printing():
             print(render_report(summary))
         if output is not None:
-            with _writing(args.dump):
+            with _replacing(args.dump, output):
                 write_results_csv(results, output)
             logger.debug("dumped %d rows to %s", len(results), args.dump)
     return 0
@@ -321,18 +315,39 @@ def _output(path: str | None):
     """Open the output file ``path`` before the work that fills it.
 
     Yields None when no path is given. An unwritable path fails before any
-    work is done or printed, with a DataError that names it.
+    work is done or printed, with a DataError that names it. The file is
+    opened without emptying it; :func:`_replacing` empties it only when the
+    command writes it, so a command that fails before then leaves an
+    existing file as it was. A file that this command created is removed if
+    the command fails.
     """
     if not path:
         yield None
         return
     with _writing(path):
-        handle = open(path, "w", newline="", encoding="utf-8")
+        try:
+            handle, created = open(path, "x", newline="", encoding="utf-8"), True
+        except FileExistsError:
+            handle, created = open(path, "a", newline="", encoding="utf-8"), False
     try:
-        yield handle
-    finally:
-        with _writing(path):
-            handle.close()
+        with _writing(path), handle:
+            yield handle
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+@contextlib.contextmanager
+def _replacing(path: str, handle):
+    """Empty the output file ``path``, open as ``handle``, for the write that
+    follows, unless it is not a regular file (a FIFO, say); an OSError
+    becomes a DataError that names ``path``."""
+    with _writing(path):
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
+        yield
 
 
 @contextlib.contextmanager
@@ -346,7 +361,8 @@ def _writing(path: str):
 
 @contextlib.contextmanager
 def _printing():
-    """Turn an OSError raised while writing standard output into a DataError.
+    """Flush what the block printed to standard output; turn an OSError
+    raised while writing or flushing it into a DataError.
 
     Standard output's file descriptor, if it has one, is first pointed at
     os.devnull, so that the interpreter's flush of what is left in its
@@ -354,6 +370,7 @@ def _printing():
     """
     try:
         yield
+        sys.stdout.flush()
     except OSError as exc:
         with contextlib.suppress(AttributeError, OSError, ValueError):
             fd = sys.stdout.fileno()  # an in-memory stream has none

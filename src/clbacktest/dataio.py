@@ -63,7 +63,6 @@ class BarSeries:
     pair: PairProfile
     fee_rate: float
     bars: tuple[HourlyBar, ...]
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         check_fee_rate(self.fee_rate)
@@ -98,7 +97,7 @@ def load_bars(
             raise DataError(f"cannot read {label}: {exc}") from exc
         with handle:
             bars = _read_rows(handle, label)
-    return BarSeries(pair=pair, fee_rate=fee_rate, bars=bars, source_label=label)
+    return BarSeries(pair=pair, fee_rate=fee_rate, bars=bars)
 
 
 def save_bars(series: BarSeries, dest: str | os.PathLike[str] | TextIO) -> None:

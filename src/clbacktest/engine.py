@@ -80,14 +80,14 @@ close exactly on a shared or an outer bound. The two ledgers' amounts stay
 separate: the compounding one cannot be derived from the plain one bit for
 bit.
 
-Memo rule. A sweep runs many configurations over one series, so a run
-without a trajectory (``keep_trajectory=False``, as sweeps and baselines
-pass) keeps the rows of the last bar sequence in a one-entry memo, keyed on
-the identity of an immutable ``tuple`` of bars and on the fee rate. Other
-sequences, and runs that keep a trajectory, rebuild the rows and hold them
-only for the run, so a long trajectory run does not keep them alive while
-its output is written. Only rows whose ordering check passed are remembered,
-so an unsorted tuple fails on every call.
+Memo rule. A sweep runs many configurations over one series, so every run
+takes its rows from a one-entry memo that holds the rows of the last bar
+tuple, keyed on the identity of that immutable ``tuple`` and on the fee rate,
+including its sign (``-0.0`` gives ``-0.0`` fee cells in a trajectory). Any
+other sequence is copied into a new tuple first, so it is checked and its
+rows built afresh. Only rows whose ordering check passed are remembered, so
+an unsorted tuple fails on every call. The memo keeps the last tuple and its
+rows alive until another tuple or fee rate is run.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -110,7 +110,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DataError, UsageError
 from .clmath import mark
@@ -127,7 +127,7 @@ _INF = math.inf
 # Geometry of an unused slot: never in range, no bound equals a price.
 _EMPTY_SLOT = (_INF, _INF, 0.0, 0.0, 0.0, 0.0)
 
-# The last bar tuple run without a trajectory, its fee rate and its rows.
+# The last bar tuple run, its fee rate and sign, and its rows.
 _memo: tuple = ((), None, None)
 
 # The float fields of a bar, in field order, and whether each must be finite
@@ -252,15 +252,12 @@ def run_backtest(
     the entry price; fees start accruing on the second. A ledger that cannot
     be represented in floats at some bar raises DataError naming that bar.
     """
+    bars = tuple(bars)
     if not bars:
         raise UsageError("cannot backtest an empty bar sequence")
     budget = config.initial_value
     strategy = config.strategy
-    fee_rate = config.fee_rate
-    if keep_trajectory or not isinstance(bars, tuple):
-        rows = _series_rows(bars, fee_rate)
-    else:
-        rows = _memo_rows(bars, fee_rate)
+    rows = _series_rows(bars, config.fee_rate)
     first = bars[0]
 
     try:
@@ -444,32 +441,29 @@ def run_backtest(
     )
 
 
-def _series_rows(bars: Sequence[HourlyBar], fee_rate: float) -> Iterator[tuple]:
+def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, ...]:
     """Check the ordering of ``bars``; return the kernel's rows of bars 2..n:
-    ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``."""
-    _check_ordering(bars)
-    return zip(
-        range(2, len(bars) + 1),
-        [bar.price for bar in bars[1:]],
-        [math.sqrt(bar.price) for bar in bars[1:]],
-        [bar.volume * fee_rate for bar in bars[1:]],
-        [bar.pool_liquidity for bar in bars[1:]],
-    )
+    ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``.
 
-
-def _memo_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, ...]:
-    """:func:`_series_rows` as a tuple, remembered for the last tuple and fee rate.
-
-    The memo holds the tuple itself, so its identity cannot be reused while
-    it is remembered, and a tuple of frozen bars cannot change. Only a
-    successful check is remembered.
+    The rows are remembered for the last tuple and fee rate (see the memo
+    rule). The memo holds the tuple itself, so its identity cannot be reused
+    while it is remembered, and a tuple of frozen bars cannot change.
     """
     global _memo
-    memo = _memo
-    if memo[0] is bars and memo[1] == fee_rate:
-        return memo[2]
-    rows = tuple(_series_rows(bars, fee_rate))
-    _memo = (bars, fee_rate, rows)
+    key = (fee_rate, math.copysign(1.0, fee_rate))
+    if _memo[0] is bars and _memo[1] == key:
+        return _memo[2]
+    _check_ordering(bars)
+    rows = tuple(
+        zip(
+            range(2, len(bars) + 1),
+            [bar.price for bar in bars[1:]],
+            [math.sqrt(bar.price) for bar in bars[1:]],
+            [bar.volume * fee_rate for bar in bars[1:]],
+            [bar.pool_liquidity for bar in bars[1:]],
+        )
+    )
+    _memo = (bars, key, rows)
     return rows
 
 

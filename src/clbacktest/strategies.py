@@ -151,7 +151,6 @@ class StrategyState:
     """
 
     config: StrategyConfig
-    entry_price: float
     ranges: Ranges
     ledger: Ledger
     trigger: Trigger
@@ -185,7 +184,7 @@ class StrategyState:
 
 def initialize(config: StrategyConfig, price: float, budget: float) -> StrategyState:
     """Deploy ``budget`` (in quote-token units) at the entry price (see :func:`deploy`)."""
-    return StrategyState(config, price, *deploy(config, price, budget))
+    return StrategyState(config, *deploy(config, price, budget))
 
 
 def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges, Ledger, Trigger]:
@@ -237,9 +236,7 @@ def on_close(state: StrategyState, price: float) -> StrategyState:
     ranges, ledger = redeposit(
         state.ranges, state.ledger, price, math.sqrt(price), below_lower, above_upper
     )
-    return StrategyState(
-        state.config, state.entry_price, ranges, ledger, (trigger_lower, trigger_upper)
-    )
+    return StrategyState(state.config, ranges, ledger, (trigger_lower, trigger_upper))
 
 
 def active_liquidity(state: StrategyState, price: float) -> float:
@@ -303,7 +300,7 @@ def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
     ledger = tuple([amount * factor for amount in state.ledger])
     if math.inf in ledger:
         raise ValueError(f"scaling the ledger by {factor!r} overflows")
-    return StrategyState(state.config, state.entry_price, state.ranges, ledger, state.trigger)
+    return StrategyState(state.config, state.ranges, ledger, state.trigger)
 
 
 def _snap_outward(lower: float, upper: float, price: float, spacing: int) -> tuple[float, float]:

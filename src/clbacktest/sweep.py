@@ -6,7 +6,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .dataio import BarSeries
 from .engine import BacktestConfig, BacktestResult, run_backtest
@@ -249,24 +249,17 @@ def render_report(summary: SweepSummary) -> str:
     return "\n".join(lines)
 
 
-def write_results_csv(results: Sequence[ResultPair], dest) -> None:
-    """Dump per-configuration metrics at full precision for machine use."""
-
-    def _write(handle) -> None:
-        handle.write("kind,a,r,fees,value,total\n")
-        handle.writelines(
-            [
-                f"{config.kind},{_cell(config.a)},{_cell(config.r)},"
-                f"{result.fees!r},{result.value!r},{result.total!r}\n"
-                for config, result in results
-            ]
-        )
-
-    if hasattr(dest, "write"):
-        _write(dest)
-        return
-    with open(os.fspath(dest), "w", newline="", encoding="utf-8") as handle:
-        _write(handle)
+def write_results_csv(results: Sequence[ResultPair], dest: TextIO) -> None:
+    """Dump per-configuration metrics at full precision, for machine use, to
+    the open text stream ``dest``."""
+    dest.write("kind,a,r,fees,value,total\n")
+    dest.writelines(
+        [
+            f"{config.kind},{_cell(config.a)},{_cell(config.r)},"
+            f"{result.fees!r},{result.value!r},{result.total!r}\n"
+            for config, result in results
+        ]
+    )
 
 
 def _cell(value: float | None) -> str:

@@ -7,8 +7,10 @@ import gc
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -464,6 +466,74 @@ class TestOutputFiles:
         rows = [(c.kind, c.a, c.r, r.fees, r.value, r.total) for c, r in results]
         header = ("kind", "a", "r", "fees", "value", "total")
         assert path.read_bytes() == _csv_bytes(header, rows)
+
+
+class TestOutputOnFailure:
+    """A failed command leaves an existing output file as it was and leaves
+    no file it created behind."""
+
+    @pytest.fixture
+    def overflow_file(self, tmp_path):
+        path = tmp_path / "overflow.csv"
+        rows = list(FIXTURE_ROWS)
+        rows[1] = (1600003600, 2000.0, 1e308, 1e-300, 5e7)
+        path.write_text(csv_text(rows))
+        return path
+
+    @pytest.mark.parametrize("existing", (True, False), ids=("existing", "new"))
+    def test_overflowing_backtest(self, overflow_file, tmp_path, capsys, existing):
+        path = tmp_path / "trajectory.csv"
+        if existing:
+            path.write_text("old\n")
+        code = main(
+            ["backtest", "--data", str(overflow_file), "--fee", "0.003"]
+            + ["--strategy", "passive", "--trajectory", str(path)]
+        )
+        assert code == 1
+        assert "error: bar 2: " in capsys.readouterr().err
+        if existing:
+            assert path.read_text() == "old\n"
+        else:
+            assert not path.exists()
+
+    @pytest.mark.parametrize("on_write", (True, False))
+    def test_sweep_dump_with_failing_stdout(
+        self, data_file, tmp_path, capsys, monkeypatch, on_write
+    ):
+        path = tmp_path / "dump.csv"
+        path.write_text("old\n")
+        monkeypatch.setattr(sys, "stdout", FailingStdout(on_write))
+        code = main(
+            ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
+            + ["--grid", "0.05,0.15,0.05", "--jobs", "1", "--dump", str(path)]
+        )
+        assert code == 1
+        assert "error: cannot write standard output" in capsys.readouterr().err
+        assert path.read_text() == "old\n"
+
+    def test_a_successful_command_replaces_the_file(self, data_file, tmp_path, capsys):
+        path = tmp_path / "trajectory.csv"
+        argv = ["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
+        assert main(argv + ["--trajectory", str(path)]) == 0
+        fresh = path.read_bytes()
+        path.write_text("old\n" * 100)
+        assert main(argv + ["--trajectory", str(path)]) == 0
+        assert path.read_bytes() == fresh
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_is_written_and_not_replaced(self, data_file, tmp_path, capsys):
+        argv = ["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
+        assert main(argv + ["--trajectory", str(tmp_path / "plain.csv")]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--trajectory", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "plain.csv").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestDailyReturnsCommand:

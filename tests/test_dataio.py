@@ -55,7 +55,6 @@ class TestLoadBars:
         path.write_text(GOOD_CSV)
         series = load_bars(path, VOLATILE, 0.003)
         assert len(series.bars) == 3
-        assert series.source_label.endswith("bars.csv")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

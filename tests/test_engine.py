@@ -305,7 +305,8 @@ def test_replay_requires_a_kept_trajectory():
 
 
 class TestSeriesMemo:
-    """Runs without a trajectory reuse the columns of the last bar tuple."""
+    """Every run reuses the rows of the last bar tuple, keyed on its identity
+    and on the fee rate, sign included."""
 
     BARS = make_bars([2000.0, 2050.0, 1900.0, 2150.0], volumes=[0, 1e6, 2e6, 1e6])
 
@@ -340,8 +341,18 @@ class TestSeriesMemo:
                 self._run(shuffled)
         assert engine._memo[0] is not shuffled
 
-    def test_a_trajectory_run_leaves_the_memo_alone(self):
-        self._run(self.BARS, keep_trajectory=True)
-        assert engine._memo == ((), None, None)
-        self._run(self.BARS)
-        assert engine._memo[0] is self.BARS
+    def test_a_trajectory_run_and_a_plain_run_share_rows(self):
+        kept = self._run(self.BARS, keep_trajectory=True)
+        rows = engine._memo[2]
+        assert self._run(self.BARS) == kept
+        assert engine._memo[2] is rows
+
+    def test_a_negative_zero_fee_rate_misses_the_memo(self):
+        def trajectory(fee_rate):
+            config = BacktestConfig(strategy=reset_config(0.10, 0.05), fee_rate=fee_rate)
+            return repr(run_backtest(config, self.BARS).trajectory)
+
+        cold = trajectory(-0.0)
+        assert "fee=-0.0" in cold
+        assert "fee=-0.0" not in trajectory(0.0)
+        assert trajectory(-0.0) == cold

@@ -24,7 +24,7 @@ from clbacktest import (
     run_sweep,
     write_results_csv,
 )
-from clbacktest import sweep
+from clbacktest import engine, sweep
 from clbacktest.sweep import MAX_GRID_POINTS, worker_count
 from helpers import make_bars
 
@@ -325,3 +325,18 @@ def test_compute_baselines():
     assert isinstance(baselines, Baselines)
     assert baselines.nolp.fees == 0.0
     assert baselines.passive.fees > 0.0
+
+
+def test_a_sweep_builds_its_rows_once_per_process(monkeypatch):
+    checks = []
+    check_ordering = engine._check_ordering
+
+    def counting_check(bars):
+        checks.append(len(bars))
+        return check_ordering(bars)
+
+    monkeypatch.setattr(engine, "_check_ordering", counting_check)
+    series = _series()
+    compute_baselines(series)
+    run_sweep(build_grid(GridSpec("volatile", "reset", (0.05, 0.1), (0.02, 0.05))), series, jobs=1)
+    assert checks == [len(series.bars)]
