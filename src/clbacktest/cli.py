@@ -382,12 +382,16 @@ def _printing():
 
 def _cmd_daily_returns(args) -> int:
     points = daily_fee_returns(_load_series(args, pair_for_class("volatile")))
+    average = None
+    if args.start is not None or args.end is not None:
+        # The points all lie in the window; passing it names it in an error.
+        average = average_daily_return(points, args.start, args.end)
     with _printing():
         print("date,lp_return")
         for point in points:
             print(f"{point.date.isoformat()},{point.lp_return!r}")
-        if args.start is not None or args.end is not None:
-            print(f"average,{average_daily_return(points)!r}")
+        if average is not None:
+            print(f"average,{average!r}")
     return 0
 
 

@@ -16,14 +16,15 @@ example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
 The formulas live in flat helpers on plain floats that validate nothing:
 :func:`mark` (active liquidity, value and reserves of one ledger) and
-:func:`one_sided_liquidity`. The dataclass functions (:func:`real_reserves`,
-:func:`position_value`, :func:`liquidity_one_sided`), the strategy state
-API and :func:`~clbacktest.strategies.redeposit` call the same helpers; the
-dataclass functions validate their arguments first. The backtest kernel is
-the one other spelling of this arithmetic: it marks and redeposits both of
-its ledgers on local floats so that a bar costs no call. ``mark`` and
-``redeposit`` are its reference, and the golden replay test holds the two
-equal bit for bit. Each argument rule is written once:
+:func:`one_sided_liquidity`. The functions on value types
+(:func:`real_reserves`, :func:`position_value`, :func:`liquidity_one_sided`,
+which take :class:`PriceRange` and :class:`TokenAmounts`), the strategy
+state API and :func:`~clbacktest.strategies.redeposit` call the same
+helpers; the functions on value types validate their arguments first. The
+backtest kernel is the one other spelling of this arithmetic: it marks and
+redeposits both of its ledgers on local floats so that a bar costs no call.
+``mark`` and ``redeposit`` are its reference, and the golden replay test
+holds the two equal bit for bit. Each argument rule is written once:
 :func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
@@ -38,8 +39,9 @@ a strategy state stores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._tuples import checked_tuple
 
 TICK_BASE = 1.0001
 # Largest |i| for which TICK_BASE**i stays comfortably inside float range;
@@ -72,46 +74,43 @@ def check_range(lower: float, upper: float) -> None:
         raise ValueError(f"upper must exceed lower, got [{lower!r}, {upper!r}]")
 
 
-@dataclass(frozen=True)
-class PriceRange:
+class PriceRange(checked_tuple("PriceRange", "lower upper")):
     """A price interval [lower, upper] with 0 < lower < upper, both finite."""
 
-    lower: float
-    upper: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_range(self.lower, self.upper)
+    def __new__(cls, lower: float, upper: float) -> PriceRange:
+        check_range(lower, upper)
+        return tuple.__new__(cls, (lower, upper))
 
     def contains(self, price: float) -> bool:
         return self.lower <= price <= self.upper
 
 
-@dataclass(frozen=True)
-class TokenAmounts:
+class TokenAmounts(checked_tuple("TokenAmounts", "x y", (0.0, 0.0))):
     """Non-negative real token amounts: x is the base token, y the quote."""
 
-    x: float = 0.0
-    y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_nonnegative(self.x, "x")
-        check_nonnegative(self.y, "y")
+    def __new__(cls, x: float = 0.0, y: float = 0.0) -> TokenAmounts:
+        check_nonnegative(x, "x")
+        check_nonnegative(y, "y")
+        return tuple.__new__(cls, (x, y))
 
 
-@dataclass(frozen=True)
-class PairProfile:
+class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
     """Static facts about a trading pair that the engine needs.
 
     tick_spacing restricts valid tick indices to multiples of itself when
     snapping is enabled; 60 is typical for volatile pairs, 10 for stable ones.
     """
 
-    name: str
-    tick_spacing: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tick_spacing < 1:
-            raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
+    def __new__(cls, name: str, tick_spacing: int) -> PairProfile:
+        if tick_spacing < 1:
+            raise ValueError(f"tick_spacing must be >= 1, got {tick_spacing}")
+        return tuple.__new__(cls, (name, tick_spacing))
 
 
 VOLATILE_PAIR = PairProfile(name="volatile", tick_spacing=60)

@@ -43,10 +43,10 @@ import io
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Iterable, Sequence, TextIO
 
+from ._tuples import checked_tuple
 from .clmath import PairProfile
 from .engine import BAR_FIELDS, HourlyBar, check_fee_rate
 from .errors import DataError, UsageError
@@ -56,24 +56,20 @@ OPTIONAL_COLUMNS = ("tvl",)
 HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
 
 
-@dataclass(frozen=True)
-class BarSeries:
+class BarSeries(checked_tuple("BarSeries", "pair fee_rate bars")):
     """An ordered bar sequence plus the pair facts needed to interpret it."""
 
-    pair: PairProfile
-    fee_rate: float
-    bars: tuple[HourlyBar, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_fee_rate(self.fee_rate)
+    def __new__(cls, pair: PairProfile, fee_rate: float, bars: tuple[HourlyBar, ...]) -> BarSeries:
+        check_fee_rate(fee_rate)
+        return tuple.__new__(cls, (pair, fee_rate, bars))
 
 
-@dataclass(frozen=True)
-class DailyReturnPoint:
+class DailyReturnPoint(checked_tuple("DailyReturnPoint", "date lp_return")):
     """Estimated pool-level LP fee return for one UTC calendar day."""
 
-    date: dt.date
-    lp_return: float
+    __slots__ = ()
 
 
 def load_bars(
@@ -125,7 +121,7 @@ def clip_window(
         raise UsageError(
             f"window {start}..{end} selects no bars out of {len(series.bars)}"
         )
-    return replace(series, bars=kept)
+    return series._replace(bars=kept)
 
 
 def daily_fee_returns(series: BarSeries) -> list[DailyReturnPoint]:
@@ -133,7 +129,8 @@ def daily_fee_returns(series: BarSeries) -> list[DailyReturnPoint]:
 
     The day's fee revenue is the summed volume times the fee rate; it is
     normalized by the TVL of the day's last bar. Days follow the UTC
-    calendar. Every bar needs a TVL value.
+    calendar. Every bar needs a TVL value. A day whose volume sum or return
+    overflows raises DataError naming the day.
     """
     if not series.bars:
         raise UsageError("cannot compute daily returns of an empty series")
@@ -153,9 +150,14 @@ def daily_fee_returns(series: BarSeries) -> list[DailyReturnPoint]:
         tvl = tvl_by_day[day]
         if tvl <= 0.0:
             raise DataError(f"day {day.isoformat()}: tvl must be > 0, got {tvl!r}")
-        points.append(
-            DailyReturnPoint(date=day, lp_return=volume_by_day[day] * series.fee_rate / tvl)
-        )
+        volume = volume_by_day[day]
+        lp_return = volume * series.fee_rate / tvl
+        if not math.isfinite(lp_return):
+            raise DataError(
+                f"day {day.isoformat()}: the fee return overflows "
+                f"(volume {volume!r}, tvl {tvl!r})"
+            )
+        points.append(DailyReturnPoint(date=day, lp_return=lp_return))
     return points
 
 
@@ -164,11 +166,15 @@ def average_daily_return(
     start: dt.date | None = None,
     end: dt.date | None = None,
 ) -> float:
-    """Arithmetic mean of daily returns inside [start, end]."""
+    """Arithmetic mean of daily returns inside [start, end]; DataError if
+    it overflows."""
     selected = [p.lp_return for p in points if _in_window(p.date, start, end)]
     if not selected:
         raise UsageError(f"window {start}..{end} selects no daily returns")
-    return sum(selected) / len(selected)
+    average = sum(selected) / len(selected)
+    if not math.isfinite(average):
+        raise DataError(f"window {start}..{end}: the average daily return overflows")
+    return average
 
 
 def _in_window(date: dt.date, start: dt.date | None, end: dt.date | None) -> bool:

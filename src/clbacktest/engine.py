@@ -108,10 +108,10 @@ range bound beyond float or tick range, raises DataError naming the bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
+from ._tuples import checked_tuple
 from .errors import DataError, UsageError
 from .clmath import mark
 from .strategies import (
@@ -136,17 +136,7 @@ _memo: tuple = ((), None, None)
 BAR_FIELDS = (("price", True), ("volume", False), ("pool_liquidity", True), ("tvl", False))
 
 
-# typing.NamedTuple forbids overriding __new__, so HourlyBar's checks live in
-# a subclass of this unchecked base.
-class _BarFields(NamedTuple):
-    timestamp: int
-    price: float
-    volume: float
-    pool_liquidity: float
-    tvl: float | None = None
-
-
-class HourlyBar(_BarFields):
+class HourlyBar(checked_tuple("HourlyBar", "timestamp price volume pool_liquidity tvl", (None,))):
     """One hour of pool history: close price, traded volume, pool liquidity.
 
     ``volume`` and ``tvl`` are in quote-token units; ``pool_liquidity`` is the
@@ -181,28 +171,19 @@ class HourlyBar(_BarFields):
                 )
         return tuple.__new__(cls, (timestamp, price, volume, pool_liquidity, tvl))
 
-    @classmethod
-    def _make(cls, iterable) -> HourlyBar:
-        return cls(*_BarFields._make(iterable))
 
-    def __reduce__(self):
-        return tuple.__new__, (type(self), tuple(self))
-
-
-@dataclass(frozen=True)
-class BacktestConfig:
+class BacktestConfig(checked_tuple("BacktestConfig", "strategy fee_rate initial_value", (1.0,))):
     """Strategy plus the run parameters shared by every bar."""
 
-    strategy: StrategyConfig
-    fee_rate: float
-    initial_value: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_fee_rate(self.fee_rate)
-        if not math.isfinite(self.initial_value) or self.initial_value <= 0.0:
-            raise UsageError(
-                f"initial_value must be finite and > 0, got {self.initial_value!r}"
-            )
+    def __new__(
+        cls, strategy: StrategyConfig, fee_rate: float, initial_value: float = 1.0
+    ) -> BacktestConfig:
+        check_fee_rate(fee_rate)
+        if not math.isfinite(initial_value) or initial_value <= 0.0:
+            raise UsageError(f"initial_value must be finite and > 0, got {initial_value!r}")
+        return tuple.__new__(cls, (strategy, fee_rate, initial_value))
 
 
 def check_fee_rate(fee_rate: float) -> None:
@@ -220,14 +201,10 @@ class TrajectoryPoint(NamedTuple):
     total: float
 
 
-@dataclass(frozen=True)
-class BacktestResult:
+class BacktestResult(checked_tuple("BacktestResult", "fees value total trajectory", ((),))):
     """Per-unit run metrics and, optionally, the full per-bar trajectory."""
 
-    fees: float
-    value: float
-    total: float
-    trajectory: tuple[TrajectoryPoint, ...] = ()
+    __slots__ = ()
 
 
 def accrue_fees(state: StrategyState, bar: HourlyBar, fee_rate: float) -> float:

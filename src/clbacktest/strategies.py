@@ -13,7 +13,7 @@ the backtest engine asks every bar.
                  interval of half-width ``r`` the position is liquidated at
                  the close and redeposited one-sided around it.
 
-States are frozen dataclasses; every transition returns a new state. A
+States are immutable named tuples; every transition returns a new state. A
 state stores the kernel's flat form: range geometries, one ledger and the
 trigger interval (layout in :mod:`clbacktest.clmath`). The arithmetic
 behind each transition lives in flat helpers on plain floats that take one
@@ -27,9 +27,9 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._tuples import checked_tuple
 from .clmath import (
     PriceRange,
     TokenAmounts,
@@ -61,8 +61,9 @@ KINDS = (NOLP, PASSIVE, FIXED, RESET)
 MIN_WIDTH = 1e-9
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
+class StrategyConfig(
+    checked_tuple("StrategyConfig", "kind a r snap_spacing", (None, None, None))
+):
     """Identity and parameters of one strategy instance.
 
     ``a`` is the half-width factor of the liquidity range (bounds at
@@ -71,30 +72,34 @@ class StrategyConfig:
     indices that are multiples of it.
     """
 
-    kind: str
-    a: float | None = None
-    r: float | None = None
-    snap_spacing: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+    def __new__(
+        cls,
+        kind: str,
+        a: float | None = None,
+        r: float | None = None,
+        snap_spacing: int | None = None,
+    ) -> StrategyConfig:
+        if kind not in KINDS:
             raise UsageError(
-                f"unknown strategy kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
+                f"unknown strategy kind {kind!r}; valid kinds: {', '.join(KINDS)}"
             )
         for name, width, value, needed in (
-            ("a", "range width", self.a, self.kind in (FIXED, RESET)),
-            ("r", "reset width", self.r, self.kind == RESET),
+            ("a", "range width", a, kind in (FIXED, RESET)),
+            ("r", "reset width", r, kind == RESET),
         ):
             if not needed:
                 if value is not None:
-                    raise UsageError(f"strategy {self.kind!r} takes no {width} {name}")
+                    raise UsageError(f"strategy {kind!r} takes no {width} {name}")
             elif value is None or not math.isfinite(value) or value < MIN_WIDTH:
                 raise UsageError(
-                    f"strategy {self.kind!r} needs {name} > 0 (at least {MIN_WIDTH!r}), "
+                    f"strategy {kind!r} needs {name} > 0 (at least {MIN_WIDTH!r}), "
                     f"got {value!r}"
                 )
-        if self.snap_spacing is not None and self.snap_spacing < 1:
-            raise UsageError(f"snap_spacing must be >= 1, got {self.snap_spacing!r}")
+        if snap_spacing is not None and snap_spacing < 1:
+            raise UsageError(f"snap_spacing must be >= 1, got {snap_spacing!r}")
+        return tuple.__new__(cls, (kind, a, r, snap_spacing))
 
     def params_text(self) -> str:
         """Parameters as percentages, e.g. ``a=6.0%, r=3.0%``; empty if none."""
@@ -128,32 +133,27 @@ Ledger = tuple[float, ...]
 Trigger = tuple[float, float] | None
 
 
-@dataclass(frozen=True)
-class LiquidityPosition:
+class LiquidityPosition(checked_tuple("LiquidityPosition", "price_range liquidity")):
     """One range position: where the liquidity sits and how much of it."""
 
-    price_range: PriceRange
-    liquidity: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_nonnegative(self.liquidity, "liquidity")
+    def __new__(cls, price_range: PriceRange, liquidity: float) -> LiquidityPosition:
+        check_nonnegative(liquidity, "liquidity")
+        return tuple.__new__(cls, (price_range, liquidity))
 
 
-@dataclass(frozen=True)
-class StrategyState:
+class StrategyState(checked_tuple("StrategyState", "config ranges ledger trigger")):
     """Everything a strategy owns between bars, in the kernel's flat form.
 
     ``ranges`` holds the geometry tuple of each range position and ``ledger``
     its liquidity, followed for nolp and passive by the tail
     ``(full_range_liquidity, hold_x, hold_y)`` (layout in ``clmath``).
     ``trigger`` holds the bounds of a reset strategy's trigger interval, None
-    for everything else. The properties give the same state as dataclasses.
+    for everything else. The properties give the same state as value types.
     """
 
-    config: StrategyConfig
-    ranges: Ranges
-    ledger: Ledger
-    trigger: Trigger
+    __slots__ = ()
 
     @property
     def positions(self) -> tuple[LiquidityPosition, ...]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
+from ._tuples import checked_tuple
 from .dataio import BarSeries
 from .engine import BacktestConfig, BacktestResult, run_backtest
 from .errors import UsageError
@@ -39,8 +38,9 @@ MAX_GRID_POINTS = 100_000
 ResultPair = tuple[StrategyConfig, BacktestResult]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(
+    checked_tuple("GridSpec", "pair_class kind a_axis r_axis snap_spacing", (None, None, None))
+):
     """A strategy family plus the parameter axes to sweep.
 
     Axes left as None fall back to the pair class defaults above. ``a_axis``
@@ -48,39 +48,39 @@ class GridSpec:
     grids are the full cross product).
     """
 
-    pair_class: str
-    kind: str
-    a_axis: tuple[float, ...] | None = None
-    r_axis: tuple[float, ...] | None = None
-    snap_spacing: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.pair_class not in PAIR_CLASSES:
-            raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {self.pair_class!r}")
-        if self.kind not in (FIXED, RESET):
-            raise UsageError(f"only fixed and reset strategies sweep, got {self.kind!r}")
-        if self.kind == FIXED and self.r_axis is not None:
+    def __new__(
+        cls,
+        pair_class: str,
+        kind: str,
+        a_axis: tuple[float, ...] | None = None,
+        r_axis: tuple[float, ...] | None = None,
+        snap_spacing: int | None = None,
+    ) -> GridSpec:
+        if pair_class not in PAIR_CLASSES:
+            raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {pair_class!r}")
+        if kind not in (FIXED, RESET):
+            raise UsageError(f"only fixed and reset strategies sweep, got {kind!r}")
+        if kind == FIXED and r_axis is not None:
             raise UsageError("fixed grids take no r axis")
+        return tuple.__new__(cls, (pair_class, kind, a_axis, r_axis, snap_spacing))
 
 
-@dataclass(frozen=True)
-class Baselines:
+class Baselines(checked_tuple("Baselines", "nolp passive")):
     """Reference runs the ranked strategies are compared against."""
 
-    nolp: BacktestResult
-    passive: BacktestResult
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(
+    checked_tuple(
+        "SweepSummary", "best_total worst_total best_fees baselines all_results pair_class"
+    )
+):
     """Ranked sweep outcome: extremal configurations plus the full grid."""
 
-    best_total: ResultPair
-    worst_total: ResultPair
-    best_fees: ResultPair
-    baselines: Baselines
-    all_results: tuple[ResultPair, ...]
-    pair_class: str
+    __slots__ = ()
 
 
 def axis_from_span(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -159,6 +159,10 @@ def run_sweep(
 
     chunks = [configs[i::workers] for i in range(workers)]
     payloads = [(chunk, series.bars, series.fee_rate) for chunk in chunks]
+    # Imported only here: loading the pool machinery takes about 20 ms of
+    # start-up, which a command that runs in one process need not pay.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk_results = list(pool.map(_run_chunk, payloads))
     # Stitch the strided chunks back into grid order.

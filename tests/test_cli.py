@@ -1,6 +1,7 @@
 """End-to-end command line behavior and the exit-code contract."""
 
 import argparse
+import concurrent.futures
 import csv
 import errno
 import gc
@@ -368,7 +369,7 @@ class TestSweepCommand:
             raise AssertionError("the sweep must not start")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_sweep)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_sweep)
         code = main(
             ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
             + ["--jobs", jobs]
@@ -583,6 +584,27 @@ class TestDailyReturnsCommand:
             f"average,{expected!r}",
         ]
 
+    @pytest.mark.parametrize(
+        "window, error",
+        [
+            ([], "error: day 2021-01-01: the fee return overflows (volume inf, tvl 1.0)\n"),
+            (
+                ["--from", "2021-01-02"],
+                "error: window 2021-01-02..None: the average daily return overflows\n",
+            ),
+        ],
+        ids=["day", "average"],
+    )
+    def test_overflow_exits_one(self, tmp_path, capsys, window, error):
+        day = 1609459200  # 2021-01-01 00:00 UTC
+        rows = [(day, 1.0, 1e308, 1.0, 1.0), (day + 3600, 1.0, 1e308, 1.0, 1.0)]
+        rows += [(day + 86400 * d, 1.0, 1e308, 1.0, 0.003) for d in (1, 2)]
+        path = tmp_path / "overflow.csv"
+        path.write_text(csv_text(rows))
+        code = main(["daily-returns", "--data", str(path), "--fee", "0.003", *window])
+        assert code == 1
+        assert capsys.readouterr() == ("", error)
+
     def test_missing_tvl_exits_two(self, tmp_path, capsys):
         path = tmp_path / "no_tvl.csv"
         rows = [(ts, p, v, lq, "") for ts, p, v, lq, _ in FIXTURE_ROWS]
@@ -652,6 +674,44 @@ class TestCollector:
         small = garbage_after("0.05,0.20,0.05")
         large = garbage_after("0.001,0.400,0.001")
         assert small == large
+
+
+# Run by a fresh interpreter with the fixture, a trajectory and a dump path as
+# arguments: a backtest and a one-process sweep, then a sweep on two workers.
+# The interpreter runs with -S, so no .pth file in site-packages can load a
+# module before the package does.
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+preloaded = [name for name in UNUSED if name in sys.modules]
+from clbacktest import cli, sweep
+data, trajectory, dump = sys.argv[1:]
+common = ["--data", data, "--fee", "0.003"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["backtest", *common, "--strategy", "reset:a=0.1,r=0.05"]
+                 + ["--snap-ticks", "--trajectory", trajectory]),
+        cli.main(["sweep", *common, "--kind", "fixed", "--jobs", "1", "--dump", dump]),
+    ]
+    loaded = [name for name in UNUSED if name in sys.modules]
+    sweep.usable_cpus = lambda: 2
+    codes.append(cli.main(["sweep", *common, "--kind", "fixed", "--jobs", "2"]))
+print(preloaded, codes, loaded, "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_commands_in_one_process_load_no_pool_or_dataclasses(data_file, tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    process = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_SCRIPT, str(data_file)]
+        + [str(tmp_path / "trajectory.csv"), str(tmp_path / "dump.csv")],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        text=True,
+        timeout=120,
+    )
+    assert process.stderr == ""
+    assert process.stdout == "[] [0, 0, 0] [] True\n"
 
 
 class FailingStdout(io.StringIO):

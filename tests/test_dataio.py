@@ -410,6 +410,21 @@ class TestDailyFeeReturns:
         with pytest.raises(UsageError, match="tvl"):
             daily_fee_returns(_series(bars))
 
+    @pytest.mark.parametrize(
+        "volumes, tvl, fee_rate, reason",
+        [
+            ([1e308, 1e308], 1.0, 0.003, "(volume inf, tvl 1.0)"),
+            ([1e308, 1e308], 1.0, 0.0, "(volume inf, tvl 1.0)"),
+            ([1e308, 0.0], 1e-10, 0.003, "(volume 1e+308, tvl 1e-10)"),
+        ],
+        ids=["volume-sum", "volume-sum-without-fee", "return"],
+    )
+    def test_overflow_names_the_day(self, volumes, tvl, fee_rate, reason):
+        bars = make_bars([1.0, 1.0], volumes=volumes, tvls=[tvl, tvl], start=1609459200)
+        with pytest.raises(DataError) as caught:
+            daily_fee_returns(_series(bars, fee_rate))
+        assert str(caught.value) == f"day 2021-01-01: the fee return overflows {reason}"
+
 
 class TestAverageDailyReturn:
     def test_mean_of_two(self):
@@ -437,3 +452,16 @@ class TestAverageDailyReturn:
         points = [DailyReturnPoint(date=dt.date(2021, 1, 1), lp_return=1e-5)]
         with pytest.raises(UsageError):
             average_daily_return(points, dt.date(2022, 1, 1), dt.date(2022, 1, 2))
+
+    def test_overflow_names_the_window(self):
+        points = [DailyReturnPoint(date=dt.date(2021, 1, d), lp_return=1e308) for d in (1, 2)]
+        with pytest.raises(DataError) as caught:
+            average_daily_return(points, dt.date(2021, 1, 1), None)
+        assert str(caught.value) == "window 2021-01-01..None: the average daily return overflows"
+
+    def test_a_finite_average_keeps_the_plain_sum(self):
+        # math.fsum would give 0.6 / 3, two units in the last place lower.
+        points = [
+            DailyReturnPoint(date=dt.date(2021, 1, d), lp_return=d / 10) for d in (1, 2, 3)
+        ]
+        assert average_daily_return(points) == (0.1 + 0.2 + 0.3) / 3

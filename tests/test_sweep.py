@@ -1,5 +1,6 @@
 """Grid construction, batch execution, ranking, report rendering."""
 
+import concurrent.futures
 import csv
 import io
 
@@ -185,7 +186,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         grid = [fixed_config(0.05), fixed_config(0.10)]
         results = run_sweep(grid, _series(), jobs=None)
         assert [config for config, _ in results] == grid
