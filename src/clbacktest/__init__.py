@@ -9,14 +9,8 @@ CSV ingestion, and parameter sweeps with ranked reports.
 from .clmath import (
     PairProfile,
     PriceRange,
-    TokenAmounts,
     liquidity_from_equal_value,
-    liquidity_one_sided,
     pair_for_class,
-    position_value,
-    real_reserves,
-    symmetric_range,
-    tick_index,
     tick_price,
 )
 from .dataio import (
@@ -38,7 +32,6 @@ from .engine import (
 )
 from .errors import DataError, UsageError
 from .strategies import (
-    LiquidityPosition,
     StrategyConfig,
     StrategyState,
     active_liquidity,
@@ -75,13 +68,11 @@ __all__ = [
     "DataError",
     "GridSpec",
     "HourlyBar",
-    "LiquidityPosition",
     "PairProfile",
     "PriceRange",
     "StrategyConfig",
     "StrategyState",
     "SweepSummary",
-    "TokenAmounts",
     "TrajectoryPoint",
     "UsageError",
     "accrue_fees",
@@ -95,24 +86,19 @@ __all__ = [
     "fixed_config",
     "initialize",
     "liquidity_from_equal_value",
-    "liquidity_one_sided",
     "load_bars",
     "mark_to_market",
     "nolp_config",
     "on_close",
     "pair_for_class",
     "passive_config",
-    "position_value",
     "rank_results",
-    "real_reserves",
     "render_report",
     "reset_config",
     "run_backtest",
     "run_sweep",
     "save_bars",
     "scale_liquidity",
-    "symmetric_range",
-    "tick_index",
     "tick_price",
     "write_results_csv",
 ]

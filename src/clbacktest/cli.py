@@ -21,7 +21,7 @@ import argparse
 import contextlib
 import datetime as dt
 import gc
-import logging
+import math
 import os
 import re
 import stat
@@ -30,11 +30,11 @@ from typing import Sequence
 
 from .clmath import (
     PairProfile,
+    geometry_of,
     liquidity_from_equal_value,
+    mark,
     pair_for_class,
-    position_value,
-    real_reserves,
-    symmetric_range,
+    symmetric_bounds,
 )
 from .dataio import (
     BarSeries,
@@ -64,17 +64,10 @@ from .sweep import (
     write_results_csv,
 )
 
-logger = logging.getLogger(__name__)
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -240,8 +233,16 @@ def _date_flag(text: str) -> dt.date:
 def _load_series(args, pair: PairProfile) -> BarSeries:
     series = load_bars(args.data, pair, args.fee)
     series = clip_window(series, args.start, args.end)
-    logger.debug("loaded %d bars from %s", len(series.bars), args.data)
+    _debug(args, f"loaded {len(series.bars)} bars from {args.data}")
     return series
+
+
+def _debug(args, message: str) -> None:
+    """Print a progress line to standard error under ``-v``. A failed write
+    is ignored: the line is not part of the command's result."""
+    if args.verbose:
+        with contextlib.suppress(OSError):
+            print(f"DEBUG clbacktest.cli: {message}", file=sys.stderr)
 
 
 def _snap_spacing(args, series: BarSeries) -> int | None:
@@ -270,7 +271,7 @@ def _cmd_backtest(args) -> int:
                         for timestamp, fee, value, total in result.trajectory
                     ]
                 )
-            logger.debug("wrote %d trajectory rows to %s", len(result.trajectory), args.trajectory)
+            _debug(args, f"wrote {len(result.trajectory)} trajectory rows to {args.trajectory}")
     return 0
 
 
@@ -296,7 +297,7 @@ def _cmd_sweep(args) -> int:
         snap_spacing=_snap_spacing(args, series),
     )
     grid = build_grid(spec)
-    logger.debug("sweeping %d configurations", len(grid))
+    _debug(args, f"sweeping {len(grid)} configurations")
     with _output(args.dump) as output:
         baselines = compute_baselines(series)
         results = run_sweep(grid, series, jobs=args.jobs)
@@ -306,7 +307,7 @@ def _cmd_sweep(args) -> int:
         if output is not None:
             with _replacing(args.dump, output):
                 write_results_csv(results, output)
-            logger.debug("dumped %d rows to %s", len(results), args.dump)
+            _debug(args, f"dumped {len(results)} rows to {args.dump}")
     return 0
 
 
@@ -405,25 +406,28 @@ def _cmd_selfcheck(args) -> int:
     checks.append(("deposit 1000 at 2000 into 20% range: liquidity", wide, 128.3, 0.005))
     checks.append(("narrow-over-wide liquidity ratio", narrow / wide, 1.875, 0.005))
 
-    narrow_range = symmetric_range(2000.0, 0.10)
-    wide_range = symmetric_range(2000.0, 0.20)
+    def position(liquidity: float, a: float, price: float) -> tuple[float, ...]:
+        """:func:`mark` of ``liquidity`` in the range of half-width ``a`` around 2000."""
+        ranges = (geometry_of(*symmetric_bounds(2000.0, a)),)
+        return mark(ranges, (liquidity,), price, math.sqrt(price))
+
     checks.append(
-        ("10% position value after drop to 1900", position_value(narrow, narrow_range, 1900.0), 967.63, 0.005)
+        ("10% position value after drop to 1900", position(narrow, 0.10, 1900.0)[1], 967.63, 0.005)
     )
     checks.append(
-        ("20% position value after drop to 1900", position_value(wide, wide_range, 1900.0), 971.81, 0.005)
+        ("20% position value after drop to 1900", position(wide, 0.20, 1900.0)[1], 971.81, 0.005)
     )
 
-    amounts = real_reserves(narrow, narrow_range, 2100.0)
-    checks.append(("10% position at 2100: quote tokens", amounts.y, 765.06, 0.005))
-    checks.append(("10% position at 2100: base token value", amounts.x * 2100.0, 252.87, 0.005))
+    _, _, x, y = position(narrow, 0.10, 2100.0)
+    checks.append(("10% position at 2100: quote tokens", y, 765.06, 0.005))
+    checks.append(("10% position at 2100: base token value", x * 2100.0, 252.87, 0.005))
 
     state = initialize(StrategyConfig(kind=RESET, a=0.10, r=0.05), 2000.0, 1000.0)
     before = mark_to_market(state, 2100.0)
     state = on_close(state, 2100.0)
-    below, above = state.positions
-    checks.append(("reset at 2100: liquidity below", below.liquidity, 359.0, 0.01))
-    checks.append(("reset at 2100: liquidity above", above.liquidity, 119.0, 0.01))
+    below, above = state.ledger
+    checks.append(("reset at 2100: liquidity below", below, 359.0, 0.01))
+    checks.append(("reset at 2100: liquidity above", above, 119.0, 0.01))
     checks.append(("reset at 2100: new trigger lower bound", state.reset_range.lower, 2000.0, 1e-9))
     checks.append(("reset at 2100: new trigger upper bound", state.reset_range.upper, 2205.0, 1e-9))
     checks.append(("reset at 2100: value conserved", mark_to_market(state, 2100.0), before, 1e-9))

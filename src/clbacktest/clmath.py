@@ -16,11 +16,9 @@ example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
 The formulas live in flat helpers on plain floats that validate nothing:
 :func:`mark` (active liquidity, value and reserves of one ledger) and
-:func:`one_sided_liquidity`. The functions on value types
-(:func:`real_reserves`, :func:`position_value`, :func:`liquidity_one_sided`,
-which take :class:`PriceRange` and :class:`TokenAmounts`), the strategy
-state API and :func:`~clbacktest.strategies.redeposit` call the same
-helpers; the functions on value types validate their arguments first. The
+:func:`one_sided_liquidity`. The strategy state API,
+:func:`~clbacktest.strategies.redeposit` and :func:`liquidity_for_value`
+(the snapped deposit, which validates its arguments first) call them. The
 backtest kernel is the one other spelling of this arithmetic: it marks and
 redeposits both of its ledgers on local floats so that a bar costs no call.
 ``mark`` and ``redeposit`` are its reference, and the golden replay test
@@ -87,17 +85,6 @@ class PriceRange(checked_tuple("PriceRange", "lower upper")):
         return self.lower <= price <= self.upper
 
 
-class TokenAmounts(checked_tuple("TokenAmounts", "x y", (0.0, 0.0))):
-    """Non-negative real token amounts: x is the base token, y the quote."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float = 0.0, y: float = 0.0) -> TokenAmounts:
-        check_nonnegative(x, "x")
-        check_nonnegative(y, "y")
-        return tuple.__new__(cls, (x, y))
-
-
 class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
     """Static facts about a trading pair that the engine needs.
 
@@ -133,22 +120,6 @@ def tick_price(index: int) -> float:
     return TICK_BASE**index
 
 
-def tick_index(price: float) -> int:
-    """Largest tick index whose price does not exceed ``price``.
-
-    The log-based estimate can land one tick off near boundaries, so the
-    result is nudged until tick_price(i) <= price < tick_price(i + 1).
-    """
-    check_positive(price, "price")
-    i = math.floor(math.log(price) / _LOG_TICK_BASE)
-    i = max(-MAX_TICK, min(MAX_TICK, i))
-    while i < MAX_TICK and tick_price(i + 1) <= price:
-        i += 1
-    while i > -MAX_TICK and tick_price(i) > price:
-        i -= 1
-    return i
-
-
 def nearest_spaced_tick(price: float, spacing: int) -> int:
     """Tick index closest to ``price`` in log space among multiples of spacing."""
     if spacing < 1:
@@ -158,22 +129,6 @@ def nearest_spaced_tick(price: float, spacing: int) -> int:
     step = round(exact / spacing)
     bound = MAX_TICK // spacing
     return max(-bound, min(bound, step)) * spacing
-
-
-def snap_price(price: float, spacing: int) -> float:
-    """Snap a price to the nearest tick whose index is a multiple of spacing."""
-    return tick_price(nearest_spaced_tick(price, spacing))
-
-
-def symmetric_range(price: float, a: float) -> PriceRange:
-    """Range [price / (1 + a), price * (1 + a)] around ``price``.
-
-    The bounds are symmetric multiplicatively: their geometric midpoint is
-    ``price`` itself. ``a`` is the half-width factor and must be positive.
-    """
-    check_positive(price, "price")
-    check_positive(a, "a")
-    return PriceRange(*symmetric_bounds(price, a))
 
 
 def symmetric_bounds(price: float, a: float) -> tuple[float, float]:
@@ -273,27 +228,9 @@ def one_sided_liquidity(
     return (y / below[4] if y > 0.0 else 0.0, x / above[3] if x > 0.0 else 0.0)
 
 
-def _single_mark(liquidity: float, price_range: PriceRange, price: float) -> tuple[float, ...]:
-    """:func:`mark` of a lone position, after validating its inputs."""
-    check_nonnegative(liquidity, "liquidity")
-    check_positive(price, "price")
-    ranges = [geometry_of(price_range.lower, price_range.upper)]
-    return mark(ranges, [liquidity], price, math.sqrt(price))
-
-
-def real_reserves(liquidity: float, price_range: PriceRange, price: float) -> TokenAmounts:
-    """Real token amounts held by a position at the given pool price."""
-    marks = _single_mark(liquidity, price_range, price)
-    return TokenAmounts(x=marks[2], y=marks[3])
-
-
-def position_value(liquidity: float, price_range: PriceRange, price: float) -> float:
-    """Mark-to-market value of a position in quote-token units: y + x * p."""
-    return _single_mark(liquidity, price_range, price)[1]
-
-
 def liquidity_from_equal_value(price: float, a: float, total_value: float) -> float:
-    """Liquidity that deposits ``total_value`` 50/50 into symmetric_range(price, a).
+    """Liquidity that deposits ``total_value`` 50/50 into the range
+    ``symmetric_bounds(price, a)``.
 
     For the symmetric range the in-range reserves at its own midprice satisfy
     x * p = y, and the closed form below follows from setting y = total/2:
@@ -306,35 +243,17 @@ def liquidity_from_equal_value(price: float, a: float, total_value: float) -> fl
     return (total_value / 2.0) / (math.sqrt(price) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
 
 
-def liquidity_for_value(price_range: PriceRange, price: float, total_value: float) -> float:
-    """Liquidity such that the position is worth ``total_value`` at ``price``.
+def liquidity_for_value(lower: float, upper: float, price: float, total_value: float) -> float:
+    """Liquidity such that a position on ``[lower, upper]`` is worth
+    ``total_value`` at ``price``.
 
-    Generic inverse of :func:`position_value`; used when the range is not
-    centered on the deposit price (tick-snapped ranges).
+    Inverse of the value :func:`mark` gives a lone position; used when the
+    range is not centered on the deposit price (tick-snapped ranges).
     """
+    check_range(lower, upper)
     check_nonnegative(total_value, "total_value")
-    unit = position_value(1.0, price_range, price)
-    if unit <= 0.0:
-        raise ValueError(
-            f"range [{price_range.lower!r}, {price_range.upper!r}] holds no value at {price!r}"
-        )
-    return total_value / unit
-
-
-def liquidity_one_sided(price_range: PriceRange, deposit: TokenAmounts, price: float) -> float:
-    """Liquidity minted by depositing a single token into a one-sided range.
-
-    A quote-only deposit requires a range at or below ``price`` (the position
-    would hold only Y there); a base-only deposit requires a range at or above
-    it. A zero deposit mints zero liquidity. Depositing both tokens at once is
-    not a one-sided operation and is rejected.
-    """
     check_positive(price, "price")
-    if deposit.x > 0.0 and deposit.y > 0.0:
-        raise ValueError("one-sided deposit cannot contain both tokens")
-    if deposit.y > 0.0 and price < price_range.upper:
-        raise ValueError("quote-token deposit needs a range at or below the current price")
-    if deposit.x > 0.0 and price > price_range.lower:
-        raise ValueError("base-token deposit needs a range at or above the current price")
-    geometry = geometry_of(price_range.lower, price_range.upper)
-    return max(one_sided_liquidity(deposit.x, deposit.y, geometry, geometry))
+    unit = mark((geometry_of(lower, upper),), (1.0,), price, math.sqrt(price))[1]
+    if unit <= 0.0:
+        raise ValueError(f"range [{lower!r}, {upper!r}] holds no value at {price!r}")
+    return total_value / unit

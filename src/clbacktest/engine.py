@@ -44,10 +44,9 @@ reset takes two new square roots). A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
-``scale_liquidity``, ``accrue_fees``) and ``clmath``'s ``real_reserves``,
-``position_value`` and ``liquidity_for_value`` run on the one-ledger
-helpers :func:`~clbacktest.clmath.mark` and
-:func:`~clbacktest.strategies.redeposit`.
+``scale_liquidity``, ``accrue_fees``) and ``clmath``'s
+``liquidity_for_value`` run on the one-ledger helpers
+:func:`~clbacktest.clmath.mark` and :func:`~clbacktest.strategies.redeposit`.
 
 Bit-identity rule. The loop's marking is a second spelling of ``mark``'s
 arithmetic, and its reset block a second spelling of ``redeposit``'s; both

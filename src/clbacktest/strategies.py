@@ -32,7 +32,6 @@ from typing import Sequence
 from ._tuples import checked_tuple
 from .clmath import (
     PriceRange,
-    TokenAmounts,
     check_nonnegative,
     check_positive,
     check_range,
@@ -133,16 +132,6 @@ Ledger = tuple[float, ...]
 Trigger = tuple[float, float] | None
 
 
-class LiquidityPosition(checked_tuple("LiquidityPosition", "price_range liquidity")):
-    """One range position: where the liquidity sits and how much of it."""
-
-    __slots__ = ()
-
-    def __new__(cls, price_range: PriceRange, liquidity: float) -> LiquidityPosition:
-        check_nonnegative(liquidity, "liquidity")
-        return tuple.__new__(cls, (price_range, liquidity))
-
-
 class StrategyState(checked_tuple("StrategyState", "config ranges ledger trigger")):
     """Everything a strategy owns between bars, in the kernel's flat form.
 
@@ -150,36 +139,15 @@ class StrategyState(checked_tuple("StrategyState", "config ranges ledger trigger
     its liquidity, followed for nolp and passive by the tail
     ``(full_range_liquidity, hold_x, hold_y)`` (layout in ``clmath``).
     ``trigger`` holds the bounds of a reset strategy's trigger interval, None
-    for everything else. The properties give the same state as value types.
+    for everything else; ``reset_range`` gives it as a :class:`PriceRange`.
     """
 
     __slots__ = ()
 
     @property
-    def positions(self) -> tuple[LiquidityPosition, ...]:
-        """Range positions (fixed/reset)."""
-        return tuple(
-            LiquidityPosition(PriceRange(geometry[0], geometry[1]), liquidity)
-            for geometry, liquidity in zip(self.ranges, self.ledger)
-        )
-
-    @property
-    def full_range_liquidity(self) -> float:
-        """The passive deposit."""
-        return self._tail()[0]
-
-    @property
-    def holdings(self) -> TokenAmounts:
-        """Loose tokens (nolp)."""
-        return TokenAmounts(*self._tail()[1:])
-
-    @property
     def reset_range(self) -> PriceRange | None:
         """The trigger interval of a reset strategy, None for everything else."""
         return None if self.trigger is None else PriceRange(*self.trigger)
-
-    def _tail(self) -> Sequence[float]:
-        return self.ledger[len(self.ranges):] or (0.0, 0.0, 0.0)
 
 
 def initialize(config: StrategyConfig, price: float, budget: float) -> StrategyState:
@@ -209,7 +177,7 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
     check_range(lower, upper)
     if config.snap_spacing is not None:
         lower, upper = _snap_outward(lower, upper, price, config.snap_spacing)
-        liquidity = liquidity_for_value(PriceRange(lower, upper), price, budget)
+        liquidity = liquidity_for_value(lower, upper, price, budget)
     else:
         liquidity = liquidity_from_equal_value(price, config.a, budget)
     check_nonnegative(liquidity, "liquidity")

@@ -9,6 +9,7 @@ import random
 from typing import Sequence
 
 from clbacktest import HourlyBar
+from clbacktest.clmath import geometry_of, mark
 
 CSV_HEADER = ("timestamp", "price", "volume", "pool_liquidity", "tvl")
 
@@ -38,6 +39,14 @@ def make_bars(
         )
         for i in range(count)
     )
+
+
+def mark_position(
+    liquidity: float, lower: float, upper: float, price: float
+) -> tuple[float, float, float, float]:
+    """``(active, value, x, y)`` of one position on ``[lower, upper]``, from
+    :func:`clbacktest.clmath.mark`."""
+    return mark((geometry_of(lower, upper),), (liquidity,), price, math.sqrt(price))
 
 
 def csv_text(rows: Sequence[Sequence[object]], header: Sequence[str] = CSV_HEADER) -> str:

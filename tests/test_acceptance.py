@@ -30,18 +30,16 @@ from clbacktest import (
     on_close,
     pair_for_class,
     passive_config,
-    position_value,
     rank_results,
-    real_reserves,
     render_report,
     reset_config,
     run_backtest,
     run_sweep,
     save_bars,
-    symmetric_range,
 )
+from clbacktest.clmath import symmetric_bounds
 from clbacktest.dataio import average_daily_return, daily_fee_returns
-from helpers import csv_text, make_bars
+from helpers import csv_text, make_bars, mark_position
 
 import io
 
@@ -73,8 +71,8 @@ def test_criterion_1_worked_examples():
     wide = liquidity_from_equal_value(2000.0, 0.20, 1000.0)
     assert within(narrow, 240.3, 0.005)
     assert within(wide, 128.3, 0.005)
-    narrow_value = position_value(narrow, symmetric_range(2000.0, 0.10), 1900.0)
-    wide_value = position_value(wide, symmetric_range(2000.0, 0.20), 1900.0)
+    narrow_value = mark_position(narrow, *symmetric_bounds(2000.0, 0.10), 1900.0)[1]
+    wide_value = mark_position(wide, *symmetric_bounds(2000.0, 0.20), 1900.0)[1]
     assert within(narrow_value, 967.63, 0.005)
     assert within(wide_value, 971.81, 0.005)
     assert time.perf_counter() - started < 1.0
@@ -84,15 +82,15 @@ def test_criterion_1_worked_examples():
 def test_criterion_2_reset_example():
     started = time.perf_counter()
     state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
-    amounts = real_reserves(state.positions[0].liquidity, state.positions[0].price_range, 2100.0)
-    assert within(amounts.y, 765.06, 0.005)
-    assert within(amounts.x * 2100.0, 252.87, 0.005)
+    _, _, x, y = mark_position(state.ledger[0], *state.ranges[0][:2], 2100.0)
+    assert within(y, 765.06, 0.005)
+    assert within(x * 2100.0, 252.87, 0.005)
 
     before = mark_to_market(state, 2100.0)
     reset = on_close(state, 2100.0)
-    below, above = reset.positions
-    assert within(below.liquidity, 359.0, 0.01)
-    assert within(above.liquidity, 119.0, 0.01)
+    below, above = reset.ledger
+    assert within(below, 359.0, 0.01)
+    assert within(above, 119.0, 0.01)
     assert within(reset.reset_range.lower, 2000.0, 1e-9)
     assert within(reset.reset_range.upper, 2205.0, 1e-9)
     assert within(mark_to_market(reset, 2100.0), before, 1e-9)
@@ -117,35 +115,36 @@ def test_criterion_4_property_suite():
 
     def boundary_continuity():
         liquidity = rng.uniform(1e-3, 1e3)
-        rng_range = symmetric_range(rng.uniform(0.01, 1e4), rng.uniform(1e-3, 3.0))
-        for bound in (rng_range.lower, rng_range.upper):
+        bounds = symmetric_bounds(rng.uniform(0.01, 1e4), rng.uniform(1e-3, 3.0))
+        for bound in bounds:
             eps = 1e-9 * bound
-            at = position_value(liquidity, rng_range, bound)
+            at = mark_position(liquidity, *bounds, bound)[1]
             for p in (bound - eps, bound + eps):
-                assert abs(position_value(liquidity, rng_range, p) - at) <= 1e-6 * max(at, 1e-30)
+                assert abs(mark_position(liquidity, *bounds, p)[1] - at) <= 1e-6 * max(at, 1e-30)
 
     def monotone_reserves():
         liquidity = rng.uniform(1e-3, 1e3)
-        rng_range = symmetric_range(rng.uniform(0.01, 1e4), rng.uniform(1e-3, 3.0))
-        lo, hi = rng_range.lower * 0.8, rng_range.upper * 1.2
+        lower, upper = symmetric_bounds(rng.uniform(0.01, 1e4), rng.uniform(1e-3, 3.0))
+        lo, hi = lower * 0.8, upper * 1.2
         previous = None
         for k in range(6):
             p = lo + (hi - lo) * k / 5.0
-            amounts = real_reserves(liquidity, rng_range, p)
+            x, y = mark_position(liquidity, lower, upper, p)[2:]
             if previous is not None:
-                slack = 1e-12 * max(amounts.x + amounts.y, previous.x + previous.y)
-                assert amounts.x <= previous.x + slack
-                assert amounts.y >= previous.y - slack
-            previous = amounts
+                previous_x, previous_y = previous
+                slack = 1e-12 * max(x + y, previous_x + previous_y)
+                assert x <= previous_x + slack
+                assert y >= previous_y - slack
+            previous = x, y
 
     def equal_value_split():
         p = rng.uniform(0.01, 1e4)
         a = rng.uniform(1e-3, 3.0)
         budget = rng.uniform(1e-3, 1e6)
         liquidity = liquidity_from_equal_value(p, a, budget)
-        amounts = real_reserves(liquidity, symmetric_range(p, a), p)
-        assert abs(amounts.x * p - budget / 2.0) <= 1e-9 * budget
-        assert abs(amounts.y - budget / 2.0) <= 1e-9 * budget
+        _, _, x, y = mark_position(liquidity, *symmetric_bounds(p, a), p)
+        assert abs(x * p - budget / 2.0) <= 1e-9 * budget
+        assert abs(y - budget / 2.0) <= 1e-9 * budget
 
     def hold_dominance():
         p0 = rng.uniform(0.01, 1e4)

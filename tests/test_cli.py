@@ -614,14 +614,58 @@ class TestDailyReturnsCommand:
         assert "tvl" in capsys.readouterr().err
 
 
+SELFCHECK_OUTPUT = """\
+PASS  deposit 1000 at 2000 into 10% range: liquidity: got 240.244133, want 240.300000 (tol 0.005)
+PASS  deposit 1000 at 2000 into 20% range: liquidity: got 128.319283, want 128.300000 (tol 0.005)
+PASS  narrow-over-wide liquidity ratio: got 1.872237, want 1.875000 (tol 0.005)
+PASS  10% position value after drop to 1900: got 968.111660, want 967.630000 (tol 0.005)
+PASS  20% position value after drop to 1900: got 971.320797, want 971.810000 (tol 0.005)
+PASS  10% position at 2100: quote tokens: got 765.324995, want 765.060000 (tol 0.005)
+PASS  10% position at 2100: base token value: got 253.122783, want 252.870000 (tol 0.005)
+PASS  reset at 2100: liquidity below: got 358.867421, want 359.000000 (tol 0.01)
+PASS  reset at 2100: liquidity above: got 118.691433, want 119.000000 (tol 0.01)
+PASS  reset at 2100: new trigger lower bound: got 2000.000000, want 2000.000000 (tol 1e-09)
+PASS  reset at 2100: new trigger upper bound: got 2205.000000, want 2205.000000 (tol 1e-09)
+PASS  reset at 2100: value conserved: got 1018.447779, want 1018.447779 (tol 1e-09)
+12/12 reference checks passed
+"""
+
+
 class TestSelfcheckCommand:
     def test_all_reference_scenarios_pass(self, capsys):
         code = main(["selfcheck"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FAIL" not in out
-        lines = [line for line in out.splitlines() if line.startswith("PASS")]
-        assert len(lines) == 12
+        assert out == SELFCHECK_OUTPUT
+
+
+class TestVerbose:
+    def test_debug_lines_reach_stderr_after_an_earlier_command(self, data_file, tmp_path, capsys):
+        common = ["--data", str(data_file), "--fee", "0.003"]
+        assert main(["backtest", *common, "--strategy", "nolp"]) == 0
+        assert capsys.readouterr().err == ""
+        trajectory, dump = tmp_path / "trajectory.csv", tmp_path / "dump.csv"
+        backtest_args = ["--strategy", "nolp", "--trajectory", str(trajectory)]
+        assert main(["-v", "backtest", *common, *backtest_args]) == 0
+        assert capsys.readouterr().err == (
+            f"DEBUG clbacktest.cli: loaded 4 bars from {data_file}\n"
+            f"DEBUG clbacktest.cli: wrote 4 trajectory rows to {trajectory}\n"
+        )
+        sweep_args = ["--kind", "fixed", "--grid", "0.05,0.20,0.05", "--jobs", "1"]
+        sweep_args += ["--dump", str(dump)]
+        assert main(["-v", "sweep", *common, *sweep_args]) == 0
+        assert capsys.readouterr().err == (
+            f"DEBUG clbacktest.cli: loaded 4 bars from {data_file}\n"
+            "DEBUG clbacktest.cli: sweeping 4 configurations\n"
+            f"DEBUG clbacktest.cli: dumped 4 rows to {dump}\n"
+        )
+
+    def test_unwritable_stderr_does_not_fail_the_command(self, data_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", FailingStdout(on_write=True))
+        args = ["-v", "backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
+        code = main(args)
+        assert code == 0
+        assert capsys.readouterr().out.startswith("strategy  nolp\nbars      4\n")
 
 
 @pytest.fixture
@@ -682,7 +726,7 @@ class TestCollector:
 # module before the package does.
 STARTUP_SCRIPT = """
 import contextlib, io, sys
-UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging")
 preloaded = [name for name in UNUSED if name in sys.modules]
 from clbacktest import cli, sweep
 data, trajectory, dump = sys.argv[1:]

@@ -8,23 +8,18 @@ import math
 
 import pytest
 
-from clbacktest import (
-    PriceRange,
-    TokenAmounts,
-    liquidity_from_equal_value,
-    liquidity_one_sided,
-    position_value,
-    real_reserves,
-    symmetric_range,
-    tick_index,
-    tick_price,
-)
+from clbacktest import PriceRange, liquidity_from_equal_value, tick_price
 from clbacktest.clmath import (
     MAX_TICK,
+    TICK_BASE,
+    check_range,
+    geometry_of,
     liquidity_for_value,
     nearest_spaced_tick,
-    snap_price,
+    one_sided_liquidity,
+    symmetric_bounds,
 )
+from helpers import mark_position
 
 # Oracle values, 50-digit precision, rounded to 12 significant digits.
 LIQ_NARROW = 240.244132758  # deposit 1000 at 2000 into the 10% range
@@ -37,13 +32,13 @@ WIDE_VALUE_AT_1900 = 971.320797226
 
 class TestTicks:
     def test_index_at_one(self):
-        assert tick_index(1.0) == 0
+        assert nearest_spaced_tick(1.0, 1) == 0
 
     def test_index_on_exact_tick(self):
-        assert tick_index(1.0001**10) == 10
+        assert nearest_spaced_tick(1.0001**10, 1) == 10
 
     def test_index_between_ticks(self):
-        assert tick_index(0.99985) == -2
+        assert nearest_spaced_tick(0.99985, 1) == -2
 
     def test_price_at_zero(self):
         assert tick_price(0) == 1.0
@@ -64,16 +59,17 @@ class TestTicks:
     def test_index_rejects_bad_price(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                tick_index(bad)
+                nearest_spaced_tick(bad, 1)
 
     def test_round_trip(self):
         for i in (-50000, -601, -60, -1, 0, 1, 59, 60, 61, 887, 50000):
-            assert tick_index(tick_price(i)) == i
+            assert nearest_spaced_tick(tick_price(i), 1) == i
 
     def test_bracketing(self):
+        # The nearest tick lies within half a tick of the price in log space.
         for p in (0.37, 1.0, 1.23456, 1999.77, 123456.0):
-            i = tick_index(p)
-            assert tick_price(i) <= p < tick_price(i + 1)
+            i = nearest_spaced_tick(p, 1)
+            assert abs(math.log(p / tick_price(i))) <= 0.5 * math.log(TICK_BASE) * (1 + 1e-9)
 
     def test_nearest_spaced_tick(self):
         assert nearest_spaced_tick(1.0, 60) == 0
@@ -83,8 +79,8 @@ class TestTicks:
         assert nearest_spaced_tick(2000.0, 60) % 60 == 0
 
     def test_snap_price_is_fixed_point(self):
-        snapped = snap_price(2000.0, 60)
-        assert snap_price(snapped, 60) == snapped
+        tick = nearest_spaced_tick(2000.0, 60)
+        assert nearest_spaced_tick(tick_price(tick), 60) == tick
 
 
 class TestPriceRange:
@@ -105,104 +101,91 @@ class TestPriceRange:
         assert not rng.contains(0.999999)
 
 
-class TestTokenAmounts:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TokenAmounts(x=-1.0, y=0.0)
-        with pytest.raises(ValueError):
-            TokenAmounts(x=0.0, y=-0.5)
-
-
 class TestSymmetricRange:
     def test_narrow_example(self):
-        rng = symmetric_range(2000.0, 0.10)
-        assert rng.lower == 2000.0 / 1.1
-        assert rng.upper == 2200.0
-        assert rng.lower == pytest.approx(1818.1818181818, rel=1e-12)
+        lower, upper = symmetric_bounds(2000.0, 0.10)
+        assert lower == 2000.0 / 1.1
+        assert upper == 2200.0
+        assert lower == pytest.approx(1818.1818181818, rel=1e-12)
 
     def test_wide_example(self):
-        rng = symmetric_range(2000.0, 0.20)
-        assert rng.lower == pytest.approx(1666.6666666667, rel=1e-12)
-        assert rng.upper == 2400.0
+        lower, upper = symmetric_bounds(2000.0, 0.20)
+        assert lower == pytest.approx(1666.6666666667, rel=1e-12)
+        assert upper == 2400.0
 
     def test_unit_price_bounds_multiply_to_one(self):
         for a in (0.01, 0.1, 1.0, 9.0):
-            rng = symmetric_range(1.0, a)
-            assert rng.lower * rng.upper == pytest.approx(1.0, rel=1e-12)
+            lower, upper = symmetric_bounds(1.0, a)
+            assert lower * upper == pytest.approx(1.0, rel=1e-12)
 
     def test_geometric_midpoint(self):
-        rng = symmetric_range(137.5, 0.34)
-        assert math.sqrt(rng.lower * rng.upper) == pytest.approx(137.5, rel=1e-12)
+        lower, upper = symmetric_bounds(137.5, 0.34)
+        assert math.sqrt(lower * upper) == pytest.approx(137.5, rel=1e-12)
 
     def test_rejects_bad_width(self):
+        # A deposit checks its bounds; a width that is not positive fails there.
         with pytest.raises(ValueError):
-            symmetric_range(2000.0, 0.0)
+            check_range(*symmetric_bounds(2000.0, 0.0))
         with pytest.raises(ValueError):
-            symmetric_range(2000.0, -0.1)
+            check_range(*symmetric_bounds(2000.0, -0.1))
 
 
 class TestRealReserves:
+    """The reserves ``(x, y)`` that :func:`mark` gives a lone position."""
+
     def test_in_range_example(self):
-        rng = symmetric_range(2000.0, 0.10)
-        amounts = real_reserves(240.3, rng, 1900.0)
-        assert amounts.x == pytest.approx(0.389646870884, rel=1e-9)
-        assert amounts.y == pytest.approx(228.007733278, rel=1e-9)
+        _, _, x, y = mark_position(240.3, *symmetric_bounds(2000.0, 0.10), 1900.0)
+        assert x == pytest.approx(0.389646870884, rel=1e-9)
+        assert y == pytest.approx(228.007733278, rel=1e-9)
 
     def test_lower_boundary_has_no_quote(self):
-        rng = PriceRange(1500.0, 2200.0)
-        amounts = real_reserves(100.0, rng, 1500.0)
-        assert amounts.y == 0.0
-        assert amounts.x > 0.0
+        _, _, x, y = mark_position(100.0, 1500.0, 2200.0, 1500.0)
+        assert y == 0.0
+        assert x > 0.0
 
     def test_upper_boundary_has_no_base(self):
-        rng = PriceRange(1500.0, 2200.0)
-        amounts = real_reserves(100.0, rng, 2200.0)
-        assert amounts.x == 0.0
-        assert amounts.y > 0.0
+        _, _, x, y = mark_position(100.0, 1500.0, 2200.0, 2200.0)
+        assert x == 0.0
+        assert y > 0.0
 
     def test_clamps_below_range(self):
-        rng = PriceRange(1500.0, 2200.0)
-        at_boundary = real_reserves(100.0, rng, 1500.0)
-        far_below = real_reserves(100.0, rng, 900.0)
+        at_boundary = mark_position(100.0, 1500.0, 2200.0, 1500.0)[2:]
+        far_below = mark_position(100.0, 1500.0, 2200.0, 900.0)[2:]
         assert far_below == at_boundary
 
     def test_clamps_above_range(self):
-        rng = PriceRange(1500.0, 2200.0)
-        at_boundary = real_reserves(100.0, rng, 2200.0)
-        far_above = real_reserves(100.0, rng, 5000.0)
+        at_boundary = mark_position(100.0, 1500.0, 2200.0, 2200.0)[2:]
+        far_above = mark_position(100.0, 1500.0, 2200.0, 5000.0)[2:]
         assert far_above == at_boundary
 
     def test_linear_in_liquidity(self):
-        rng = PriceRange(1500.0, 2200.0)
-        single = real_reserves(10.0, rng, 1800.0)
-        triple = real_reserves(30.0, rng, 1800.0)
-        assert triple.x == pytest.approx(3.0 * single.x, rel=1e-12)
-        assert triple.y == pytest.approx(3.0 * single.y, rel=1e-12)
-
-    def test_rejects_negative_liquidity(self):
-        with pytest.raises(ValueError):
-            real_reserves(-1.0, PriceRange(1.0, 2.0), 1.5)
+        _, _, single_x, single_y = mark_position(10.0, 1500.0, 2200.0, 1800.0)
+        _, _, triple_x, triple_y = mark_position(30.0, 1500.0, 2200.0, 1800.0)
+        assert triple_x == pytest.approx(3.0 * single_x, rel=1e-12)
+        assert triple_y == pytest.approx(3.0 * single_y, rel=1e-12)
 
 
 class TestPositionValue:
+    """The value that :func:`mark` gives a lone position."""
+
     def test_wide_position_after_drop(self):
-        rng = symmetric_range(2000.0, 0.20)
-        assert position_value(128.3, rng, 1900.0) == pytest.approx(971.174834155, rel=1e-9)
+        value = mark_position(128.3, *symmetric_bounds(2000.0, 0.20), 1900.0)[1]
+        assert value == pytest.approx(971.174834155, rel=1e-9)
 
     def test_narrow_position_after_rise(self):
-        rng = symmetric_range(2000.0, 0.10)
-        assert position_value(240.3, rng, 2100.0) == pytest.approx(1018.68461245, rel=1e-9)
+        value = mark_position(240.3, *symmetric_bounds(2000.0, 0.10), 2100.0)[1]
+        assert value == pytest.approx(1018.68461245, rel=1e-9)
 
     def test_zero_liquidity(self):
-        assert position_value(0.0, PriceRange(1.0, 4.0), 2.0) == 0.0
+        assert mark_position(0.0, 1.0, 4.0, 2.0)[1] == 0.0
 
     def test_continuity_at_boundaries(self):
-        rng = symmetric_range(42.0, 0.3)
-        for bound in (rng.lower, rng.upper):
+        bounds = symmetric_bounds(42.0, 0.3)
+        for bound in bounds:
             eps = 1e-9 * bound
-            mid = position_value(7.0, rng, bound)
-            below = position_value(7.0, rng, bound - eps)
-            above = position_value(7.0, rng, bound + eps)
+            mid = mark_position(7.0, *bounds, bound)[1]
+            below = mark_position(7.0, *bounds, bound - eps)[1]
+            above = mark_position(7.0, *bounds, bound + eps)[1]
             assert below == pytest.approx(mid, rel=1e-6)
             assert above == pytest.approx(mid, rel=1e-6)
 
@@ -223,26 +206,24 @@ class TestLiquidityFromEqualValue:
 
     def test_deposit_is_worth_the_budget(self):
         liquidity = liquidity_from_equal_value(321.0, 0.37, 750.0)
-        rng = symmetric_range(321.0, 0.37)
-        assert position_value(liquidity, rng, 321.0) == pytest.approx(750.0, rel=1e-9)
+        value = mark_position(liquidity, *symmetric_bounds(321.0, 0.37), 321.0)[1]
+        assert value == pytest.approx(750.0, rel=1e-9)
 
     def test_split_is_equal_value(self):
         liquidity = liquidity_from_equal_value(321.0, 0.37, 750.0)
-        rng = symmetric_range(321.0, 0.37)
-        amounts = real_reserves(liquidity, rng, 321.0)
-        assert amounts.x * 321.0 == pytest.approx(375.0, rel=1e-9)
-        assert amounts.y == pytest.approx(375.0, rel=1e-9)
+        _, _, x, y = mark_position(liquidity, *symmetric_bounds(321.0, 0.37), 321.0)
+        assert x * 321.0 == pytest.approx(375.0, rel=1e-9)
+        assert y == pytest.approx(375.0, rel=1e-9)
 
     def test_position_values_after_drop(self):
         narrow = liquidity_from_equal_value(2000.0, 0.10, 1000.0)
         wide = liquidity_from_equal_value(2000.0, 0.20, 1000.0)
-        narrow_value = position_value(narrow, symmetric_range(2000.0, 0.10), 1900.0)
-        wide_value = position_value(wide, symmetric_range(2000.0, 0.20), 1900.0)
+        _, narrow_value, x, y = mark_position(narrow, *symmetric_bounds(2000.0, 0.10), 1900.0)
+        wide_value = mark_position(wide, *symmetric_bounds(2000.0, 0.20), 1900.0)[1]
         assert narrow_value == pytest.approx(NARROW_VALUE_AT_1900, rel=1e-9)
         assert wide_value == pytest.approx(WIDE_VALUE_AT_1900, rel=1e-9)
-        amounts = real_reserves(narrow, symmetric_range(2000.0, 0.10), 1900.0)
-        assert amounts.x == pytest.approx(NARROW_X_AT_1900, rel=1e-9)
-        assert amounts.y == pytest.approx(NARROW_Y_AT_1900, rel=1e-9)
+        assert x == pytest.approx(NARROW_X_AT_1900, rel=1e-9)
+        assert y == pytest.approx(NARROW_Y_AT_1900, rel=1e-9)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -251,48 +232,43 @@ class TestLiquidityFromEqualValue:
 
 class TestLiquidityForValue:
     def test_inverts_position_value(self):
-        rng = PriceRange(1700.0, 2300.0)
-        liquidity = liquidity_for_value(rng, 1950.0, 640.0)
-        assert position_value(liquidity, rng, 1950.0) == pytest.approx(640.0, rel=1e-12)
+        liquidity = liquidity_for_value(1700.0, 2300.0, 1950.0, 640.0)
+        value = mark_position(liquidity, 1700.0, 2300.0, 1950.0)[1]
+        assert value == pytest.approx(640.0, rel=1e-12)
 
     def test_works_off_center(self):
-        rng = PriceRange(2100.0, 2300.0)
-        liquidity = liquidity_for_value(rng, 1900.0, 640.0)
-        assert position_value(liquidity, rng, 1900.0) == pytest.approx(640.0, rel=1e-12)
+        liquidity = liquidity_for_value(2100.0, 2300.0, 1900.0, 640.0)
+        value = mark_position(liquidity, 2100.0, 2300.0, 1900.0)[1]
+        assert value == pytest.approx(640.0, rel=1e-12)
+
+    def test_checks_the_range(self):
+        with pytest.raises(ValueError, match=r"upper must exceed lower, got \[2.0, 1.0\]"):
+            liquidity_for_value(2.0, 1.0, 1.5, 640.0)
 
 
 class TestLiquidityOneSided:
+    """:func:`one_sided_liquidity` mints quote tokens below the price and
+    base tokens above it."""
+
+    BELOW = geometry_of(2100.0 / 1.1, 2100.0)
+    ABOVE = geometry_of(2100.0, 2100.0 * 1.1)
+
     def test_quote_only_deposit(self):
-        rng = PriceRange(2100.0 / 1.1, 2100.0)
-        liquidity = liquidity_one_sided(rng, TokenAmounts(y=765.324995478), 2100.0)
-        assert liquidity == pytest.approx(358.86742118, rel=1e-9)
+        below, above = one_sided_liquidity(0.0, 765.324995478, self.BELOW, self.ABOVE)
+        assert below == pytest.approx(358.86742118, rel=1e-9)
+        assert above == 0.0
 
     def test_base_only_deposit(self):
-        rng = PriceRange(2100.0, 2100.0 * 1.1)
-        liquidity = liquidity_one_sided(rng, TokenAmounts(x=0.120534658779), 2100.0)
-        assert liquidity == pytest.approx(118.691433143, rel=1e-9)
+        below, above = one_sided_liquidity(0.120534658779, 0.0, self.BELOW, self.ABOVE)
+        assert below == 0.0
+        assert above == pytest.approx(118.691433143, rel=1e-9)
 
     def test_round_trip_recovers_deposit(self):
-        rng = PriceRange(2100.0 / 1.1, 2100.0)
-        deposit = TokenAmounts(y=765.06)
-        liquidity = liquidity_one_sided(rng, deposit, 2100.0)
-        recovered = real_reserves(liquidity, rng, 2100.0)
-        assert recovered.y == pytest.approx(deposit.y, rel=1e-9)
-        assert recovered.x == pytest.approx(0.0, abs=1e-15)
+        liquidity = one_sided_liquidity(0.0, 765.06, self.BELOW, self.ABOVE)[0]
+        _, _, x, y = mark_position(liquidity, 2100.0 / 1.1, 2100.0, 2100.0)
+        assert y == pytest.approx(765.06, rel=1e-9)
+        assert x == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_deposit(self):
-        rng = PriceRange(1.0, 2.0)
-        assert liquidity_one_sided(rng, TokenAmounts(), 2.0) == 0.0
-
-    def test_rejects_two_sided_deposit(self):
-        rng = PriceRange(1.0, 2.0)
-        with pytest.raises(ValueError):
-            liquidity_one_sided(rng, TokenAmounts(x=1.0, y=1.0), 2.0)
-
-    def test_rejects_range_on_wrong_side(self):
-        above = PriceRange(3.0, 4.0)
-        below = PriceRange(1.0, 2.0)
-        with pytest.raises(ValueError):
-            liquidity_one_sided(above, TokenAmounts(y=5.0), 2.5)
-        with pytest.raises(ValueError):
-            liquidity_one_sided(below, TokenAmounts(x=5.0), 2.5)
+        geometry = geometry_of(1.0, 2.0)
+        assert one_sided_liquidity(0.0, 0.0, geometry, geometry) == (0.0, 0.0)

@@ -67,7 +67,7 @@ def test_three_bar_trajectory_rows():
 def test_accrue_fees_formula():
     config = passive_config()
     state = initialize(config, 2000.0, 2.0 * 1.0 * (2000.0**0.5))  # L = 1
-    assert state.full_range_liquidity == pytest.approx(1.0, rel=1e-12)
+    assert state.ledger[0] == pytest.approx(1.0, rel=1e-12)
     bar = HourlyBar(timestamp=0, price=2000.0, volume=10000.0, pool_liquidity=1000.0)
     assert accrue_fees(state, bar, 0.003) == pytest.approx(0.03, rel=1e-12)
 

@@ -15,15 +15,12 @@ from clbacktest import (
     nolp_config,
     on_close,
     passive_config,
-    position_value,
-    real_reserves,
     reset_config,
     run_backtest,
-    symmetric_range,
-    tick_index,
     tick_price,
 )
-from helpers import make_bars
+from clbacktest.clmath import nearest_spaced_tick, symmetric_bounds
+from helpers import make_bars, mark_position
 
 prices = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False)
 widths = st.floats(min_value=1e-4, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -34,13 +31,13 @@ price_factors = st.floats(min_value=0.2, max_value=5.0, allow_nan=False, allow_i
 
 @given(liquidity=liquidities, center=prices, a=widths)
 def test_position_value_is_continuous_at_range_bounds(liquidity, center, a):
-    rng = symmetric_range(center, a)
-    for bound in (rng.lower, rng.upper):
+    bounds = symmetric_bounds(center, a)
+    for bound in bounds:
         eps = 1e-9 * bound
         assume(bound - eps > 0.0)
-        at = position_value(liquidity, rng, bound)
-        below = position_value(liquidity, rng, bound - eps)
-        above = position_value(liquidity, rng, bound + eps)
+        at = mark_position(liquidity, *bounds, bound)[1]
+        below = mark_position(liquidity, *bounds, bound - eps)[1]
+        above = mark_position(liquidity, *bounds, bound + eps)[1]
         scale = max(abs(at), 1e-30)
         assert abs(below - at) <= 1e-6 * scale
         assert abs(above - at) <= 1e-6 * scale
@@ -48,26 +45,27 @@ def test_position_value_is_continuous_at_range_bounds(liquidity, center, a):
 
 @given(liquidity=liquidities, center=prices, a=widths)
 def test_reserves_move_monotonically_with_price(liquidity, center, a):
-    rng = symmetric_range(center, a)
-    grid = [rng.lower * (1.0 - 0.5 * t) + rng.upper * (0.5 * t) for t in range(5)]
+    lower, upper = symmetric_bounds(center, a)
+    grid = [lower * (1.0 - 0.5 * t) + upper * (0.5 * t) for t in range(5)]
     grid = sorted(p for p in grid if p > 0)
     previous = None
     for p in grid:
-        amounts = real_reserves(liquidity, rng, p)
+        x, y = mark_position(liquidity, lower, upper, p)[2:]
         if previous is not None:
-            slack = 1e-12 * max(previous.x, amounts.x, previous.y, amounts.y)
-            assert amounts.x <= previous.x + slack
-            assert amounts.y >= previous.y - slack
-        previous = amounts
+            previous_x, previous_y = previous
+            slack = 1e-12 * max(previous_x, x, previous_y, y)
+            assert x <= previous_x + slack
+            assert y >= previous_y - slack
+        previous = x, y
 
 
 @given(p=prices, a=widths, budget=budgets)
 def test_equal_value_deposit_splits_evenly(p, a, budget):
     liquidity = liquidity_from_equal_value(p, a, budget)
-    amounts = real_reserves(liquidity, symmetric_range(p, a), p)
+    _, _, x, y = mark_position(liquidity, *symmetric_bounds(p, a), p)
     half = budget / 2.0
-    assert abs(amounts.x * p - half) <= 1e-9 * budget
-    assert abs(amounts.y - half) <= 1e-9 * budget
+    assert abs(x * p - half) <= 1e-9 * budget
+    assert abs(y - half) <= 1e-9 * budget
 
 
 @given(p=prices, budget=budgets)
@@ -111,12 +109,12 @@ def test_nolp_value_law(p0, budget, factor):
 
 @given(liquidity=liquidities, center=prices, a=widths, factor=price_factors, k=st.integers(1, 64))
 def test_reserves_scale_linearly_in_liquidity(liquidity, center, a, factor, k):
-    rng = symmetric_range(center, a)
+    bounds = symmetric_bounds(center, a)
     p = center * factor
-    single = real_reserves(liquidity, rng, p)
-    scaled = real_reserves(k * liquidity, rng, p)
-    assert math.isclose(scaled.x, k * single.x, rel_tol=1e-12, abs_tol=1e-300)
-    assert math.isclose(scaled.y, k * single.y, rel_tol=1e-12, abs_tol=1e-300)
+    _, _, single_x, single_y = mark_position(liquidity, *bounds, p)
+    _, _, scaled_x, scaled_y = mark_position(k * liquidity, *bounds, p)
+    assert math.isclose(scaled_x, k * single_x, rel_tol=1e-12, abs_tol=1e-300)
+    assert math.isclose(scaled_y, k * single_y, rel_tol=1e-12, abs_tol=1e-300)
 
 
 @given(p=prices, a=widths, budget=budgets, k=st.integers(1, 64))
@@ -128,7 +126,7 @@ def test_equal_value_liquidity_scales_with_budget(p, a, budget, k):
 
 @given(i=st.integers(min_value=-887272, max_value=887272))
 def test_tick_round_trip(i):
-    assert tick_index(tick_price(i)) == i
+    assert nearest_spaced_tick(tick_price(i), 1) == i
 
 
 @given(p0=prices, factor=st.floats(min_value=0.5, max_value=2.0), bump=st.floats(min_value=0.0, max_value=9.0))
@@ -187,18 +185,18 @@ def test_constant_price_compounding_dominates_simple_sum(volumes):
 def test_active_liquidity_is_all_or_nothing_for_fixed(p0, a, factor, budget):
     state = initialize(fixed_config(a), p0, budget)
     p = p0 * factor
-    rng = state.positions[0].price_range
+    rng = PriceRange(*state.ranges[0][:2])
     active = active_liquidity(state, p)
     if rng.contains(p):
-        assert active == state.positions[0].liquidity
+        assert active == state.ledger[0]
     else:
         assert active == 0.0
 
 
 @given(center=prices, a=widths)
 def test_symmetric_range_midpoint(center, a):
-    rng = symmetric_range(center, a)
-    assert math.isclose(math.sqrt(rng.lower * rng.upper), center, rel_tol=1e-12)
+    lower, upper = symmetric_bounds(center, a)
+    assert math.isclose(math.sqrt(lower * upper), center, rel_tol=1e-12)
 
 
 @given(
@@ -207,14 +205,14 @@ def test_symmetric_range_midpoint(center, a):
     liquidity=liquidities,
 )
 def test_out_of_range_values_are_linear_or_flat(lower, spread, liquidity):
-    rng = PriceRange(lower, lower * (1.0 + spread))
-    below = real_reserves(liquidity, rng, rng.lower)
+    upper = lower * (1.0 + spread)
+    below_x = mark_position(liquidity, lower, upper, lower)[2]
     # Below the range the position is all base token, so value is linear in p.
-    p_low = rng.lower * 0.5
+    p_low = lower * 0.5
     assert math.isclose(
-        position_value(liquidity, rng, p_low), below.x * p_low, rel_tol=1e-12
+        mark_position(liquidity, lower, upper, p_low)[1], below_x * p_low, rel_tol=1e-12
     )
     # Above the range it is all quote token, so value is flat.
-    above_near = position_value(liquidity, rng, rng.upper * 1.5)
-    above_far = position_value(liquidity, rng, rng.upper * 3.0)
+    above_near = mark_position(liquidity, lower, upper, upper * 1.5)[1]
+    above_far = mark_position(liquidity, lower, upper, upper * 3.0)[1]
     assert above_near == above_far

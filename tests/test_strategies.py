@@ -6,7 +6,6 @@ import pytest
 
 from clbacktest import (
     StrategyConfig,
-    TokenAmounts,
     UsageError,
     active_liquidity,
     fixed_config,
@@ -18,8 +17,12 @@ from clbacktest import (
     reset_config,
     scale_liquidity,
 )
-from clbacktest.clmath import tick_index, tick_price
+from clbacktest.clmath import nearest_spaced_tick, tick_price
 from clbacktest.strategies import MIN_WIDTH
+
+
+def on_spaced_tick(bound, spacing=60):
+    return tick_price(nearest_spaced_tick(bound, spacing)) == bound
 
 
 def test_config_validation():
@@ -61,9 +64,9 @@ def test_config_labels():
 
 def test_initialize_nolp():
     state = initialize(nolp_config(), 2000.0, 1000.0)
-    assert state.holdings == TokenAmounts(x=0.25, y=500.0)
-    assert state.positions == ()
-    assert state.full_range_liquidity == 0.0
+    # No ranges; the tail holds no full-range liquidity and the loose tokens.
+    assert state.ranges == ()
+    assert state.ledger == (0.0, 0.25, 500.0)
     assert mark_to_market(state, 1900.0) == 975.0
 
 
@@ -78,19 +81,18 @@ def test_nolp_value_is_linear_in_price():
 def test_initialize_passive():
     p0, budget = 2000.0, 1000.0
     state = initialize(passive_config(), p0, budget)
-    assert state.full_range_liquidity == pytest.approx(budget / (2.0 * math.sqrt(p0)), rel=1e-12)
+    full_range_liquidity = state.ledger[0]
+    assert full_range_liquidity == pytest.approx(budget / (2.0 * math.sqrt(p0)), rel=1e-12)
     assert mark_to_market(state, p0) == pytest.approx(budget, rel=1e-12)
     for p in (1.0, 1500.0, 4000.0):
-        assert active_liquidity(state, p) == state.full_range_liquidity
+        assert active_liquidity(state, p) == full_range_liquidity
 
 
 def test_initialize_fixed():
     state = initialize(fixed_config(0.10), 2000.0, 1000.0)
-    assert len(state.positions) == 1
-    position = state.positions[0]
-    assert position.liquidity == pytest.approx(240.244132758, rel=1e-9)
-    assert position.price_range.lower == 2000.0 / 1.1
-    assert position.price_range.upper == 2200.0
+    assert len(state.ranges) == len(state.ledger) == 1
+    assert state.ledger[0] == pytest.approx(240.244132758, rel=1e-9)
+    assert state.ranges[0][:2] == (2000.0 / 1.1, 2200.0)
     assert state.reset_range is None
     assert mark_to_market(state, 2000.0) == pytest.approx(1000.0, rel=1e-9)
 
@@ -98,7 +100,7 @@ def test_initialize_fixed():
 def test_initialize_reset_records_trigger_interval():
     state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
     fixed_state = initialize(fixed_config(0.10), 2000.0, 1000.0)
-    assert state.positions == fixed_state.positions
+    assert (state.ranges, state.ledger) == (fixed_state.ranges, fixed_state.ledger)
     assert state.reset_range is not None
     assert state.reset_range.lower == pytest.approx(1904.7619047619, rel=1e-9)
     assert state.reset_range.upper == pytest.approx(2100.0, rel=1e-12)
@@ -106,7 +108,7 @@ def test_initialize_reset_records_trigger_interval():
 
 def test_initialize_zero_budget():
     state = initialize(fixed_config(0.10), 2000.0, 0.0)
-    assert state.positions[0].liquidity == 0.0
+    assert state.ledger == (0.0,)
     assert mark_to_market(state, 2000.0) == 0.0
 
 
@@ -139,13 +141,14 @@ class TestOnClose:
         state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
         reset = on_close(state, 2100.0)
         assert reset is not state
-        below, above = reset.positions
-        assert below.liquidity == pytest.approx(358.86742118, rel=1e-9)
-        assert above.liquidity == pytest.approx(118.691433143, rel=1e-9)
-        assert below.price_range.upper == 2100.0
-        assert above.price_range.lower == 2100.0
-        assert below.price_range.lower == pytest.approx(1909.0909090909, rel=1e-9)
-        assert above.price_range.upper == pytest.approx(2310.0, rel=1e-12)
+        below, above = reset.ledger
+        assert below == pytest.approx(358.86742118, rel=1e-9)
+        assert above == pytest.approx(118.691433143, rel=1e-9)
+        (below_lower, below_upper), (above_lower, above_upper) = (r[:2] for r in reset.ranges)
+        assert below_upper == 2100.0
+        assert above_lower == 2100.0
+        assert below_lower == pytest.approx(1909.0909090909, rel=1e-9)
+        assert above_upper == pytest.approx(2310.0, rel=1e-12)
         assert reset.reset_range.lower == pytest.approx(2000.0, rel=1e-9)
         assert reset.reset_range.upper == pytest.approx(2205.0, rel=1e-9)
 
@@ -163,9 +166,9 @@ class TestOnClose:
     def test_downward_reset(self):
         state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
         reset = on_close(state, 1900.0)
-        below, above = reset.positions
-        assert below.price_range.upper == 1900.0
-        assert above.price_range.lower == 1900.0
+        below, above = reset.ranges
+        assert below[1] == 1900.0
+        assert above[0] == 1900.0
         assert mark_to_market(reset, 1900.0) == pytest.approx(
             mark_to_market(state, 1900.0), rel=1e-12
         )
@@ -175,9 +178,9 @@ class TestOnClose:
         # token, so the new base-only side must carry zero liquidity.
         state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
         reset = on_close(state, 2500.0)
-        below, above = reset.positions
-        assert above.liquidity == 0.0
-        assert below.liquidity > 0.0
+        below, above = reset.ledger
+        assert above == 0.0
+        assert below > 0.0
         assert mark_to_market(reset, 2500.0) == pytest.approx(
             mark_to_market(state, 2500.0), rel=1e-12
         )
@@ -186,15 +189,15 @@ class TestOnClose:
         state = initialize(reset_config(0.10, 0.05), 2000.0, 1000.0)
         state = on_close(state, 2100.0)
         state = on_close(state, 2205.0)
-        below, above = state.positions
-        assert below.price_range.upper == 2205.0
+        below, above = state.ranges
+        assert below[1] == 2205.0
         assert state.reset_range.upper == pytest.approx(2205.0 * 1.05, rel=1e-12)
 
 
 class TestActiveLiquidity:
     def test_fixed_in_range(self):
         state = initialize(fixed_config(0.10), 2000.0, 1000.0)
-        liquidity = state.positions[0].liquidity
+        (liquidity,) = state.ledger
         assert active_liquidity(state, 1900.0) == liquidity
         assert active_liquidity(state, 2000.0 / 1.1) == liquidity
         assert active_liquidity(state, 2200.0) == liquidity
@@ -210,22 +213,22 @@ class TestActiveLiquidity:
 
     def test_shared_reset_boundary_counts_once(self):
         state = on_close(initialize(reset_config(0.10, 0.05), 2000.0, 1000.0), 2100.0)
-        below, above = state.positions
+        below, above = state.ledger
         # Exactly at the shared boundary only the lower side earns.
-        assert active_liquidity(state, 2100.0) == below.liquidity
-        assert active_liquidity(state, 2099.0) == below.liquidity
-        assert active_liquidity(state, 2101.0) == above.liquidity
+        assert active_liquidity(state, 2100.0) == below
+        assert active_liquidity(state, 2099.0) == below
+        assert active_liquidity(state, 2101.0) == above
 
 
 def test_scale_liquidity():
     state = initialize(fixed_config(0.10), 2000.0, 1000.0)
     doubled = scale_liquidity(state, 2.0)
-    assert doubled.positions[0].liquidity == 2.0 * state.positions[0].liquidity
+    assert doubled.ledger == (2.0 * state.ledger[0],)
     assert mark_to_market(doubled, 1900.0) == pytest.approx(
         2.0 * mark_to_market(state, 1900.0), rel=1e-12
     )
     nolp = initialize(nolp_config(), 2000.0, 1000.0)
-    assert scale_liquidity(nolp, 3.0).holdings == TokenAmounts(x=0.75, y=1500.0)
+    assert scale_liquidity(nolp, 3.0).ledger == (0.0, 0.75, 1500.0)
     with pytest.raises(ValueError):
         scale_liquidity(state, -1.0)
 
@@ -240,10 +243,10 @@ def test_scale_liquidity_overflow_raises():
 class TestSnappedRanges:
     def test_snapped_fixed_bounds_sit_on_spaced_ticks(self):
         state = initialize(fixed_config(0.10, snap_spacing=60), 2000.0, 1000.0)
-        rng = state.positions[0].price_range
-        assert tick_index(rng.lower) % 60 == 0
-        assert tick_index(rng.upper) % 60 == 0
-        assert rng.lower < 2000.0 < rng.upper
+        lower, upper = state.ranges[0][:2]
+        assert on_spaced_tick(lower)
+        assert on_spaced_tick(upper)
+        assert lower < 2000.0 < upper
 
     def test_snapped_deposit_is_still_worth_the_budget(self):
         state = initialize(fixed_config(0.10, snap_spacing=60), 2000.0, 1000.0)
@@ -252,11 +255,11 @@ class TestSnappedRanges:
     def test_snapped_reset_keeps_inner_boundary_at_trigger_price(self):
         state = initialize(reset_config(0.10, 0.05, snap_spacing=60), 2000.0, 1000.0)
         reset = on_close(state, 2100.0)
-        below, above = reset.positions
-        assert below.price_range.upper == 2100.0
-        assert above.price_range.lower == 2100.0
-        assert tick_index(below.price_range.lower) % 60 == 0
-        assert tick_index(above.price_range.upper) % 60 == 0
+        below, above = reset.ranges
+        assert below[1] == 2100.0
+        assert above[0] == 2100.0
+        assert on_spaced_tick(below[0])
+        assert on_spaced_tick(above[1])
         assert mark_to_market(reset, 2100.0) == pytest.approx(
             mark_to_market(state, 2100.0), rel=1e-12
         )
@@ -267,7 +270,7 @@ class TestSnappedRanges:
         # tick 6000 the upper (lower) bound snaps back to 6000 first.
         for price in (2000.0, tick_price(6000) * 1.0001, tick_price(6000) * 0.9999):
             state = initialize(fixed_config(0.001, snap_spacing=60), price, 1000.0)
-            rng = state.positions[0].price_range
-            assert rng.lower < price < rng.upper
-            assert tick_index(rng.lower) % 60 == 0
-            assert tick_index(rng.upper) % 60 == 0
+            lower, upper = state.ranges[0][:2]
+            assert lower < price < upper
+            assert on_spaced_tick(lower)
+            assert on_spaced_tick(upper)

@@ -20,13 +20,11 @@ from clbacktest import (
     DataError,
     GridSpec,
     HourlyBar,
-    LiquidityPosition,
     PairProfile,
     PriceRange,
     StrategyConfig,
     StrategyState,
     SweepSummary,
-    TokenAmounts,
     TrajectoryPoint,
     UsageError,
     fixed_config,
@@ -43,10 +41,8 @@ PAIR = (fixed_config(0.1), RESULT)
 # One valid value of every type, its fields in field order.
 GOOD = {
     PriceRange: {"lower": 1.0, "upper": 2.0},
-    TokenAmounts: {"x": 1.0, "y": 2.0},
     PairProfile: {"name": "volatile", "tick_spacing": 60},
     StrategyConfig: {"kind": "reset", "a": 0.1, "r": 0.05, "snap_spacing": 60},
-    LiquidityPosition: {"price_range": PriceRange(1.0, 2.0), "liquidity": 3.0},
     StrategyState: initialize(reset_config(0.1, 0.05), 2000.0, 1.0)._asdict(),
     HourlyBar: BAR._asdict(),
     BacktestConfig: {"strategy": fixed_config(0.1), "fee_rate": 0.003, "initial_value": 2.0},
@@ -74,7 +70,6 @@ GOOD = {
 # A field change that breaks a rule, and the error each way of building must raise.
 BAD = [
     (PriceRange, {"upper": 0.5}, ValueError, "upper must exceed lower, got [1.0, 0.5]"),
-    (TokenAmounts, {"y": -1.0}, ValueError, "y must be finite and >= 0, got -1.0"),
     (PairProfile, {"tick_spacing": 0}, ValueError, "tick_spacing must be >= 1, got 0"),
     (
         StrategyConfig,
@@ -89,12 +84,6 @@ BAD = [
         "strategy 'reset' needs r > 0 (at least 1e-09), got None",
     ),
     (StrategyConfig, {"snap_spacing": 0}, UsageError, "snap_spacing must be >= 1, got 0"),
-    (
-        LiquidityPosition,
-        {"liquidity": -1.0},
-        ValueError,
-        "liquidity must be finite and >= 0, got -1.0",
-    ),
     (HourlyBar, {"price": 0.0}, DataError, "price must be finite and > 0, got 0.0"),
     (BacktestConfig, {"fee_rate": 1.0}, UsageError, "fee_rate must lie in [0, 1), got 1.0"),
     (

@@ -17,7 +17,7 @@ import subprocess
 import sys
 
 RUNS = 5
-UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging")
 IMPORT = "import clbacktest.cli"
 
 
