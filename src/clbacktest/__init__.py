@@ -6,6 +6,8 @@ an hourly fee-accrual backtest with non-compounding and compounding ledgers,
 CSV ingestion, and parameter sweeps with ranked reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .clmath import (
     PairProfile,
     PriceRange,
@@ -59,46 +61,9 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
+# The imports above are the export list; submodules are not exports.
 __all__ = [
-    "BacktestConfig",
-    "BacktestResult",
-    "Baselines",
-    "BarSeries",
-    "DailyReturnPoint",
-    "DataError",
-    "GridSpec",
-    "HourlyBar",
-    "PairProfile",
-    "PriceRange",
-    "StrategyConfig",
-    "StrategyState",
-    "SweepSummary",
-    "TrajectoryPoint",
-    "UsageError",
-    "accrue_fees",
-    "active_liquidity",
-    "average_daily_return",
-    "axis_from_span",
-    "build_grid",
-    "clip_window",
-    "compute_baselines",
-    "daily_fee_returns",
-    "fixed_config",
-    "initialize",
-    "liquidity_from_equal_value",
-    "load_bars",
-    "mark_to_market",
-    "nolp_config",
-    "on_close",
-    "pair_for_class",
-    "passive_config",
-    "rank_results",
-    "render_report",
-    "reset_config",
-    "run_backtest",
-    "run_sweep",
-    "save_bars",
-    "scale_liquidity",
-    "tick_price",
-    "write_results_csv",
+    name
+    for name, value in list(globals().items())
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
 ]

@@ -255,7 +255,7 @@ def _cmd_backtest(args) -> int:
     strategy = parse_strategy_spec(args.strategy, _snap_spacing(args, series))
     config = BacktestConfig(strategy=strategy, fee_rate=args.fee)
     with _output(args.trajectory) as output:
-        result = run_backtest(config, series.bars)
+        result = run_backtest(config, series.bars, keep_trajectory=output is not None)
         with _printing():
             print(f"strategy  {strategy.label()}")
             print(f"bars      {len(series.bars)}")

@@ -22,8 +22,11 @@ The formulas live in flat helpers on plain floats that validate nothing:
 backtest kernel is the one other spelling of this arithmetic: it marks and
 redeposits both of its ledgers on local floats so that a bar costs no call.
 ``mark`` and ``redeposit`` are its reference, and the golden replay test
-holds the two equal bit for bit. Each argument rule is written once:
-:func:`check_positive`, :func:`check_nonnegative`, :func:`check_range`.
+holds the two equal bit for bit. Each argument rule is written once, here:
+:func:`check_bound` (finite and > 0, or >= 0, raising the caller's error
+class) and :func:`check_range`. Bars, the run config, sweep axes and daily
+returns call ``check_bound`` too; only CSV ingest's whole-column check
+spells the bound again.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
 1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built
@@ -49,23 +52,17 @@ MAX_TICK = 887272
 _LOG_TICK_BASE = math.log(TICK_BASE)
 
 
-def check_positive(value: float, name: str) -> None:
-    """Raise ValueError unless ``value`` is finite and > 0."""
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
-def check_nonnegative(value: float, name: str) -> None:
-    """Raise ValueError unless ``value`` is finite and >= 0."""
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def check_bound(value: float, name: str, strict: bool = True, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0 (``strict``) or >= 0."""
+    if not (0.0 < value < math.inf if strict else 0.0 <= value < math.inf):
+        raise error(f"{name} must be finite and {'>' if strict else '>='} 0, got {value!r}")
 
 
 def check_range(lower: float, upper: float) -> None:
     """Raise ValueError unless 0 < lower < upper, both finite."""
     if 0.0 < lower < upper < math.inf:  # the common case; the checks below name a failure
         return
-    check_positive(lower, "lower")
+    check_bound(lower, "lower")
     if not math.isfinite(upper):
         raise ValueError(f"upper must be finite, got {upper!r}")
     if upper <= lower:
@@ -80,9 +77,6 @@ class PriceRange(checked_tuple("PriceRange", "lower upper")):
     def __new__(cls, lower: float, upper: float) -> PriceRange:
         check_range(lower, upper)
         return tuple.__new__(cls, (lower, upper))
-
-    def contains(self, price: float) -> bool:
-        return self.lower <= price <= self.upper
 
 
 class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
@@ -124,7 +118,7 @@ def nearest_spaced_tick(price: float, spacing: int) -> int:
     """Tick index closest to ``price`` in log space among multiples of spacing."""
     if spacing < 1:
         raise ValueError(f"spacing must be >= 1, got {spacing}")
-    check_positive(price, "price")
+    check_bound(price, "price")
     exact = math.log(price) / _LOG_TICK_BASE
     step = round(exact / spacing)
     bound = MAX_TICK // spacing
@@ -237,9 +231,9 @@ def liquidity_from_equal_value(price: float, a: float, total_value: float) -> fl
 
         L = (total / 2) / (sqrt(p) * (1 - 1 / sqrt(1 + a)))
     """
-    check_positive(price, "price")
-    check_positive(a, "a")
-    check_nonnegative(total_value, "total_value")
+    check_bound(price, "price")
+    check_bound(a, "a")
+    check_bound(total_value, "total_value", strict=False)
     return (total_value / 2.0) / (math.sqrt(price) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
 
 
@@ -251,8 +245,8 @@ def liquidity_for_value(lower: float, upper: float, price: float, total_value: f
     range is not centered on the deposit price (tick-snapped ranges).
     """
     check_range(lower, upper)
-    check_nonnegative(total_value, "total_value")
-    check_positive(price, "price")
+    check_bound(total_value, "total_value", strict=False)
+    check_bound(price, "price")
     unit = mark((geometry_of(lower, upper),), (1.0,), price, math.sqrt(price))[1]
     if unit <= 0.0:
         raise ValueError(f"range [{lower!r}, {upper!r}] holds no value at {price!r}")

@@ -47,7 +47,7 @@ from itertools import islice, repeat
 from typing import Iterable, Sequence, TextIO
 
 from ._tuples import checked_tuple
-from .clmath import PairProfile
+from .clmath import PairProfile, check_bound
 from .engine import BAR_FIELDS, HourlyBar, check_fee_rate
 from .errors import DataError, UsageError
 
@@ -148,8 +148,7 @@ def daily_fee_returns(series: BarSeries) -> list[DailyReturnPoint]:
     points = []
     for day in sorted(volume_by_day):
         tvl = tvl_by_day[day]
-        if tvl <= 0.0:
-            raise DataError(f"day {day.isoformat()}: tvl must be > 0, got {tvl!r}")
+        check_bound(tvl, f"day {day.isoformat()}: tvl", error=DataError)
         volume = volume_by_day[day]
         lp_return = volume * series.fee_rate / tvl
         if not math.isfinite(lp_return):

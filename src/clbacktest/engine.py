@@ -24,14 +24,16 @@ comes from :func:`~clbacktest.strategies.deploy`, the flat form of
 :func:`~clbacktest.strategies.initialize`, so snapping and the closed-form
 deposit live in one place. Both ledgers start from that one deposit, reset
 on the same bars (they see the same prices) and get the same reset bounds;
-only liquidity, full-range liquidity and loose tokens differ between them.
-So the loop keeps, in local floats, at most two range slots whose geometry
-(``lower, upper, sqrt_lower, 1/sqrt_lower - 1/sqrt_upper, sqrt_upper -
-sqrt_lower, 1/sqrt_upper``, as in :mod:`~clbacktest.clmath`) both ledgers
-share, one ``L`` per slot and ledger, and for nolp and passive each
-ledger's tail (full-range liquidity, ``hold_x``, ``hold_y``). Slot 1 holds
-the deployed range, and after a reset the range below the price; slot 2
-holds the range above the price and is empty until the first reset. An
+only liquidity and full-range liquidity differ between them. Loose tokens
+do not: nolp has no active liquidity, so it never compounds, and passive
+holds none. So the loop keeps, in local floats, at most two range slots
+whose geometry (``lower, upper, sqrt_lower, 1/sqrt_lower - 1/sqrt_upper,
+sqrt_upper - sqrt_lower, 1/sqrt_upper``, as in :mod:`~clbacktest.clmath`)
+both ledgers share, one ``L`` per slot and ledger, and for nolp and passive
+each ledger's full-range liquidity plus one ``hold_x``, ``hold_y`` pair
+whose value both ledgers add. Slot 1 holds the deployed range, and after a
+reset the range below the price; slot 2 holds the range above the price
+and is empty until the first reset. An
 empty slot has bounds at +inf, so it is never in range and no bound of it
 equals a price. A reset strategy's trigger interval is two floats. Each bar
 marks both ledgers in straight-line code that calls no function and builds
@@ -75,9 +77,9 @@ Changing the order or the operands of any sum or product changes the
 published numbers. The golden tests in ``tests/test_golden.py`` catch
 that, and their replay of the state API, which runs on ``mark`` and
 ``redeposit``, must equal the loop bit for bit, including on bars that
-close exactly on a shared or an outer bound. The two ledgers' amounts stay
-separate: the compounding one cannot be derived from the plain one bit for
-bit.
+close exactly on a shared or an outer bound. Apart from the loose tokens,
+the two ledgers' amounts stay separate: the compounding one cannot be
+derived from the plain one bit for bit.
 
 Memo rule. A sweep runs many configurations over one series, so every run
 takes its rows from a one-entry memo that holds the rows of the last bar
@@ -98,8 +100,10 @@ divisions of the same values as the metrics, so the last row equals them.
 A run without a trajectory allocates none of this.
 
 Bars are validated once, where they are built, and not per bar in the
-kernel: :class:`HourlyBar`'s constructor checks each field, and CSV ingest
-checks whole columns and then builds the bars without that per-bar check. A
+kernel: :class:`HourlyBar`'s constructor checks each field with
+:func:`~clbacktest.clmath.check_bound`, the rule :class:`BacktestConfig`'s
+``initial_value`` and the strategy helpers also call, and CSV ingest checks
+whole columns and then builds the bars without that per-bar check. A
 value that overflows the ledger (an infinite fee or scaled liquidity), or a
 range bound beyond float or tick range, raises DataError naming the bar.
 """
@@ -112,7 +116,7 @@ from typing import NamedTuple, Sequence
 
 from ._tuples import checked_tuple
 from .errors import DataError, UsageError
-from .clmath import mark
+from .clmath import check_bound, mark
 from .strategies import (
     StrategyConfig,
     StrategyState,
@@ -162,12 +166,8 @@ class HourlyBar(checked_tuple("HourlyBar", "timestamp price volume pool_liquidit
         if not isinstance(timestamp, int) or isinstance(timestamp, bool):
             raise DataError(f"timestamp must be an integer, got {timestamp!r}")
         for (name, strict), value in zip(BAR_FIELDS, (price, volume, pool_liquidity, tvl)):
-            if value is None and name == "tvl":
-                continue
-            if not (0.0 < value < _INF if strict else 0.0 <= value < _INF):
-                raise DataError(
-                    f"{name} must be finite and {'>' if strict else '>='} 0, got {value!r}"
-                )
+            if value is not None or name != "tvl":
+                check_bound(value, name, strict, DataError)
         return tuple.__new__(cls, (timestamp, price, volume, pool_liquidity, tvl))
 
 
@@ -180,8 +180,7 @@ class BacktestConfig(checked_tuple("BacktestConfig", "strategy fee_rate initial_
         cls, strategy: StrategyConfig, fee_rate: float, initial_value: float = 1.0
     ) -> BacktestConfig:
         check_fee_rate(fee_rate)
-        if not math.isfinite(initial_value) or initial_value <= 0.0:
-            raise UsageError(f"initial_value must be finite and > 0, got {initial_value!r}")
+        check_bound(initial_value, "initial_value", error=UsageError)
         return tuple.__new__(cls, (strategy, fee_rate, initial_value))
 
 
@@ -248,16 +247,16 @@ def run_backtest(
     if tail:
         (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1) = _EMPTY_SLOT
         plain1 = 0.0
-        full_plain, hold_x_plain, hold_y_plain = ledger
+        full_plain, hold_x, hold_y = ledger
     else:
         ((lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1),) = ranges
         (plain1,) = ledger
-        full_plain = hold_x_plain = hold_y_plain = 0.0
+        full_plain = hold_x = hold_y = 0.0
     (lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2) = _EMPTY_SLOT
     plain2 = 0.0
     two = False
     comp1, comp2 = plain1, plain2
-    full_comp, hold_x_comp, hold_y_comp = full_plain, hold_x_plain, hold_y_plain
+    full_comp = full_plain
 
     fee_sum = 0.0
     value_now = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
@@ -303,12 +302,12 @@ def run_backtest(
         if tail:
             if full_plain > 0.0:
                 value_now += 2.0 * full_plain * sqrt_price
-            if hold_x_plain > 0.0 or hold_y_plain > 0.0:
-                value_now += hold_x_plain * price + hold_y_plain
             if full_comp > 0.0:
                 value_comp += 2.0 * full_comp * sqrt_price
-            if hold_x_comp > 0.0 or hold_y_comp > 0.0:
-                value_comp += hold_x_comp * price + hold_y_comp
+            if hold_x > 0.0 or hold_y > 0.0:
+                holdings = hold_x * price + hold_y
+                value_now += holdings
+                value_comp += holdings
 
         fee_plain = volume_fee * active_plain / pool_liquidity
         fee_comp = volume_fee * active_comp / pool_liquidity
@@ -321,10 +320,8 @@ def run_backtest(
             comp2 *= factor
             if tail:
                 full_comp *= factor
-                hold_x_comp *= factor
-                hold_y_comp *= factor
             if not (factor < _INF and comp1 < _INF and comp2 < _INF) or (
-                tail and not (full_comp < _INF and hold_x_comp < _INF and hold_y_comp < _INF)
+                tail and not full_comp < _INF
             ):
                 raise DataError(
                     f"bar {number}: compounding the fee {fee_comp!r} into value "

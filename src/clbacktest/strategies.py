@@ -32,8 +32,7 @@ from typing import Sequence
 from ._tuples import checked_tuple
 from .clmath import (
     PriceRange,
-    check_nonnegative,
-    check_positive,
+    check_bound,
     check_range,
     geometry_of,
     liquidity_for_value,
@@ -162,12 +161,12 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
     bounds of a reset strategy's trigger interval, None for other kinds.
     Raises ValueError when the deposit cannot be represented.
     """
-    check_positive(price, "price")
-    check_nonnegative(budget, "budget")
+    check_bound(price, "price")
+    check_bound(budget, "budget", strict=False)
 
     if config.kind == NOLP:
         hold_x = budget / (2.0 * price)
-        check_nonnegative(hold_x, "x")
+        check_bound(hold_x, "x", strict=False)
         return (), (0.0, hold_x, budget / 2.0), None
 
     if config.kind == PASSIVE:
@@ -180,7 +179,7 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
         liquidity = liquidity_for_value(lower, upper, price, budget)
     else:
         liquidity = liquidity_from_equal_value(price, config.a, budget)
-    check_nonnegative(liquidity, "liquidity")
+    check_bound(liquidity, "liquidity", strict=False)
 
     trigger = None
     if config.kind == RESET:
@@ -264,7 +263,7 @@ def redeposit(
 
 def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
     """Scale every liquidity amount and holding by ``factor`` (compounding)."""
-    check_nonnegative(factor, "factor")
+    check_bound(factor, "factor", strict=False)
     ledger = tuple([amount * factor for amount in state.ledger])
     if math.inf in ledger:
         raise ValueError(f"scaling the ledger by {factor!r} overflows")

@@ -7,6 +7,7 @@ import os
 from typing import Sequence, TextIO
 
 from ._tuples import checked_tuple
+from .clmath import check_bound
 from .dataio import BarSeries
 from .engine import BacktestConfig, BacktestResult, run_backtest
 from .errors import UsageError
@@ -90,8 +91,7 @@ def axis_from_span(start: float, stop: float, step: float) -> tuple[float, ...]:
     ``MAX_GRID_POINTS`` values.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise UsageError(f"axis {name} must be finite and > 0, got {value!r}")
+        check_bound(value, f"axis {name}", error=UsageError)
     if stop < start:
         raise UsageError(f"axis stop {stop!r} is below start {start!r}")
     steps = (stop - start) / step + 1e-9

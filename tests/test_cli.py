@@ -165,6 +165,23 @@ class TestBacktestCommand:
             assert float(row[2]) == point.value
             assert float(row[3]) == point.total
 
+    def test_only_a_trajectory_file_keeps_the_trajectory(
+        self, data_file, tmp_path, capsys, monkeypatch
+    ):
+        kept = []
+
+        def recording_run_backtest(config, bars, keep_trajectory=True):
+            kept.append(keep_trajectory)
+            return run_backtest(config, bars, keep_trajectory)
+
+        monkeypatch.setattr(cli, "run_backtest", recording_run_backtest)
+        argv = ["backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "passive"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--trajectory", str(tmp_path / "traj.csv")]) == 0
+        assert capsys.readouterr() == plain
+        assert kept == [False, True]
+
     def test_unwritable_trajectory_fails_before_the_run(self, data_file, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "traj.csv"
         code = main(

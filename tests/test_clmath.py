@@ -94,12 +94,6 @@ class TestPriceRange:
         with pytest.raises(ValueError):
             PriceRange(1.0, math.inf)
 
-    def test_contains_is_boundary_inclusive(self):
-        rng = PriceRange(1.0, 2.0)
-        assert rng.contains(1.0)
-        assert rng.contains(2.0)
-        assert not rng.contains(0.999999)
-
 
 class TestSymmetricRange:
     def test_narrow_example(self):

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from clbacktest import (
     BacktestConfig,
-    PriceRange,
     active_liquidity,
     fixed_config,
     initialize,
@@ -185,9 +184,9 @@ def test_constant_price_compounding_dominates_simple_sum(volumes):
 def test_active_liquidity_is_all_or_nothing_for_fixed(p0, a, factor, budget):
     state = initialize(fixed_config(a), p0, budget)
     p = p0 * factor
-    rng = PriceRange(*state.ranges[0][:2])
+    lower, upper = state.ranges[0][:2]
     active = active_liquidity(state, p)
-    if rng.contains(p):
+    if lower <= p <= upper:
         assert active == state.ledger[0]
     else:
         assert active == 0.0

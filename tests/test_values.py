@@ -4,13 +4,19 @@ Every way of building a value (the constructor, ``_make`` and ``_replace``)
 runs its type's checks and raises the same error, because a named tuple's
 ``_make`` and ``_replace`` would otherwise skip ``__new__``. Unpickling, as
 sweep workers do, builds a value without checking it again.
+
+The rule "finite and > 0" (or ">= 0") is spelled once, in
+``clmath.check_bound``; each of its callers keeps its own error class. The
+package's imports are its export list.
 """
 
 import datetime as dt
+import math
 import pickle
 
 import pytest
 
+import clbacktest
 from clbacktest import (
     BacktestConfig,
     BacktestResult,
@@ -27,9 +33,13 @@ from clbacktest import (
     SweepSummary,
     TrajectoryPoint,
     UsageError,
+    axis_from_span,
+    daily_fee_returns,
     fixed_config,
     initialize,
+    liquidity_from_equal_value,
     reset_config,
+    scale_liquidity,
 )
 
 BAR = HourlyBar(timestamp=3600, price=2000.0, volume=1e6, pool_liquidity=1e4, tvl=5e7)
@@ -37,6 +47,7 @@ RESULT = BacktestResult(
     fees=0.1, value=1.0, total=1.1, trajectory=(TrajectoryPoint(3600, 0.1, 1.0, 1.1),)
 )
 PAIR = (fixed_config(0.1), RESULT)
+NO_TVL = BAR._replace(tvl=0.0)  # a valid bar, but no day's return divides by it
 
 # One valid value of every type, its fields in field order.
 GOOD = {
@@ -108,6 +119,89 @@ BAD = [
     (GridSpec, {"kind": "fixed"}, UsageError, "fixed grids take no r axis"),
 ]
 
+# Every caller of the bound check: the class it raises and its message.
+# (tests/test_engine.py covers each bar field.)
+BOUND_CALLS = {
+    "bar-price": (
+        lambda: BAR._replace(price=math.inf),
+        DataError,
+        "price must be finite and > 0, got inf",
+    ),
+    "bar-volume": (
+        lambda: BAR._replace(volume=-1.0),
+        DataError,
+        "volume must be finite and >= 0, got -1.0",
+    ),
+    "initial_value": (
+        lambda: BacktestConfig(fixed_config(0.1), 0.003, -math.inf),
+        UsageError,
+        "initial_value must be finite and > 0, got -inf",
+    ),
+    "axis-start": (
+        lambda: axis_from_span(0.0, 0.2, 0.1),
+        UsageError,
+        "axis start must be finite and > 0, got 0.0",
+    ),
+    "axis-stop": (
+        lambda: axis_from_span(0.1, math.inf, 0.1),
+        UsageError,
+        "axis stop must be finite and > 0, got inf",
+    ),
+    "axis-step": (
+        lambda: axis_from_span(0.1, 0.2, math.nan),
+        UsageError,
+        "axis step must be finite and > 0, got nan",
+    ),
+    "range-lower": (
+        lambda: PriceRange(-1.0, 2.0),
+        ValueError,
+        "lower must be finite and > 0, got -1.0",
+    ),
+    "equal-value-price": (
+        lambda: liquidity_from_equal_value(0.0, 0.1, 1.0),
+        ValueError,
+        "price must be finite and > 0, got 0.0",
+    ),
+    "equal-value-a": (
+        lambda: liquidity_from_equal_value(2000.0, math.inf, 1.0),
+        ValueError,
+        "a must be finite and > 0, got inf",
+    ),
+    "equal-value-total": (
+        lambda: liquidity_from_equal_value(2000.0, 0.1, -1.0),
+        ValueError,
+        "total_value must be finite and >= 0, got -1.0",
+    ),
+    "initialize-budget": (
+        lambda: initialize(fixed_config(0.1), 2000.0, math.inf),
+        ValueError,
+        "budget must be finite and >= 0, got inf",
+    ),
+    "scale_liquidity-factor": (
+        lambda: scale_liquidity(StrategyState(**GOOD[StrategyState]), -1.0),
+        ValueError,
+        "factor must be finite and >= 0, got -1.0",
+    ),
+    "day-tvl": (
+        lambda: daily_fee_returns(BarSeries(PairProfile("volatile", 60), 0.003, (NO_TVL,))),
+        DataError,
+        "day 1970-01-01: tvl must be finite and > 0, got 0.0",
+    ),
+}
+
+# What the package exported when ``__all__`` was written out by hand.
+EXPORTS = [
+    "BacktestConfig", "BacktestResult", "Baselines", "BarSeries", "DailyReturnPoint",
+    "DataError", "GridSpec", "HourlyBar", "PairProfile", "PriceRange", "StrategyConfig",
+    "StrategyState", "SweepSummary", "TrajectoryPoint", "UsageError", "accrue_fees",
+    "active_liquidity", "average_daily_return", "axis_from_span", "build_grid",
+    "clip_window", "compute_baselines", "daily_fee_returns", "fixed_config", "initialize",
+    "liquidity_from_equal_value", "load_bars", "mark_to_market", "nolp_config", "on_close",
+    "pair_for_class", "passive_config", "rank_results", "render_report", "reset_config",
+    "run_backtest", "run_sweep", "save_bars", "scale_liquidity", "tick_price",
+    "write_results_csv",
+]
+
 BUILDS = {
     "new": lambda cls, change: cls(**{**GOOD[cls], **change}),
     "make": lambda cls, change: cls._make({**GOOD[cls], **change}.values()),
@@ -162,3 +256,18 @@ def test_values_unpickle_unchecked(monkeypatch):
         restored = pickle.loads(data)
         assert type(restored) is type(value)
         assert restored == value
+
+
+@pytest.mark.parametrize("call, error, message", BOUND_CALLS.values(), ids=BOUND_CALLS)
+def test_every_bound_check_keeps_its_class(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_the_imports_are_the_export_list():
+    namespace = {}
+    exec("from clbacktest import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(clbacktest.__all__) == sorted(namespace) == sorted(EXPORTS)
