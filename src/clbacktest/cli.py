@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker processes, N >= 1 (default: all CPUs this process may use); "
-            "results do not depend on it"
+            "processes to run the grid on, this one included, N >= 1 (default: all "
+            "CPUs this process may use); results do not depend on it"
         ),
     )
     sweep.set_defaults(handler=_cmd_sweep)

@@ -1,11 +1,11 @@
 """End-to-end command line behavior and the exit-code contract."""
 
 import argparse
-import concurrent.futures
 import csv
 import errno
 import gc
 import io
+import multiprocessing
 import os
 import re
 import stat
@@ -386,7 +386,7 @@ class TestSweepCommand:
             raise AssertionError("the sweep must not start")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_sweep)
+        monkeypatch.setattr(multiprocessing, "Process", no_sweep)
         code = main(
             ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
             + ["--jobs", jobs]
@@ -409,6 +409,27 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "error: bar 2: " in capsys.readouterr().err
+
+    def test_failure_names_the_same_grid_point_whatever_the_jobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every reset of r >= 13% fails on the second bar; each process's
+        # chunk stops at its own first failure, and the sweep reports the
+        # first in grid order.
+        path = tmp_path / "overflow.csv"
+        rows = [(1600000000, 1.0, 0.0, 1e4, 5e7), (1600003600, 1.6e308, 1e6, 1e4, 5e7)]
+        path.write_text(csv_text(rows))
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+        errors = []
+        for jobs in ("1", "2"):
+            code = main(
+                ["sweep", "--data", str(path), "--fee", "0.003", "--kind", "reset"]
+                + ["--grid", "0.10,0.15,0.01", "--jobs", jobs]
+            )
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "cannot reset reset(a=10.0%, r=13.0%)" in errors[0]
 
     def test_missing_file_exits_one(self, tmp_path):
         code = main(
@@ -757,7 +778,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded = [name for name in UNUSED if name in sys.modules]
     sweep.usable_cpus = lambda: 2
     codes.append(cli.main(["sweep", *common, "--kind", "fixed", "--jobs", "2"]))
-print(preloaded, codes, loaded, "concurrent.futures.process" in sys.modules)
+print(preloaded, codes, loaded, [name for name in UNUSED if name in sys.modules])
 """
 
 
@@ -772,7 +793,9 @@ def test_commands_in_one_process_load_no_pool_or_dataclasses(data_file, tmp_path
         timeout=120,
     )
     assert process.stderr == ""
-    assert process.stdout == "[] [0, 0, 0] [] True\n"
+    # Only the sweep on two processes loads multiprocessing, and no command
+    # loads concurrent.futures.
+    assert process.stdout == "[] [0, 0, 0] [] ['multiprocessing']\n"
 
 
 class FailingStdout(io.StringIO):

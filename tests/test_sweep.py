@@ -1,8 +1,12 @@
 """Grid construction, batch execution, ranking, report rendering."""
 
-import concurrent.futures
 import csv
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,11 +186,11 @@ class TestWorkerCount:
 
     def test_default_jobs_follow_the_cpu_affinity(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a sweep pinned to one CPU started a pool")
+            raise AssertionError("a sweep pinned to one CPU started a worker")
 
         monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
         grid = [fixed_config(0.05), fixed_config(0.10)]
         results = run_sweep(grid, _series(), jobs=None)
         assert [config for config, _ in results] == grid
@@ -341,3 +345,91 @@ def test_a_sweep_builds_its_rows_once_per_process(monkeypatch):
     compute_baselines(series)
     run_sweep(build_grid(GridSpec("volatile", "reset", (0.05, 0.1), (0.02, 0.05))), series, jobs=1)
     assert checks == [len(series.bars)]
+
+
+def _run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that finds the package and the
+    test helpers; a minute is far more than any script here needs."""
+    paths = (Path(sweep.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths))),
+        text=True,
+        timeout=60,
+    )
+
+
+# Run by a fresh interpreter with a start method as argument: a snapped
+# stable Reset sweep across a depeg on two processes, then on one. Prints
+# whether the results agree, how many configurations the calling process ran
+# of the two-process sweep, and the grid size.
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from clbacktest import BarSeries, GridSpec, build_grid, pair_for_class, run_sweep, sweep
+from helpers import bars_from_rows, seeded_series
+sweep.usable_cpus = lambda: 2
+pair = pair_for_class("stable")
+series = BarSeries(pair, 0.0005, bars_from_rows(seeded_series("stable_depeg", count=96)))
+axis = (0.002, 0.005, 0.01, 0.02, 0.04)
+grid = build_grid(GridSpec("stable", "reset", axis, axis, snap_spacing=pair.tick_spacing))
+here = []
+run_backtest = sweep.run_backtest
+sweep.run_backtest = lambda *args, **kwargs: here.append(1) or run_backtest(*args, **kwargs)
+parallel, ran_here = run_sweep(grid, series, jobs=2), len(here)
+print(parallel == run_sweep(grid, series, jobs=1), ran_here, len(grid))
+"""
+
+
+@pytest.mark.parametrize("method", ("fork", "spawn", "forkserver"))
+def test_every_start_method_gives_the_one_process_results(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    process = _run_python(START_METHOD_SCRIPT, method)
+    assert process.stderr == ""
+    # The calling process runs 13 of the 25 configurations, the child 12.
+    assert process.stdout == "True 13 25\n"
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a monkeypatch reaches a sweep worker only when it is forked",
+)
+
+
+@fork_only
+def test_a_worker_that_exits_without_sending_names_its_exit_code(monkeypatch):
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_send_outcome", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep([fixed_config(0.05), fixed_config(0.10)], _series(), jobs=2)
+
+
+# Run by a fresh interpreter: the calling process is interrupted in its own
+# chunk while the forked worker sends a result larger than a pipe buffer.
+INTERRUPT_SCRIPT = """
+import os
+from clbacktest import BarSeries, fixed_config, pair_for_class, run_sweep, sweep
+from helpers import make_bars
+sweep.usable_cpus = lambda: 2
+series = BarSeries(pair_for_class("volatile"), 0.003, make_bars([2000.0, 2050.0]))
+parent = os.getpid()
+
+def run_backtest(*args, **kwargs):
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+    return "x" * 1_000_000
+
+sweep.run_backtest = run_backtest
+try:
+    run_sweep([fixed_config(0.05), fixed_config(0.10)], series, jobs=2)
+except KeyboardInterrupt:
+    print("interrupted")
+"""
+
+
+@fork_only
+def test_an_interrupted_sweep_stops_its_worker():
+    process = _run_python(INTERRUPT_SCRIPT)
+    assert (process.stdout, process.stderr) == ("interrupted\n", "")
