@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 data error (unreadable or malformed input, or an
-unwritable output file or standard output), 2 usage error (bad flags or
-parameter values).
+Exit codes: 0 success, 1 data error (unreadable or malformed input, an
+unwritable output file or standard output, or a sweep worker that cannot
+start), 2 usage error (bad flags or parameter values).
 
 The cyclic garbage collector is off while a command runs. Bars, rows,
 results and trajectory points are tuples of numbers that cannot form a
@@ -13,6 +13,18 @@ freed when the collector runs again. Sweep workers started by fork inherit
 the off state. :func:`main` restores the caller's collector state when it
 returns, so calling it in-process leaves the collector as it was; the
 library functions it calls do not touch the collector.
+
+:func:`run` is the process entry point, for ``python -m clbacktest.cli``
+and the ``clbacktest`` script alike; :func:`main` is the in-process API.
+Once :func:`main` returns, :func:`run` flushes standard output and
+standard error and ends the process with :func:`os._exit`. That skips the
+interpreter's teardown: atexit handlers (multiprocessing's among them), the
+final collections, which would walk every object still alive, and the
+teardown of every module. A command needs none of it: every file it opens
+is closed by a ``with`` block inside :func:`main`, and a sweep joins every
+worker and closes every pipe before it returns, so multiprocessing's
+handler would find nothing to join. A usage error raised by argparse and
+an uncaught exception leave by the normal exit path.
 """
 
 from __future__ import annotations
@@ -20,13 +32,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime as dt
+import errno
 import gc
 import math
 import os
 import re
 import stat
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .clmath import (
     PairProfile,
@@ -81,6 +94,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def run() -> NoReturn:
+    """Run :func:`main` on the process's arguments and end the process with
+    its exit code, skipping the interpreter's teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its descriptor was closed at start-up
+            stream.flush()
+    os._exit(code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,11 +389,15 @@ def _printing():
     raised while writing or flushing it into a DataError.
 
     Standard output's file descriptor, if it has one, is first pointed at
-    os.devnull, so that the interpreter's flush of what is left in its
-    buffer at exit does not fail again.
+    os.devnull, so that the final flush of what is left in its buffer does
+    not fail again. When the descriptor was closed at start-up, Python sets
+    ``sys.stdout`` to None and ``print`` writes nothing, so that counts as a
+    failed write.
     """
     try:
         yield
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.flush()
     except OSError as exc:
         with contextlib.suppress(AttributeError, OSError, ValueError):
@@ -444,4 +471,4 @@ def _cmd_selfcheck(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,7 +10,7 @@ from ._tuples import checked_tuple
 from .clmath import check_bound
 from .dataio import BarSeries
 from .engine import BacktestConfig, BacktestResult, run_backtest
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .strategies import (
     FIXED,
     RESET,
@@ -150,8 +150,9 @@ def run_sweep(
     processes, the calling one included: it runs one strided chunk of the
     grid itself and starts one process for each other chunk. A failing
     configuration raises its error; when several fail, the first in grid
-    order does, whatever ``jobs`` is. Trajectories are dropped to keep
-    memory flat across large grids.
+    order does, whatever ``jobs`` is. A process that cannot be started
+    raises DataError, once the ones already started have been stopped.
+    Trajectories are dropped to keep memory flat across large grids.
     """
     configs = list(grid)
     if not configs:
@@ -184,9 +185,13 @@ def _dispatch(payloads: list) -> list[tuple[list[BacktestResult], Exception | No
     try:
         for payload in payloads[1:]:
             receiver, sender = Pipe(duplex=False)
-            with sender:
-                child = Process(target=_send_outcome, args=(payload, sender, receiver))
-                child.start()
+            child = Process(target=_send_outcome, args=(payload, sender, receiver))
+            try:
+                with sender:
+                    child.start()
+            except OSError as exc:  # fork's EAGAIN or ENOMEM, say
+                receiver.close()
+                raise DataError(f"cannot start a sweep worker: {exc}") from None
             children.append((child, receiver))
         outcomes.append(_run_chunk(payloads[0]))
         for child, receiver in children:

@@ -431,6 +431,42 @@ class TestSweepCommand:
         assert errors[0] == errors[1]
         assert "cannot reset reset(a=10.0%, r=13.0%)" in errors[0]
 
+    @pytest.mark.parametrize("jobs", (2, 3))
+    def test_a_worker_that_cannot_start_exits_one(self, data_file, capsys, monkeypatch, jobs):
+        # No process is started: the last start fails as fork does when the
+        # system is out of processes, and the ones before it only record.
+        calls, pipes = [], []
+        real_pipe = multiprocessing.Pipe
+
+        def recording_pipe(duplex=True):
+            ends = real_pipe(duplex)
+            pipes.extend(ends)
+            return ends
+
+        def start(process):
+            if len(calls) == jobs - 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            calls.append("start")
+
+        monkeypatch.setattr(multiprocessing, "Pipe", recording_pipe)
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        monkeypatch.setattr(multiprocessing.Process, "terminate", lambda p: calls.append("terminate"))
+        monkeypatch.setattr(multiprocessing.Process, "join", lambda p, t=None: calls.append("join"))
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: jobs)
+        code = main(
+            ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
+            + ["--jobs", str(jobs)]
+        )
+        assert code == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot start a sweep worker: [Errno {errno.EAGAIN}] "
+            f"{os.strerror(errno.EAGAIN)}\n",
+        )
+        assert calls == ["start", "terminate", "join"] * (jobs - 2)
+        assert len(pipes) == 2 * (jobs - 1)
+        assert all(end.closed for end in pipes)
+
     def test_missing_file_exits_one(self, tmp_path):
         code = main(
             [
@@ -851,6 +887,109 @@ class TestStandardOutput:
         assert process.stderr == (
             "error: cannot write standard output: [Errno 28] No space left on device\n"
         )
+
+
+# The two ways a process enters the command line, both through cli.run: as
+# a module, and as the console script does, importing run and calling it
+# with sys.argv set.
+ENTRY_POINTS = {
+    "module": ["-m", "clbacktest.cli"],
+    "script": ["-c", "from clbacktest.cli import run; run()"],
+}
+
+# Commands run from a directory that holds bars.csv and days.csv; a command
+# that writes a file writes out.csv.
+EXIT_CASES = {
+    "backtest": ["backtest", "--data", "bars.csv", "--fee", "0.003"]
+    + ["--strategy", "reset:a=0.10,r=0.05", "--snap-ticks", "--trajectory", "out.csv"],
+    "sweep": ["sweep", "--data", "bars.csv", "--fee", "0.003", "--kind", "fixed"]
+    + ["--jobs", "2", "--dump", "out.csv"],
+    "daily-returns": ["daily-returns", "--data", "days.csv", "--fee", "0.003"],
+    "selfcheck": ["selfcheck"],
+    "data-error": ["backtest", "--data", "absent.csv", "--fee", "0.003", "--strategy", "nolp"],
+    "usage-error": ["backtest", "--data", "bars.csv", "--fee", "0.003", "--strategy", "fixed:a=-1"],
+    "argparse-error": ["backtest", "--data", "bars.csv", "--strategy", "nolp"],
+    "verbose": ["-v", "sweep", "--data", "bars.csv", "--fee", "0.003", "--kind", "fixed"]
+    + ["--grid", "0.05,0.20,0.05", "--jobs", "1", "--dump", "out.csv"],
+}
+
+# 400 days of two bars each: daily-returns prints more than the 8 KiB that
+# standard output buffers.
+DAYS_ROWS = [(1600041600 + 43200 * i, 2000.0, 1e6 + i, 1e4, 4e7) for i in range(800)]
+
+# Closes the descriptor named by its first argument, then runs Python on the
+# other arguments.
+CLOSE_FD = (
+    "import os, sys; os.close(int(sys.argv[1])); "
+    "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])"
+)
+
+
+def _workdir(root: Path, name: str) -> Path:
+    workdir = root / name
+    workdir.mkdir()
+    (workdir / "bars.csv").write_text(csv_text(FIXTURE_ROWS))
+    (workdir / "days.csv").write_text(csv_text(DAYS_ROWS))
+    return workdir
+
+
+def _written(workdir: Path) -> bytes | None:
+    out = workdir / "out.csv"
+    return out.read_bytes() if out.exists() else None
+
+
+def _subprocess(args: list[str], workdir: Path, prefix: tuple[str, ...] = ()):
+    """Run ``python [prefix] args`` in ``workdir``, standard output and error
+    piped, without PYTHONUNBUFFERED, so both streams are block-buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *prefix, *args], cwd=workdir, capture_output=True, env=env, timeout=120
+    )
+
+
+class TestExitPath:
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_processes_match_an_in_process_main(self, tmp_path, capsys, monkeypatch, case):
+        argv = EXIT_CASES[case]
+        monkeypatch.chdir(_workdir(tmp_path, "main"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        expected = (code, out.encode(), err.encode(), _written(tmp_path / "main"))
+        for entry, prefix in ENTRY_POINTS.items():
+            workdir = _workdir(tmp_path, entry)
+            process = _subprocess([*prefix, *argv], workdir)
+            seen = (process.returncode, process.stdout, process.stderr, _written(workdir))
+            assert seen == expected, entry
+        assert code == {"data-error": 1, "usage-error": 2, "argparse-error": 2}.get(case, 0)
+        if case == "daily-returns":
+            assert len(out) > 8192
+
+    @pytest.mark.parametrize("case", ("backtest", "sweep", "daily-returns", "selfcheck"))
+    def test_closed_standard_output_exits_one(self, tmp_path, case):
+        workdir = _workdir(tmp_path, "run")
+        args = [*ENTRY_POINTS["module"], *EXIT_CASES[case]]
+        process = _subprocess(args, workdir, ("-c", CLOSE_FD, "1"))
+        assert process.returncode == 1
+        assert process.stderr == b"error: cannot write standard output: [Errno 9] Bad file descriptor\n"
+        assert _written(workdir) is None
+
+    @pytest.mark.parametrize("case, code", [("selfcheck", 0), ("data-error", 1), ("usage-error", 2)])
+    def test_closed_standard_error_keeps_the_exit_code(self, tmp_path, case, code):
+        args = [*ENTRY_POINTS["module"], *EXIT_CASES[case]]
+        process = _subprocess(args, _workdir(tmp_path, "run"), ("-c", CLOSE_FD, "2"))
+        assert process.returncode == code
+        assert b"Traceback" not in process.stdout
+        if case == "selfcheck":
+            assert process.stdout == SELFCHECK_OUTPUT.encode()
+
+    def test_the_console_script_runs_run(self):
+        text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text[text.index("\n[project.scripts]\n") :].split("\n[", 2)[1]
+        assert 'clbacktest = "clbacktest.cli:run"' in scripts.splitlines()
 
 
 def test_readme_shows_only_accepted_flags():
