@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 data error (unreadable or malformed input, an
 unwritable output file or standard output, or a sweep worker that cannot
-start), 2 usage error (bad flags or parameter values).
+start or dies before it sends its results), 2 usage error (bad flags or
+parameter values). An error prints one ``error:`` line to standard error,
+or nothing when standard error was closed at start-up.
 
 The cyclic garbage collector is off while a command runs. Bars, rows,
 results and trajectory points are tuples of numbers that cannot form a
@@ -85,12 +87,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (DataError, UsageError) as exc:
+        _warn(f"error: {exc}")
+        return 1 if isinstance(exc, DataError) else 2
     finally:
         if collecting:
             gc.enable()
@@ -265,7 +264,15 @@ def _debug(args, message: str) -> None:
     is ignored: the line is not part of the command's result."""
     if args.verbose:
         with contextlib.suppress(OSError):
-            print(f"DEBUG clbacktest.cli: {message}", file=sys.stderr)
+            _warn(f"DEBUG clbacktest.cli: {message}")
+
+
+def _warn(line: str) -> None:
+    """Print ``line`` to standard error. Print nothing when its descriptor
+    was closed at start-up: Python then sets ``sys.stderr`` to None, and
+    ``print`` would write the line to standard output."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
 
 
 def _snap_spacing(args, series: BarSeries) -> int | None:

@@ -15,18 +15,21 @@ All arithmetic is plain float64. Formula shapes are deliberately fixed (for
 example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
 The formulas live in flat helpers on plain floats that validate nothing:
-:func:`mark` (active liquidity, value and reserves of one ledger) and
-:func:`one_sided_liquidity`. The strategy state API,
-:func:`~clbacktest.strategies.redeposit` and :func:`liquidity_for_value`
-(the snapped deposit, which validates its arguments first) call them. The
-backtest kernel is the one other spelling of this arithmetic: it marks and
-redeposits both of its ledgers on local floats so that a bar costs no call.
-``mark`` and ``redeposit`` are its reference, and the golden replay test
-holds the two equal bit for bit. Each argument rule is written once, here:
-:func:`check_bound` (finite and > 0, or >= 0, raising the caller's error
-class) and :func:`check_range`. Bars, the run config, sweep axes and daily
-returns call ``check_bound`` too; only CSV ingest's whole-column check
-spells the bound again.
+:func:`mark` (active liquidity, value and reserves of one ledger),
+:func:`one_sided_liquidity` and :func:`equal_value_liquidity`. The strategy
+state API, :func:`~clbacktest.strategies.redeposit`,
+:func:`liquidity_for_value` (the snapped deposit) and
+:func:`liquidity_from_equal_value` call them; the last two validate their
+arguments first. The backtest kernel is the one other spelling of this
+arithmetic: it marks and redeposits both of its ledgers on local floats so
+that a bar costs no call. ``mark`` and ``redeposit`` are its reference, and
+the golden replay test holds the two equal bit for bit. Each argument rule
+is written once, here: :func:`check_bound` (finite and > 0, or >= 0,
+raising the caller's error class) and :func:`check_range`. Bars, the run
+config, sweep axes and daily returns call ``check_bound`` too. Only CSV
+ingest's whole-column check spells the bound again, and only
+:func:`~clbacktest.strategies.reset_bounds` the range test, for its three
+ranges in one comparison; it calls ``check_range`` to name a failure.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
 1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built
@@ -230,10 +233,17 @@ def liquidity_from_equal_value(price: float, a: float, total_value: float) -> fl
     x * p = y, and the closed form below follows from setting y = total/2:
 
         L = (total / 2) / (sqrt(p) * (1 - 1 / sqrt(1 + a)))
+
+    Checks its arguments, then computes :func:`equal_value_liquidity`.
     """
     check_bound(price, "price")
     check_bound(a, "a")
     check_bound(total_value, "total_value", strict=False)
+    return equal_value_liquidity(price, a, total_value)
+
+
+def equal_value_liquidity(price: float, a: float, total_value: float) -> float:
+    """The closed form of :func:`liquidity_from_equal_value`; no validation."""
     return (total_value / 2.0) / (math.sqrt(price) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
 
 

@@ -99,13 +99,20 @@ no constructor call or bar lookup per bar. The rows hold the same
 divisions of the same values as the metrics, so the last row equals them.
 A run without a trajectory allocates none of this.
 
-Bars are validated once, where they are built, and not per bar in the
-kernel: :class:`HourlyBar`'s constructor checks each field with
-:func:`~clbacktest.clmath.check_bound`, the rule :class:`BacktestConfig`'s
-``initial_value`` and the strategy helpers also call, and CSV ingest checks
-whole columns and then builds the bars without that per-bar check. A
-value that overflows the ledger (an infinite fee or scaled liquidity), or a
-range bound beyond float or tick range, raises DataError naming the bar.
+Checks. Each input is checked once, where it enters, and not per bar in
+the kernel: :class:`HourlyBar`'s constructor checks each field with
+:func:`~clbacktest.clmath.check_bound` (CSV ingest checks whole columns and
+then builds the bars without that per-bar check), :class:`BacktestConfig`
+the fee rate and budget, and
+:class:`~clbacktest.strategies.StrategyConfig` the strategy's parameters.
+So the kernel's :func:`~clbacktest.strategies.deploy` does not check the
+entry price and budget again, and a sweep, having checked the fee rate
+once per chunk, builds each point's config unchecked. What a run still
+checks is arithmetic on valid input: a value that overflows the ledger
+(an infinite fee or scaled liquidity), a deposit or range bound beyond
+float or tick range, or a snapped reset range so narrow that its bounds'
+square roots are equal (its deposit divides by zero), raises DataError
+naming the bar.
 """
 
 from __future__ import annotations
@@ -391,7 +398,7 @@ def run_backtest(
                     raise ValueError(
                         f"redepositing {x_comp!r} base and {y_comp!r} quote overflows"
                     )
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
             two = True
 
@@ -406,12 +413,7 @@ def run_backtest(
         trajectory = tuple(
             map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, fees, values, totals))
         )
-    return BacktestResult(
-        fees=fee_sum / budget,
-        value=value_now / budget,
-        total=total_now / budget,
-        trajectory=trajectory,
-    )
+    return BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
 
 
 def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, ...]:

@@ -22,6 +22,16 @@ ledger (:func:`~clbacktest.clmath.mark`, :func:`reset_bounds`,
 :func:`reset_bounds` on a reset; it marks and redeposits its two ledgers
 with the arithmetic of ``mark`` and :func:`redeposit` written out on local
 floats.
+
+Checks. :class:`StrategyConfig` checks a strategy's kind and parameters when
+it is built; :func:`check_width` is its width rule, which a sweep grid also
+applies, once per axis value. :func:`initialize` checks the entry price and
+budget; :func:`deploy`, which the kernel calls with a checked bar's price
+and a checked budget, does not check them again. What ``deploy`` and
+:func:`reset_bounds` still check is arithmetic on valid input: a bound or
+liquidity that overflows a float or leaves the tick range raises
+ValueError. ``reset_bounds`` tests its three ranges in one chained
+comparison and calls ``check_range`` only to name a failure.
 """
 
 from __future__ import annotations
@@ -34,9 +44,9 @@ from .clmath import (
     PriceRange,
     check_bound,
     check_range,
+    equal_value_liquidity,
     geometry_of,
     liquidity_for_value,
-    liquidity_from_equal_value,
     mark,
     nearest_spaced_tick,
     one_sided_liquidity,
@@ -87,14 +97,10 @@ class StrategyConfig(
             ("a", "range width", a, kind in (FIXED, RESET)),
             ("r", "reset width", r, kind == RESET),
         ):
-            if not needed:
-                if value is not None:
-                    raise UsageError(f"strategy {kind!r} takes no {width} {name}")
-            elif value is None or not math.isfinite(value) or value < MIN_WIDTH:
-                raise UsageError(
-                    f"strategy {kind!r} needs {name} > 0 (at least {MIN_WIDTH!r}), "
-                    f"got {value!r}"
-                )
+            if needed:
+                check_width(kind, name, value)
+            elif value is not None:
+                raise UsageError(f"strategy {kind!r} takes no {width} {name}")
         if snap_spacing is not None and snap_spacing < 1:
             raise UsageError(f"snap_spacing must be >= 1, got {snap_spacing!r}")
         return tuple.__new__(cls, (kind, a, r, snap_spacing))
@@ -108,6 +114,15 @@ class StrategyConfig(
         """Human-readable name, e.g. ``fixed(a=6.0%)``."""
         params = self.params_text()
         return f"{self.kind}({params})" if params else self.kind
+
+
+def check_width(kind: str, name: str, value: float | None) -> None:
+    """Raise UsageError unless ``value`` is a finite half-width ``name`` of at
+    least :data:`MIN_WIDTH`, as strategy ``kind`` needs."""
+    if value is None or not math.isfinite(value) or value < MIN_WIDTH:
+        raise UsageError(
+            f"strategy {kind!r} needs {name} > 0 (at least {MIN_WIDTH!r}), got {value!r}"
+        )
 
 
 def nolp_config() -> StrategyConfig:
@@ -150,7 +165,13 @@ class StrategyState(checked_tuple("StrategyState", "config ranges ledger trigger
 
 
 def initialize(config: StrategyConfig, price: float, budget: float) -> StrategyState:
-    """Deploy ``budget`` (in quote-token units) at the entry price (see :func:`deploy`)."""
+    """Deploy ``budget`` (in quote-token units) at the entry price (see :func:`deploy`).
+
+    Raises ValueError unless ``price`` is finite and > 0 and ``budget``
+    finite and >= 0, or when the deposit cannot be represented.
+    """
+    check_bound(price, "price")
+    check_bound(budget, "budget", strict=False)
     return StrategyState(config, *deploy(config, price, budget))
 
 
@@ -159,11 +180,11 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
 
     ``ranges`` and ``ledger`` are as in ``clmath``; ``trigger`` holds the
     bounds of a reset strategy's trigger interval, None for other kinds.
-    Raises ValueError when the deposit cannot be represented.
+    ``price`` and ``budget`` are not checked again: :func:`initialize`
+    checks them, and the backtest kernel passes a bar's price and a
+    config's budget, both checked where they were built. Raises ValueError
+    when the deposit cannot be represented.
     """
-    check_bound(price, "price")
-    check_bound(budget, "budget", strict=False)
-
     if config.kind == NOLP:
         hold_x = budget / (2.0 * price)
         check_bound(hold_x, "x", strict=False)
@@ -178,7 +199,7 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
         lower, upper = _snap_outward(lower, upper, price, config.snap_spacing)
         liquidity = liquidity_for_value(lower, upper, price, budget)
     else:
-        liquidity = liquidity_from_equal_value(price, config.a, budget)
+        liquidity = equal_value_liquidity(price, config.a, budget)
     check_bound(liquidity, "liquidity", strict=False)
 
     trigger = None
@@ -229,9 +250,14 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
             below_lower, above_upper, price, config.snap_spacing
         )
     trigger_lower, trigger_upper = symmetric_bounds(price, config.r)
-    check_range(below_lower, price)
-    check_range(price, above_upper)
-    check_range(trigger_lower, trigger_upper)
+    if not (
+        0.0 < below_lower < price < above_upper < math.inf
+        and 0.0 < trigger_lower < trigger_upper < math.inf
+    ):
+        # The test above is the three ranges' check_range; these name the failure.
+        check_range(below_lower, price)
+        check_range(price, above_upper)
+        check_range(trigger_lower, trigger_upper)
     return below_lower, above_upper, trigger_lower, trigger_upper
 
 
@@ -250,7 +276,9 @@ def redeposit(
     ``[price, above_upper]``; no swap is needed, so value is conserved. Both
     new ranges reuse ``sqrt_price`` for their shared bound. Full-range
     liquidity and loose tokens are kept. Raises ValueError when a new
-    liquidity overflows.
+    liquidity overflows, and ZeroDivisionError when a new range holding a
+    deposit is so narrow that its bounds' square roots are equal (a snapped
+    bound a float or two from the price).
     """
     x, y = mark(ranges, ledger, price, sqrt_price)[2:]
     below = range_geometry(below_lower, price, math.sqrt(below_lower), sqrt_price)

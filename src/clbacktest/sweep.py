@@ -1,4 +1,14 @@
-"""Parameter sweeps over strategy grids, ranking, and report rendering."""
+"""Parameter sweeps over strategy grids, ranking, and report rendering.
+
+Each input of a sweep is checked once. :func:`build_grid` checks the size
+of the grid, then each axis value once, in the order in which building the
+points one by one would meet them, so a grid with several bad values raises
+the same first error; it then builds the points without checking each. A
+chunk of the grid checks the series' fee rate once and builds each point's
+``BacktestConfig`` unchecked, and ``run_backtest`` checks nothing it is
+given again (see :mod:`clbacktest.engine`). Ranking and the report compute
+each result's tie key once.
+"""
 
 from __future__ import annotations
 
@@ -9,16 +19,15 @@ from typing import Sequence, TextIO
 from ._tuples import checked_tuple
 from .clmath import check_bound
 from .dataio import BarSeries
-from .engine import BacktestConfig, BacktestResult, run_backtest
+from .engine import BacktestConfig, BacktestResult, check_fee_rate, run_backtest
 from .errors import DataError, UsageError
 from .strategies import (
     FIXED,
     RESET,
     StrategyConfig,
-    fixed_config,
+    check_width,
     nolp_config,
     passive_config,
-    reset_config,
 )
 
 PAIR_CLASSES = ("volatile", "stable")
@@ -116,26 +125,28 @@ def build_grid(spec: GridSpec) -> list[StrategyConfig]:
     Raises UsageError, before building anything, for a grid of more than
     ``MAX_GRID_POINTS`` points.
     """
-    a_axis = spec.a_axis if spec.a_axis is not None else default_axis(spec.pair_class, spec.kind)
+    kind, snap_spacing = spec.kind, spec.snap_spacing
+    a_axis = spec.a_axis if spec.a_axis is not None else default_axis(spec.pair_class, kind)
     if not a_axis:
         raise UsageError("a axis is empty")
-    if spec.kind == FIXED:
-        _check_grid_points(len(a_axis))
-        return [fixed_config(a, snap_spacing=spec.snap_spacing) for a in a_axis]
-    r_axis = spec.r_axis if spec.r_axis is not None else default_axis(spec.pair_class, spec.kind)
-    if not r_axis:
-        raise UsageError("r axis is empty")
-    _check_grid_points(len(a_axis) * len(r_axis))
-    return [
-        reset_config(a, r, snap_spacing=spec.snap_spacing)
-        for a in a_axis
-        for r in r_axis
-    ]
-
-
-def _check_grid_points(points: int) -> None:
+    r_axis: Sequence[float | None] = (None,)
+    if kind == RESET:
+        r_axis = spec.r_axis if spec.r_axis is not None else default_axis(spec.pair_class, kind)
+        if not r_axis:
+            raise UsageError("r axis is empty")
+    points = len(a_axis) * len(r_axis)
     if points > MAX_GRID_POINTS:
         raise UsageError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
+    # Each value is checked once, in the order in which building the grid
+    # point by point would first meet it: the first point whole, then the
+    # rest of its row of r values, then the rest of the a values. The points
+    # are then built without checking them again.
+    StrategyConfig(kind, a_axis[0], r_axis[0], snap_spacing)
+    for name, values in (("r", r_axis[1:]), ("a", a_axis[1:])):
+        for value in values:
+            check_width(kind, name, value)
+    new = tuple.__new__
+    return [new(StrategyConfig, (kind, a, r, snap_spacing)) for a in a_axis for r in r_axis]
 
 
 def run_sweep(
@@ -150,8 +161,9 @@ def run_sweep(
     processes, the calling one included: it runs one strided chunk of the
     grid itself and starts one process for each other chunk. A failing
     configuration raises its error; when several fail, the first in grid
-    order does, whatever ``jobs`` is. A process that cannot be started
-    raises DataError, once the ones already started have been stopped.
+    order does, whatever ``jobs`` is. A process that cannot be started, or
+    that dies before it sends its results, raises DataError naming the
+    cause, once the ones already started have been stopped.
     Trajectories are dropped to keep memory flat across large grids.
     """
     configs = list(grid)
@@ -199,7 +211,9 @@ def _dispatch(payloads: list) -> list[tuple[list[BacktestResult], Exception | No
                 outcomes.append(receiver.recv())
             except EOFError:
                 child.join()
-                raise RuntimeError(f"sweep worker exited with code {child.exitcode}") from None
+                code = child.exitcode
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise DataError(f"sweep worker {how} before sending its results") from None
     finally:
         for child, receiver in children:
             if len(outcomes) < len(payloads):
@@ -243,14 +257,7 @@ def rank_results(
         raise UsageError("cannot rank an empty result list")
     if pair_class not in PAIR_CLASSES:
         raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {pair_class!r}")
-    return SweepSummary(
-        best_total=_extremal(results, "total", best=True),
-        worst_total=_extremal(results, "total", best=False),
-        best_fees=_extremal(results, "fees", best=True),
-        baselines=baselines,
-        all_results=tuple(results),
-        pair_class=pair_class,
-    )
+    return SweepSummary(*_extremals(results), baselines, tuple(results), pair_class)
 
 
 def render_report(summary: SweepSummary) -> str:
@@ -269,10 +276,9 @@ def render_report(summary: SweepSummary) -> str:
         family = [item for item in summary.all_results if item[0].kind == kind]
         if not family:
             continue
-        for row_name, item in (
-            (f"Best {label} (total)", _extremal(family, "total", best=True)),
-            (f"Worst {label} (total)", _extremal(family, "total", best=False)),
-            (f"Best {label} (fees)", _extremal(family, "fees", best=True)),
+        for row_name, item in zip(
+            (f"Best {label} (total)", f"Worst {label} (total)", f"Best {label} (fees)"),
+            _extremals(family),
         ):
             rows.append((row_name, item[0].params_text(), item[1]))
 
@@ -314,8 +320,12 @@ def _run_chunk(payload) -> tuple[list[BacktestResult], Exception | None]:
     configs, bars, fee_rate = payload
     done: list[BacktestResult] = []
     try:
+        # Each point's BacktestConfig is built unchecked: its strategy was
+        # checked when the grid was built, its budget is the default 1.0,
+        # and its fee rate is checked here, once per chunk.
+        check_fee_rate(fee_rate)
         for strategy in configs:
-            config = BacktestConfig(strategy=strategy, fee_rate=fee_rate)
+            config = tuple.__new__(BacktestConfig, (strategy, fee_rate, 1.0))
             done.append(run_backtest(config, bars, keep_trajectory=False))
     except Exception as error:
         return done, error
@@ -329,16 +339,19 @@ def _send_outcome(payload, sender, receiver) -> None:
     sender.send(_run_chunk(payload))
 
 
-def _extremal(results: Sequence[ResultPair], metric: str, best: bool) -> ResultPair:
-    sign = -1.0 if best else 1.0
-    return min(
-        results,
-        key=lambda item: (sign * getattr(item[1], metric), _param_key(item[0])),
-    )
+def _extremals(results: Sequence[ResultPair]) -> tuple[ResultPair, ResultPair, ResultPair]:
+    """The best and worst ``total`` and the best ``fees`` of ``results``.
 
-
-def _param_key(config: StrategyConfig) -> tuple[float, float]:
-    return (
-        config.a if config.a is not None else math.inf,
-        config.r if config.r is not None else math.inf,
-    )
+    Ties go to the smaller parameters (an absent one counts as +inf), then
+    to the earlier pair. Each pair's parameter key is computed once, and
+    each pick compares plain tuples without a key function.
+    """
+    inf = math.inf
+    keys = [
+        (inf if config.a is None else config.a, inf if config.r is None else config.r)
+        for config, _ in results
+    ]
+    totals = [result.total for _, result in results]
+    metrics = ([-total for total in totals], totals, [-result.fees for _, result in results])
+    order = range(len(results))
+    return tuple(results[min(zip(metric, keys, order))[2]] for metric in metrics)

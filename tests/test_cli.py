@@ -925,6 +925,28 @@ CLOSE_FD = (
 )
 
 
+# Run with the command's arguments: a sweep whose forked worker dies, by
+# the statement ``death``, before it sends its results.
+WORKER_DEATH_SCRIPT = """
+import multiprocessing, os
+multiprocessing.set_start_method("fork")
+from clbacktest import cli, sweep
+sweep.usable_cpus = lambda: 2
+sweep._send_outcome = lambda *args: {death}
+cli.run()
+"""
+
+# Run with a start method and then the command's arguments: the command on
+# at least two CPUs, its workers started by that method.
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv.pop(1))
+from clbacktest import cli, sweep
+sweep.usable_cpus = lambda: 2
+cli.run()
+"""
+
+
 def _workdir(root: Path, name: str) -> Path:
     workdir = root / name
     workdir.mkdir()
@@ -977,14 +999,53 @@ class TestExitPath:
         assert process.stderr == b"error: cannot write standard output: [Errno 9] Bad file descriptor\n"
         assert _written(workdir) is None
 
-    @pytest.mark.parametrize("case, code", [("selfcheck", 0), ("data-error", 1), ("usage-error", 2)])
+    @pytest.mark.parametrize(
+        "case, code", [("selfcheck", 0), ("verbose", 0), ("data-error", 1), ("usage-error", 2)]
+    )
     def test_closed_standard_error_keeps_the_exit_code(self, tmp_path, case, code):
         args = [*ENTRY_POINTS["module"], *EXIT_CASES[case]]
         process = _subprocess(args, _workdir(tmp_path, "run"), ("-c", CLOSE_FD, "2"))
         assert process.returncode == code
-        assert b"Traceback" not in process.stdout
+        # Neither an error line nor a -v line moves to standard output.
+        opened = _subprocess(args, _workdir(tmp_path, "open"))
+        assert (opened.returncode, process.stdout) == (code, opened.stdout)
+        assert (opened.stderr == b"") == (case == "selfcheck")
         if case == "selfcheck":
             assert process.stdout == SELFCHECK_OUTPUT.encode()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    @pytest.mark.parametrize(
+        "death, reason",
+        [("os._exit(3)", "exited with code 3"), ("os.kill(os.getpid(), 9)", "was killed by signal 9")],
+    )
+    def test_a_worker_that_dies_ends_in_one_error_line(self, tmp_path, death, reason):
+        script = WORKER_DEATH_SCRIPT.format(death=death)
+        workdir = _workdir(tmp_path, "run")
+        process = _subprocess(EXIT_CASES["sweep"], workdir, ("-c", script))
+        assert (process.returncode, process.stdout, _written(workdir)) == (1, b"", None)
+        assert process.stderr.decode() == (
+            f"error: sweep worker {reason} before sending its results\n"
+        )
+
+    @pytest.mark.parametrize("method", ("fork", "spawn", "forkserver"))
+    def test_a_sweep_on_two_processes_matches_one_under_each_start_method(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        argv = ["sweep", "--data", "bars.csv", "--fee", "0.003", "--kind", "reset"]
+        argv += ["--grid", "0.02,0.10,0.02", "--snap-ticks", "--dump", "out.csv", "--jobs"]
+        monkeypatch.chdir(_workdir(tmp_path, "main"))
+        code = main([*argv, "1"])
+        out, err = capsys.readouterr()
+        expected = (code, out.encode(), err.encode(), _written(tmp_path / "main"))
+        workdir = _workdir(tmp_path, method)
+        process = _subprocess([*argv, "2"], workdir, ("-c", START_METHOD_SCRIPT, method))
+        seen = (process.returncode, process.stdout, process.stderr, _written(workdir))
+        assert seen == expected
+        assert code == 0
 
     def test_the_console_script_runs_run(self):
         text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")

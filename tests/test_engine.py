@@ -218,13 +218,41 @@ def test_ledger_overflow_is_a_data_error_naming_the_bar():
             [2000.0, 1e-300],
             "tick index -887280 outside [-887272, 887272]",
         ),
+        # The second reset closes one float below the spaced tick that its
+        # range above the price snaps to: that range's bounds have equal
+        # square roots, so the base tokens' deposit divides by zero.
+        (
+            reset_config(0.001, 0.001, 60),
+            1.0,
+            [1.0, 1.25, 1.2485575197227397],
+            "float division by zero",
+        ),
     ],
 )
 def test_reset_failure_names_the_bar_strategy_and_reason(strategy, initial_value, prices, reason):
     config = BacktestConfig(strategy=strategy, fee_rate=0.003, initial_value=initial_value)
     with pytest.raises(DataError) as caught:
         run_backtest(config, make_bars(prices))
-    assert str(caught.value) == f"bar 2: cannot reset {strategy.label()}: {reason}"
+    assert str(caught.value) == f"bar {len(prices)}: cannot reset {strategy.label()}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "strategy, initial_value, price, reason",
+    [
+        (fixed_config(0.10), 1.0, 1.7e308, "upper must be finite, got inf"),
+        (reset_config(0.10, 0.5), 1.0, 1.5e308, "upper must be finite, got inf"),
+        (reset_config(1e-9, 1e-9), 1.0, 5e-324, "upper must exceed lower, got [5e-324, 5e-324]"),
+        (nolp_config(), 1.0, 5e-324, "x must be finite and >= 0, got inf"),
+        (fixed_config(0.10), 1e300, 1e-300, "liquidity must be finite and >= 0, got inf"),
+        (fixed_config(0.10, 60), 1.0, 1e308, "tick index 887280 outside [-887272, 887272]"),
+        (fixed_config(0.10, 60), 1.0, 1e-300, "tick index -887280 outside [-887272, 887272]"),
+    ],
+)
+def test_deploy_failure_names_the_strategy_and_reason(strategy, initial_value, price, reason):
+    config = BacktestConfig(strategy=strategy, fee_rate=0.003, initial_value=initial_value)
+    with pytest.raises(DataError) as caught:
+        run_backtest(config, make_bars([price, 1.0]))
+    assert str(caught.value) == f"bar 1: cannot deploy {strategy.label()}: {reason}"
 
 
 GOOD_BAR = {"timestamp": 0, "price": 1.0, "volume": 0.0, "pool_liquidity": 1.0, "tvl": None}

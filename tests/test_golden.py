@@ -10,9 +10,10 @@ constants to make a change pass: a differing digest means the numbers moved.
 
 The state-machine API (``initialize``, ``accrue_fees``, ``mark_to_market``,
 ``scale_liquidity``, ``on_close``), replayed in the engine's per-bar order,
-must also give ``run_backtest``'s trajectory bit for bit, plain and snapped,
-on two of those series and on a short one whose bars close exactly on the
-bound shared by a reset's two ranges.
+must also give ``run_backtest``'s trajectory and metrics bit for bit, plain
+and snapped, on two of those series, on two short ones whose bars close
+exactly on a shared or an outer bound, and on Hypothesis series of 2-40 bars
+that close at random or on the bounds of the state they have reached.
 """
 
 import hashlib
@@ -20,10 +21,12 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clbacktest import (
     BacktestConfig,
     BarSeries,
+    DataError,
     accrue_fees,
     fixed_config,
     initialize,
@@ -182,14 +185,16 @@ def test_explicit_values(case):
     assert (result.fees, result.value, result.total) == EXPLICIT[case]
 
 
-def _replay(strategy, bars, fee_rate):
-    """Trajectory of ``strategy`` through the state-machine API, in the
-    engine's per-bar order: fees on both ledgers, marks of both, compounding
-    of the second, then ``on_close`` on both."""
+def _replay(strategy, bars, fee_rate, budget=1.0):
+    """Trajectory rows and ``(fees, value, total)`` of ``strategy`` through
+    the state-machine API, in the engine's per-bar order: fees on both
+    ledgers, marks of both, compounding of the second, then ``on_close`` on
+    both. Every amount is divided by ``budget`` as ``run_backtest`` does."""
     first = bars[0]
-    plain = comp = initialize(strategy, first.price, 1.0)
-    value = mark_to_market(plain, first.price)
-    rows = [(first.timestamp, 0.0, value, value)]
+    plain = comp = initialize(strategy, first.price, budget)
+    value = total = mark_to_market(plain, first.price)
+    fee_sum = 0.0
+    rows = [(first.timestamp, 0.0, value / budget, total / budget)]
     for bar in bars[1:]:
         fee_plain = accrue_fees(plain, bar, fee_rate)
         fee_comp = accrue_fees(comp, bar, fee_rate)
@@ -199,8 +204,10 @@ def _replay(strategy, bars, fee_rate):
             comp = scale_liquidity(comp, (value_comp + fee_comp) / value_comp)
         plain = on_close(plain, bar.price)
         comp = on_close(comp, bar.price)
-        rows.append((bar.timestamp, fee_plain, value, value_comp + fee_comp))
-    return rows
+        fee_sum += fee_plain
+        total = value_comp + fee_comp
+        rows.append((bar.timestamp, fee_plain / budget, value / budget, total / budget))
+    return rows, (fee_sum / budget, value / budget, total / budget)
 
 
 # A Reset (r = 5% or 0.5%) fires at 2100 and 2205 (both are exactly 1.05
@@ -238,6 +245,76 @@ def test_state_machine_replay_matches_run_backtest(shape, snap):
     for kind, a, r in ORACLE_CASES:
         strategy = _strategy(kind, a, r, 60 if snap and a is not None else None)
         result = run_backtest(BacktestConfig(strategy=strategy, fee_rate=fee_rate), bars)
-        assert _replay(strategy, bars, fee_rate) == [tuple(p) for p in result.trajectory], (
-            strategy.label()
-        )
+        rows, metrics = _replay(strategy, bars, fee_rate)
+        assert rows == [tuple(p) for p in result.trajectory], strategy.label()
+        assert metrics == result[:3], strategy.label()
+
+
+# (kind, snapped) of the differential test below: every kind, plain, and
+# the two kinds with a range, snapped.
+DIFFERENTIAL_CASES = (
+    ("nolp", False),
+    ("passive", False),
+    ("fixed", False),
+    ("fixed", True),
+    ("reset", False),
+    ("reset", True),
+)
+WIDTHS = (1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5)
+
+
+def _edges(state):
+    """Prices at which ``state`` changes: the bounds of its ranges and its
+    trigger interval, and the floats next to each."""
+    bounds = [bound for geometry in state.ranges for bound in geometry[:2]]
+    bounds += state.trigger or ()
+    return bounds + [math.nextafter(b, d) for b in bounds for d in (0.0, math.inf)]
+
+
+@pytest.mark.parametrize("kind, snapped", DIFFERENTIAL_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_series_replay_matches_run_backtest(kind, snapped, data):
+    """On 2-40 bars that move at random or close exactly on (or one float
+    beside) a range, trigger or shared bound, the state-machine replay and
+    ``run_backtest`` agree bit for bit, metrics and trajectory; or both fail
+    on the last bar, whose reset cannot be done, for the same reason."""
+    a = data.draw(st.sampled_from(WIDTHS)) if kind in ("fixed", "reset") else None
+    r = data.draw(st.sampled_from(WIDTHS)) if kind == "reset" else None
+    spacing = data.draw(st.sampled_from((1, 10, 60))) if snapped else None
+    strategy = _strategy(kind, a, r, spacing)
+    budget = data.draw(st.sampled_from((1.0, 2.5, 1e4)))
+    fee_rate = data.draw(st.sampled_from((0.0, 0.0005, 0.003, 0.01)))
+    # Each later bar closes, by its pick, at the previous close times a
+    # factor, at the previous close again (after a reset, that is the bound
+    # its two ranges share), or on an edge of the state reached so far.
+    picks = st.tuples(st.integers(0, 63), st.floats(0.8, 1.25))
+    steps = data.draw(st.lists(picks, min_size=1, max_size=39))
+    prices = [data.draw(st.floats(0.5, 5000.0))]
+    state = initialize(strategy, prices[0], budget)
+    for pick, factor in steps:
+        last, edges = prices[-1], _edges(state)
+        if pick < 32 or not edges:
+            prices.append(last * factor if pick < 24 else last)
+        else:
+            prices.append(edges[pick % len(edges)])
+        try:
+            state = on_close(state, prices[-1])
+        except (ValueError, ZeroDivisionError):
+            break  # the series ends on the bar whose reset cannot be done
+    count = len(prices)
+    volumes = data.draw(st.lists(st.floats(0.0, 1e6), min_size=count, max_size=count))
+    liquidity = data.draw(st.floats(1e2, 1e7))
+    bars = make_bars(prices, volumes=volumes, liquidity=liquidity)
+    config = BacktestConfig(strategy=strategy, fee_rate=fee_rate, initial_value=budget)
+    try:
+        rows, metrics = _replay(strategy, bars, fee_rate, budget)
+    except (ValueError, ZeroDivisionError) as error:
+        with pytest.raises(DataError) as caught:
+            run_backtest(config, bars)
+        assert str(caught.value) == f"bar {count}: cannot reset {strategy.label()}: {error}"
+        return
+    result = run_backtest(config, bars)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(rows) == repr([tuple(p) for p in result.trajectory])
+    assert repr(metrics) == repr(result[:3])

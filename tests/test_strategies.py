@@ -119,6 +119,25 @@ def test_initialize_rejects_bad_inputs():
         initialize(fixed_config(0.10), 2000.0, -5.0)
 
 
+@pytest.mark.parametrize("config", (nolp_config(), passive_config(), reset_config(0.1, 0.05)))
+@pytest.mark.parametrize(
+    "price, budget, message",
+    [
+        (-1.0, 1.0, "price must be finite and > 0, got -1.0"),
+        (0.0, 1.0, "price must be finite and > 0, got 0.0"),
+        (math.nan, 1.0, "price must be finite and > 0, got nan"),
+        (math.inf, 1.0, "price must be finite and > 0, got inf"),
+        (2000.0, -5.0, "budget must be finite and >= 0, got -5.0"),
+        (2000.0, math.nan, "budget must be finite and >= 0, got nan"),
+        (2000.0, math.inf, "budget must be finite and >= 0, got inf"),
+    ],
+)
+def test_initialize_names_a_bad_price_or_budget(config, price, budget, message):
+    with pytest.raises(ValueError) as caught:
+        initialize(config, price, budget)
+    assert str(caught.value) == message
+
+
 class TestOnClose:
     def test_fixed_never_adjusts(self):
         state = initialize(fixed_config(0.10), 2000.0, 1000.0)

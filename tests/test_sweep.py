@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import multiprocessing
 import os
 import subprocess
@@ -9,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clbacktest import (
     BacktestConfig,
     Baselines,
     BarSeries,
+    DataError,
     GridSpec,
+    StrategyConfig,
     UsageError,
     axis_from_span,
     build_grid,
@@ -30,10 +34,14 @@ from clbacktest import (
     write_results_csv,
 )
 from clbacktest import engine, sweep
+from clbacktest.strategies import MIN_WIDTH
 from clbacktest.sweep import MAX_GRID_POINTS, worker_count
 from helpers import make_bars
 
 VOLATILE = pair_for_class("volatile")
+
+# Axis values a grid accepts and rejects, None and the smallest width among them.
+AXIS_VALUES = (0.01, 0.2, MIN_WIDTH, None, 0.0, -0.1, MIN_WIDTH / 2, math.nan, math.inf)
 
 
 def _series(prices=None, volumes=None, fee_rate=0.003):
@@ -82,8 +90,8 @@ class TestBuildGrid:
         def refuse(*args, **kwargs):
             raise AssertionError("a grid point was built")
 
-        monkeypatch.setattr(sweep, "fixed_config", refuse)
-        monkeypatch.setattr(sweep, "reset_config", refuse)
+        monkeypatch.setattr(sweep, "StrategyConfig", refuse)
+        monkeypatch.setattr(sweep, "check_width", refuse)
         side = tuple(k / 10_000 for k in range(1, 318))  # 317 * 317 > MAX_GRID_POINTS
         with pytest.raises(UsageError, match=f"100489 points, more than {MAX_GRID_POINTS}"):
             build_grid(GridSpec(pair_class="stable", kind="reset", a_axis=side, r_axis=side))
@@ -97,6 +105,31 @@ class TestBuildGrid:
         assert len(build_grid(spec)) == 6
         with pytest.raises(UsageError, match="7 points"):
             build_grid(GridSpec("stable", "fixed", a_axis=(0.01,) * 7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("fixed", "reset")),
+        a_axis=st.lists(st.sampled_from(AXIS_VALUES), min_size=1, max_size=5),
+        r_axis=st.lists(st.sampled_from(AXIS_VALUES), min_size=1, max_size=5),
+        snap_spacing=st.sampled_from((None, 0, 10)),
+    )
+    def test_grid_checks_match_building_each_point(self, kind, a_axis, r_axis, snap_spacing):
+        """A grid raises the first error, or builds the configurations, that
+        building each point with its public constructor in grid order does."""
+        if kind == "fixed":
+            r_axis = [None]
+        try:
+            expected = [
+                StrategyConfig(kind, a, r, snap_spacing) for a in a_axis for r in r_axis
+            ]
+        except UsageError as error:
+            expected = str(error)
+        spec = GridSpec("stable", kind, a_axis, r_axis if kind == "reset" else None, snap_spacing)
+        try:
+            got = build_grid(spec)
+        except UsageError as error:
+            got = str(error)
+        assert got == expected
 
     def test_spec_validation(self):
         with pytest.raises(UsageError):
@@ -402,7 +435,7 @@ fork_only = pytest.mark.skipif(
 def test_a_worker_that_exits_without_sending_names_its_exit_code(monkeypatch):
     monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
     monkeypatch.setattr(sweep, "_send_outcome", lambda *args: os._exit(3))
-    with pytest.raises(RuntimeError, match="exited with code 3"):
+    with pytest.raises(DataError, match="^sweep worker exited with code 3 before sending"):
         run_sweep([fixed_config(0.05), fixed_config(0.10)], _series(), jobs=2)
 
 
