@@ -6,7 +6,8 @@ Per bar, in this order:
    close: ``fee = volume * fee_rate * active_liquidity / pool_liquidity``;
 2. mark-to-market of both ledgers at the close;
 3. compounding: the compounding ledger's liquidity is scaled by
-   ``(value + fee) / value``, folding the fee back into the deposit;
+   ``(value + fee) / value``, the bar's ``total`` over its ``value``,
+   folding the fee back into the deposit;
 4. strategy reaction to the close (resets fire here).
 
 The first bar only establishes the entry price and initial deposit; no fees
@@ -60,14 +61,17 @@ above it ``L * sqrt_span``, inside it ``L * unit_y + L * unit_x * price``;
 slot 1 is summed before slot 2, and tail terms are added only when
 non-zero. Every amount is non-negative, so skipping a term that is zero by
 construction, or the ``0.0 +`` that ``mark`` starts its sums from, leaves a
-sum unchanged. The shared-bound tie rule is ``mark``'s too: a slot whose
-lower bound equals the price is inactive when any slot's upper bound also
-equals it. Reset: after compounding, the reserves of each ledger are
-computed again from its slot ``L``s (``x = L * inv_span`` below a slot, ``y
-= L * sqrt_span`` above it, ``L * unit_x`` and ``L * unit_y`` inside it,
-slot 1 before slot 2). The marking's products cannot stand in for them:
-the compounding ledger was marked before it was compounded, and ``(L * f)
-* u`` is not ``(L * u) * f`` bit for bit. The new geometry is
+sum unchanged. The compounding factor divides the bar's ``total``, the sum
+``value_comp + fee_comp`` computed once, by ``value_comp``: the same
+operations as the replay's ``(value_comp + fee_comp) / value_comp``. The
+shared-bound tie rule is ``mark``'s too: a slot whose lower bound equals
+the price is inactive when any slot's upper bound also equals it. Reset:
+after compounding, the reserves of each ledger are computed again from
+its slot ``L``s (``x = L * inv_span`` below a slot, ``y = L * sqrt_span``
+above it, ``L * unit_x`` and ``L * unit_y`` inside it, slot 1 before
+slot 2). The marking's products cannot stand in for them: the
+compounding ledger was marked before it was compounded, and
+``(L * f) * u`` is not ``(L * u) * f`` bit for bit. The new geometry is
 ``range_geometry``'s, with ``1/sqrt(price)`` computed once; each ledger
 mints ``y / sqrt_span`` below and ``x / inv_span`` above, and an overflow
 is checked for the plain ledger first. A row entry or a hoisted constant is
@@ -97,7 +101,9 @@ the loop, in one C-level pass over the bars' timestamps and those three
 columns (``map(tuple.__new__, repeat(TrajectoryPoint), zip(...))``), with
 no constructor call or bar lookup per bar. The rows hold the same
 divisions of the same values as the metrics, so the last row equals them.
-A run without a trajectory allocates none of this.
+A run without a trajectory allocates none of this, and marks bar 1 (with
+``mark``) only when it has one bar, whose value is the result; otherwise
+bar 2 overwrites that value unread.
 
 Checks. Each input is checked once, where it enters, and not per bar in
 the kernel: :class:`HourlyBar`'s constructor checks each field with
@@ -112,7 +118,9 @@ checks is arithmetic on valid input: a value that overflows the ledger
 (an infinite fee or scaled liquidity), a deposit or range bound beyond
 float or tick range, or a snapped reset range so narrow that its bounds'
 square roots are equal (its deposit divides by zero), raises DataError
-naming the bar.
+naming the bar. Compounding tests only the scaled slots (and full-range
+liquidity): a non-finite factor makes a scaled slot non-finite too, since
+``L * inf`` is inf and ``0.0 * inf`` is NaN.
 """
 
 from __future__ import annotations
@@ -132,10 +140,8 @@ from .strategies import (
     reset_bounds,
 )
 
-_INF = math.inf
-
 # Geometry of an unused slot: never in range, no bound equals a price.
-_EMPTY_SLOT = (_INF, _INF, 0.0, 0.0, 0.0, 0.0)
+_EMPTY_SLOT = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
 
 # The last bar tuple run, its fee rate and sign, and its rows.
 _memo: tuple = ((), None, None)
@@ -241,6 +247,7 @@ def run_backtest(
     strategy = config.strategy
     rows = _series_rows(bars, config.fee_rate)
     first = bars[0]
+    inf, sqrt = math.inf, math.sqrt
 
     try:
         ranges, ledger, trigger = deploy(strategy, first.price, budget)
@@ -249,7 +256,7 @@ def run_backtest(
     # Both ledgers see the same prices, so they reset on the same bars and
     # share one trigger interval and the geometry of each slot; only their
     # liquidity and holdings differ.
-    trigger_lower, trigger_upper = trigger or (0.0, _INF)
+    trigger_lower, trigger_upper = trigger or (0.0, inf)
     tail = not ranges
     if tail:
         (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1) = _EMPTY_SLOT
@@ -266,8 +273,8 @@ def run_backtest(
     full_comp = full_plain
 
     fee_sum = 0.0
-    value_now = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
-    total_now = value_now
+    if keep_trajectory or not rows:  # else bar 2 overwrites bar 1's mark unread
+        value_now = total_now = mark(ranges, ledger, first.price, sqrt(first.price))[1]
     if keep_trajectory:
         fees = [0.0]
         values = [value_now / budget]
@@ -289,8 +296,10 @@ def run_backtest(
             value_now = plain1 * unit_y + plain1 * unit_x * price
             value_comp = comp1 * unit_y + comp1 * unit_x * price
             if price != lower1 or not (price == upper1 or price == upper2):
-                active_plain += plain1
-                active_comp += comp1
+                # A strategy with ranges holds no full-range liquidity, so
+                # this is mark's 0.0 + L.
+                active_plain = plain1
+                active_comp = comp1
         if two:
             if price < lower2:
                 value_now += plain2 * inv_span2 * price
@@ -322,14 +331,13 @@ def run_backtest(
         total_now = value_comp + fee_comp
 
         if fee_comp > 0.0 and value_comp > 0.0:
-            factor = (value_comp + fee_comp) / value_comp
+            factor = total_now / value_comp
             comp1 *= factor
             comp2 *= factor
             if tail:
                 full_comp *= factor
-            if not (factor < _INF and comp1 < _INF and comp2 < _INF) or (
-                tail and not full_comp < _INF
-            ):
+            # A non-finite factor shows here too: L * inf is inf, 0.0 * inf NaN.
+            if not (comp1 < inf and comp2 < inf) or (tail and not full_comp < inf):
                 raise DataError(
                     f"bar {number}: compounding the fee {fee_comp!r} into value "
                     f"{value_comp!r} overflows the ledger"
@@ -376,9 +384,9 @@ def run_backtest(
                 lower1 = below_lower
                 upper1 = lower2 = price
                 upper2 = above_upper
-                sqrt_lower1 = math.sqrt(below_lower)
+                sqrt_lower1 = sqrt(below_lower)
                 sqrt_lower2 = sqrt_price
-                sqrt_upper2 = math.sqrt(above_upper)
+                sqrt_upper2 = sqrt(above_upper)
                 inv_span1 = 1.0 / sqrt_lower1 - inv_sqrt_price
                 sqrt_span1 = sqrt_price - sqrt_lower1
                 inv_sqrt_upper1 = inv_sqrt_price
@@ -388,13 +396,13 @@ def run_backtest(
                 # ... and the one-sided deposits, the plain ledger first.
                 plain1 = y_plain / sqrt_span1 if y_plain > 0.0 else 0.0
                 plain2 = x_plain / inv_span2 if x_plain > 0.0 else 0.0
-                if not (plain1 < _INF and plain2 < _INF):
+                if not (plain1 < inf and plain2 < inf):
                     raise ValueError(
                         f"redepositing {x_plain!r} base and {y_plain!r} quote overflows"
                     )
                 comp1 = y_comp / sqrt_span1 if y_comp > 0.0 else 0.0
                 comp2 = x_comp / inv_span2 if x_comp > 0.0 else 0.0
-                if not (comp1 < _INF and comp2 < _INF):
+                if not (comp1 < inf and comp2 < inf):
                     raise ValueError(
                         f"redepositing {x_comp!r} base and {y_comp!r} quote overflows"
                     )

@@ -191,7 +191,9 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
         return (), (0.0, hold_x, budget / 2.0), None
 
     if config.kind == PASSIVE:
-        return (), (budget / (2.0 * math.sqrt(price)), 0.0, 0.0), None
+        liquidity = budget / (2.0 * math.sqrt(price))
+        check_bound(liquidity, "liquidity", strict=False)
+        return (), (liquidity, 0.0, 0.0), None
 
     lower, upper = symmetric_bounds(price, config.a)
     check_range(lower, upper)

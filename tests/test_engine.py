@@ -116,13 +116,33 @@ def test_no_volume_means_no_fees_for_every_strategy():
         assert result.total == result.value
 
 
-def test_single_bar_run():
-    bars = make_bars([2000.0])
-    result = run_backtest(BacktestConfig(strategy=fixed_config(0.10), fee_rate=0.003), bars)
+EVERY_KIND = (
+    nolp_config(),
+    passive_config(),
+    fixed_config(0.10),
+    reset_config(0.10, 0.05),
+    fixed_config(0.10, 60),
+    reset_config(0.10, 0.05, 60),
+)
+
+
+@pytest.mark.parametrize("strategy", EVERY_KIND, ids=lambda s: f"{s.kind}-{s.snap_spacing}")
+def test_single_bar_run(strategy):
+    config = BacktestConfig(strategy=strategy, fee_rate=0.003)
+    one = make_bars([2000.0])
+    result = run_backtest(config, one)
     assert result.fees == 0.0
     assert result.value == pytest.approx(1.0, rel=1e-12)
     assert result.total == result.value
     assert len(result.trajectory) == 1
+    assert result.trajectory[0][1:] == result[:3]
+    # Whether or not the run keeps its trajectory, bar 1 is marked when its
+    # value is the result, and the metrics of a longer run do not depend on it.
+    two = make_bars([2000.0, 2100.0], volumes=[0.0, 1e6])
+    for bars in (one, two):
+        kept = run_backtest(config, bars)
+        assert len(kept.trajectory) == len(bars)
+        assert repr(run_backtest(config, bars, keep_trajectory=False)[:3]) == repr(kept[:3])
 
 
 def test_fee_linearity_in_initial_value():
@@ -175,13 +195,25 @@ def test_rejects_empty_and_unsorted_bars():
         run_backtest(BacktestConfig(strategy=nolp_config(), fee_rate=0.003), shuffled)
 
 
-def test_ledger_overflow_is_a_data_error_naming_the_bar():
+@pytest.mark.parametrize(
+    "strategy, value",
+    [
+        (passive_config(), "1.0033541019662497"),
+        (fixed_config(0.10), "1.0720732398274229"),
+        (reset_config(0.10, 0.05), "1.0720732398274229"),
+    ],
+    ids=("passive", "fixed", "reset"),
+)
+def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, value):
+    # Bar 3's fee is infinite, and so is the compounding factor.
     bars = make_bars(
         [2000.0, 2000.0, 2000.0], volumes=[0.0, 1e6, 1e308], liquidity=[1e4, 1e4, 1e-300]
     )
-    for strategy in (passive_config(), fixed_config(0.10), reset_config(0.10, 0.05)):
-        with pytest.raises(DataError, match="^bar 3: "):
-            run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
+    with pytest.raises(DataError) as caught:
+        run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
+    assert str(caught.value) == (
+        f"bar 3: compounding the fee inf into value {value} overflows the ledger"
+    )
 
 
 @pytest.mark.parametrize(
@@ -243,6 +275,7 @@ def test_reset_failure_names_the_bar_strategy_and_reason(strategy, initial_value
         (reset_config(0.10, 0.5), 1.0, 1.5e308, "upper must be finite, got inf"),
         (reset_config(1e-9, 1e-9), 1.0, 5e-324, "upper must exceed lower, got [5e-324, 5e-324]"),
         (nolp_config(), 1.0, 5e-324, "x must be finite and >= 0, got inf"),
+        (passive_config(), 1e308, 1e-300, "liquidity must be finite and >= 0, got inf"),
         (fixed_config(0.10), 1e300, 1e-300, "liquidity must be finite and >= 0, got inf"),
         (fixed_config(0.10, 60), 1.0, 1e308, "tick index 887280 outside [-887272, 887272]"),
         (fixed_config(0.10, 60), 1.0, 1e-300, "tick index -887280 outside [-887272, 887272]"),

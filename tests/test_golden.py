@@ -5,7 +5,9 @@ through every strategy kind. Unsnapped runs must equal the brute-force oracle
 of the acceptance suite bit for bit. Snapped runs and full trajectories,
 which the oracle does not model, must reproduce sha256 digests of their
 ``repr`` rows and a few explicit values, all captured from the engine before
-its per-bar loop was rewritten on plain floats. Never regenerate these
+its per-bar loop was rewritten on plain floats. Whole default grids over 240
+bars must reproduce dump digests captured before the kernel's compounding
+step was trimmed, one of them also on two processes. Never regenerate these
 constants to make a change pass: a differing digest means the numbers moved.
 
 The state-machine API (``initialize``, ``accrue_fees``, ``mark_to_market``,
@@ -27,7 +29,9 @@ from clbacktest import (
     BacktestConfig,
     BarSeries,
     DataError,
+    GridSpec,
     accrue_fees,
+    build_grid,
     fixed_config,
     initialize,
     mark_to_market,
@@ -150,6 +154,34 @@ def test_sweep_jobs_do_not_change_results():
     parallel = run_sweep(grid, series, jobs=2)
     assert parallel == run_sweep(grid, series, jobs=1)
     assert _dump_digest(parallel) == SWEEP_DIGESTS["reset_heavy/snapped"]
+
+
+# (pair class, kind, snap spacing, stride) -> dump digest of every
+# stride-th point of that default grid, over 240 bars of the pair class's
+# series below; captured before the kernel's compounding step was trimmed.
+FULL_GRID_DIGESTS = {
+    ("stable", "reset", None, 1): "71b267926b9b6b9d83d0072112a81c8591b8f55b49f97b3f40fbf83f87895bd0",
+    ("stable", "reset", 10, 1): "3708cb34f8e4d8b41a9383ee302d72fa5d02db25ea0d7c7c8d3acc1cb684458b",
+    ("volatile", "fixed", None, 1): "1771f90d74bb06b9af6d148b8ef001263cf6dcc1823bd63364ee942c0d2a2bb9",
+    ("volatile", "fixed", 60, 1): "f830d66d8e3c987280ff1f38adc83b2e6997509fc39d3d184e8a434235a9b554",
+    # 2506 of the 27 556 points.
+    ("volatile", "reset", None, 11): "c936a1782f3f7dfb8cbf2cee9684598dd775d1034afdbf227b6a5a8ab6386980",
+}
+FULL_GRID_SHAPES = {"stable": "stable_depeg", "volatile": "volatile"}
+
+
+@pytest.mark.parametrize(
+    "case, jobs",
+    [(case, 1) for case in FULL_GRID_DIGESTS] + [(("stable", "reset", None, 1), 2)],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else f"jobs{value}",
+)
+def test_full_grid_digests(case, jobs):
+    pair_class, kind, spacing, stride = case
+    shape = FULL_GRID_SHAPES[pair_class]
+    bars = bars_from_rows(seeded_series(shape, count=240))
+    series = BarSeries(pair=pair_for_class(pair_class), fee_rate=SERIES[shape][0], bars=bars)
+    grid = build_grid(GridSpec(pair_class, kind, snap_spacing=spacing))[::stride]
+    assert _dump_digest(run_sweep(grid, series, jobs=jobs)) == FULL_GRID_DIGESTS[case]
 
 
 @pytest.mark.parametrize("shape", sorted(SERIES))
