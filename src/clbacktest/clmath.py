@@ -77,9 +77,8 @@ class PriceRange(checked_tuple("PriceRange", "lower upper")):
 
     __slots__ = ()
 
-    def __new__(cls, lower: float, upper: float) -> PriceRange:
-        check_range(lower, upper)
-        return tuple.__new__(cls, (lower, upper))
+    def _check(self) -> None:
+        check_range(*self)
 
 
 class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
@@ -91,10 +90,9 @@ class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, tick_spacing: int) -> PairProfile:
-        if tick_spacing < 1:
-            raise ValueError(f"tick_spacing must be >= 1, got {tick_spacing}")
-        return tuple.__new__(cls, (name, tick_spacing))
+    def _check(self) -> None:
+        if self.tick_spacing < 1:
+            raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
 
 
 VOLATILE_PAIR = PairProfile(name="volatile", tick_spacing=60)

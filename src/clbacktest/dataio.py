@@ -61,9 +61,8 @@ class BarSeries(checked_tuple("BarSeries", "pair fee_rate bars")):
 
     __slots__ = ()
 
-    def __new__(cls, pair: PairProfile, fee_rate: float, bars: tuple[HourlyBar, ...]) -> BarSeries:
-        check_fee_rate(fee_rate)
-        return tuple.__new__(cls, (pair, fee_rate, bars))
+    def _check(self) -> None:
+        check_fee_rate(self.fee_rate)
 
 
 class DailyReturnPoint(checked_tuple("DailyReturnPoint", "date lp_return")):
@@ -77,22 +76,24 @@ def load_bars(
     pair: PairProfile,
     fee_rate: float,
 ) -> BarSeries:
-    """Read and validate a bar CSV; any defect raises DataError naming the row."""
+    """Read and validate a bar CSV; any defect raises DataError naming the row,
+    and a failure to open or read the source names the source."""
     if hasattr(source, "read"):
         if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
             source = io.TextIOWrapper(
                 source, encoding="utf-8", newline="", errors="surrogateescape"
             )
         label = getattr(source, "name", "<stream>")
-        bars = _read_rows(source, label)
     else:
         label = os.fspath(source)
-        try:
-            handle = open(label, newline="", encoding="utf-8", errors="surrogateescape")
-        except OSError as exc:
-            raise DataError(f"cannot read {label}: {exc}") from exc
-        with handle:
-            bars = _read_rows(handle, label)
+    try:
+        if hasattr(source, "read"):
+            bars = _read_rows(source, label)
+        else:
+            with open(label, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+                bars = _read_rows(handle, label)
+    except OSError as exc:
+        raise DataError(f"cannot read {label}: {exc}") from exc
     return BarSeries(pair=pair, fee_rate=fee_rate, bars=bars)
 
 

@@ -31,7 +31,8 @@ and a checked budget, does not check them again. What ``deploy`` and
 :func:`reset_bounds` still check is arithmetic on valid input: a bound or
 liquidity that overflows a float or leaves the tick range raises
 ValueError. ``reset_bounds`` tests its three ranges in one chained
-comparison and calls ``check_range`` only to name a failure.
+comparison and calls ``check_range`` only to name a failure; a snapped
+reset, like a snapped ``deploy``, also checks its bounds before snapping.
 """
 
 from __future__ import annotations
@@ -82,13 +83,8 @@ class StrategyConfig(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        kind: str,
-        a: float | None = None,
-        r: float | None = None,
-        snap_spacing: int | None = None,
-    ) -> StrategyConfig:
+    def _check(self) -> None:
+        kind, a, r, snap_spacing = self
         if kind not in KINDS:
             raise UsageError(
                 f"unknown strategy kind {kind!r}; valid kinds: {', '.join(KINDS)}"
@@ -103,7 +99,6 @@ class StrategyConfig(
                 raise UsageError(f"strategy {kind!r} takes no {width} {name}")
         if snap_spacing is not None and snap_spacing < 1:
             raise UsageError(f"snap_spacing must be >= 1, got {snap_spacing!r}")
-        return tuple.__new__(cls, (kind, a, r, snap_spacing))
 
     def params_text(self) -> str:
         """Parameters as percentages, e.g. ``a=6.0%, r=3.0%``; empty if none."""
@@ -244,10 +239,13 @@ def reset_bounds(config: StrategyConfig, price: float) -> tuple[float, float, fl
 
     Returns ``(below_lower, above_upper, trigger_lower, trigger_upper)`` for a
     reset at ``price``; raises ValueError when a bound is not representable
-    (a float overflow, or no spaced tick on the far side of the price).
+    (a float overflow, or no spaced tick on the far side of the price). A
+    snapped reset checks its bounds before snapping them, so an overflowing
+    bound is named as on the unsnapped path.
     """
     below_lower, above_upper = symmetric_bounds(price, config.a)
     if config.snap_spacing is not None:
+        check_range(below_lower, above_upper)
         below_lower, above_upper = _snap_outward(
             below_lower, above_upper, price, config.snap_spacing
         )

@@ -60,21 +60,13 @@ class GridSpec(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        pair_class: str,
-        kind: str,
-        a_axis: tuple[float, ...] | None = None,
-        r_axis: tuple[float, ...] | None = None,
-        snap_spacing: int | None = None,
-    ) -> GridSpec:
-        if pair_class not in PAIR_CLASSES:
-            raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {pair_class!r}")
-        if kind not in (FIXED, RESET):
-            raise UsageError(f"only fixed and reset strategies sweep, got {kind!r}")
-        if kind == FIXED and r_axis is not None:
+    def _check(self) -> None:
+        if self.pair_class not in PAIR_CLASSES:
+            raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {self.pair_class!r}")
+        if self.kind not in (FIXED, RESET):
+            raise UsageError(f"only fixed and reset strategies sweep, got {self.kind!r}")
+        if self.kind == FIXED and self.r_axis is not None:
             raise UsageError("fixed grids take no r axis")
-        return tuple.__new__(cls, (pair_class, kind, a_axis, r_axis, snap_spacing))
 
 
 class Baselines(checked_tuple("Baselines", "nolp passive")):

@@ -363,7 +363,15 @@ class TestSweepCommand:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
-    def test_bad_grid_flag(self, data_file, capsys):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.1,0.2", "--grid expects MIN,MAX,STEP, got '0.1,0.2'"),
+            ("0.1,x,0.1", "--grid values must be numbers, got '0.1,x,0.1'"),
+        ],
+        ids=("two-values", "not-a-number"),
+    )
+    def test_bad_grid_flag(self, data_file, capsys, grid, message):
         code = main(
             [
                 "sweep",
@@ -374,11 +382,11 @@ class TestSweepCommand:
                 "--kind",
                 "fixed",
                 "--grid",
-                "0.1,0.2",
+                grid,
             ]
         )
         assert code == 2
-        assert "MIN,MAX,STEP" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("jobs", ("0", "-3"))
     def test_jobs_below_one_is_a_usage_error(self, data_file, capsys, monkeypatch, jobs):
@@ -989,6 +997,17 @@ class TestExitPath:
         assert code == {"data-error": 1, "usage-error": 2, "argparse-error": 2}.get(case, 0)
         if case == "daily-returns":
             assert len(out) > 8192
+
+    @pytest.mark.parametrize("command", ("backtest", "daily-returns"))
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+    def test_a_read_failure_after_open_exits_one(self, tmp_path, command):
+        # /proc/self/mem opens, but reading it from offset 0 fails with EIO.
+        args = ["backtest", "--strategy", "nolp"] if command == "backtest" else [command]
+        argv = [*ENTRY_POINTS["module"], *args, "--data", "/proc/self/mem", "--fee", "0.003"]
+        process = _subprocess(argv, tmp_path)
+        assert process.returncode == 1
+        assert process.stdout == b""
+        assert re.fullmatch(rb"error: cannot read /proc/self/mem: [^\n]+\n", process.stderr)
 
     @pytest.mark.parametrize("case", ("backtest", "sweep", "daily-returns", "selfcheck"))
     def test_closed_standard_output_exits_one(self, tmp_path, case):

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import errno
 import io
 
 import pytest
@@ -59,6 +60,19 @@ class TestLoadBars:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_bars(tmp_path / "absent.csv", VOLATILE, 0.003)
+
+    def test_a_read_failure_names_the_source(self):
+        class FailingStream(io.StringIO):
+            """Yields the header, then fails as a device read would."""
+
+            def __next__(self):
+                if self.tell():
+                    raise OSError(errno.EIO, "Input/output error")
+                return super().__next__()
+
+        with pytest.raises(DataError) as caught:
+            load_bars(FailingStream(GOOD_CSV), VOLATILE, 0.003)
+        assert str(caught.value) == "cannot read <stream>: [Errno 5] Input/output error"
 
     def test_undecodable_bytes_and_oversized_fields(self):
         with pytest.raises(DataError, match="not UTF-8"):

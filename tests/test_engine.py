@@ -232,6 +232,9 @@ def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, value):
             "redepositing 0.0 base and 1.0000001396196635e+149 quote overflows",
         ),
         (reset_config(0.10, 0.05), 1.0, [2000.0, 1.7e308], "upper must be finite, got inf"),
+        # Snapped or not, a reset names the bound that overflows.
+        (reset_config(1e10, 0.05), 1.0, [1.0, 1e300], "upper must be finite, got inf"),
+        (reset_config(1e10, 0.05, 60), 1.0, [1.0, 1e300], "upper must be finite, got inf"),
         (
             reset_config(0.10, 0.05),
             1.0,

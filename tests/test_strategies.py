@@ -17,8 +17,8 @@ from clbacktest import (
     reset_config,
     scale_liquidity,
 )
-from clbacktest.clmath import nearest_spaced_tick, tick_price
-from clbacktest.strategies import MIN_WIDTH
+from clbacktest.clmath import TICK_BASE, nearest_spaced_tick, tick_price
+from clbacktest.strategies import MIN_WIDTH, deploy, reset_bounds
 
 
 def on_spaced_tick(bound, spacing=60):
@@ -293,3 +293,20 @@ class TestSnappedRanges:
             assert lower < price < upper
             assert on_spaced_tick(lower)
             assert on_spaced_tick(upper)
+
+    @pytest.mark.parametrize("spacing", (1, 10, 60))
+    @pytest.mark.parametrize("tick", (0, 2, -3), ids=("price-1.0", "above", "below"))
+    def test_price_on_a_spaced_tick_gets_the_adjacent_ticks(self, spacing, tick):
+        # A price exactly on a spaced tick, with a width below one spacing:
+        # each bound snaps to the price's own tick (the narrow width) or to
+        # the adjacent one, and must end on the adjacent one, so the price
+        # lies strictly inside.
+        price = tick_price(tick * spacing)
+        below, above = tick_price((tick - 1) * spacing), tick_price((tick + 1) * spacing)
+        assert below < price < above
+        for width in (1e-5, 0.9 * (TICK_BASE**spacing - 1.0)):
+            fixed, reset = fixed_config(width, spacing), reset_config(width, width, spacing)
+            for config in (fixed, reset):
+                ranges, _, _ = deploy(config, price, 1.0)
+                assert ranges[0][:2] == (below, above)
+            assert reset_bounds(reset, price)[:2] == (below, above)

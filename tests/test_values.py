@@ -5,12 +5,18 @@ runs its type's checks and raises the same error, because a named tuple's
 ``_make`` and ``_replace`` would otherwise skip ``__new__``. Unpickling, as
 sweep workers do, builds a value without checking it again.
 
+Each type states its fields and defaults once, in its ``checked_tuple``
+call; its constructor's signature shows them, and its arity errors are the
+named tuple's own.
+
 The rule "finite and > 0" (or ">= 0") is spelled once, in
 ``clmath.check_bound``; each of its callers keeps its own error class. The
 package's imports are its export list.
 """
 
 import datetime as dt
+import inspect
+import io
 import math
 import pickle
 
@@ -34,13 +40,18 @@ from clbacktest import (
     TrajectoryPoint,
     UsageError,
     axis_from_span,
+    build_grid,
     daily_fee_returns,
     fixed_config,
     initialize,
     liquidity_from_equal_value,
+    load_bars,
+    pair_for_class,
+    rank_results,
     reset_config,
     scale_liquidity,
 )
+from clbacktest.clmath import nearest_spaced_tick
 
 BAR = HourlyBar(timestamp=3600, price=2000.0, volume=1e6, pool_liquidity=1e4, tvl=5e7)
 RESULT = BacktestResult(
@@ -119,8 +130,9 @@ BAD = [
     (GridSpec, {"kind": "fixed"}, UsageError, "fixed grids take no r axis"),
 ]
 
-# Every caller of the bound check: the class it raises and its message.
-# (tests/test_engine.py covers each bar field.)
+# Every caller of the bound check, then each check that no other test
+# reaches, then the named tuples' own arity errors: the class each raises
+# and its message. (tests/test_engine.py covers each bar field.)
 BOUND_CALLS = {
     "bar-price": (
         lambda: BAR._replace(price=math.inf),
@@ -187,6 +199,62 @@ BOUND_CALLS = {
         DataError,
         "day 1970-01-01: tvl must be finite and > 0, got 0.0",
     ),
+    "header-duplicate": (
+        lambda: load_bars(
+            io.StringIO("timestamp,price,volume,pool_liquidity,price\n"),
+            PairProfile("volatile", 60),
+            0.003,
+        ),
+        DataError,
+        "<stream>: duplicate column names in header",
+    ),
+    "grid-a-axis": (
+        lambda: build_grid(GridSpec("stable", "fixed", a_axis=())),
+        UsageError,
+        "a axis is empty",
+    ),
+    "grid-r-axis": (
+        lambda: build_grid(GridSpec("stable", "reset", r_axis=())),
+        UsageError,
+        "r axis is empty",
+    ),
+    "rank-pair-class": (
+        lambda: rank_results([PAIR], Baselines(RESULT, RESULT), pair_class="x"),
+        UsageError,
+        "pair_class must be one of ('volatile', 'stable'), got 'x'",
+    ),
+    "pair-class": (lambda: pair_for_class("x"), ValueError, "unknown pair class 'x'"),
+    "tick-spacing": (
+        lambda: nearest_spaced_tick(1.0, 0),
+        ValueError,
+        "spacing must be >= 1, got 0",
+    ),
+    "arity-missing": (
+        lambda: HourlyBar(3600, 2000.0),
+        TypeError,
+        "HourlyBar.__new__() missing 2 required positional arguments: "
+        "'volume' and 'pool_liquidity'",
+    ),
+    "arity-none": (
+        lambda: StrategyConfig(),
+        TypeError,
+        "StrategyConfig.__new__() missing 1 required positional argument: 'kind'",
+    ),
+    "arity-extra": (
+        lambda: PriceRange(1.0, 2.0, 3.0),
+        TypeError,
+        "PriceRange.__new__() takes 3 positional arguments but 4 were given",
+    ),
+    "arity-unknown": (
+        lambda: GridSpec("stable", "reset", step=0.1),
+        TypeError,
+        "GridSpec.__new__() got an unexpected keyword argument 'step'",
+    ),
+    "arity-make": (
+        lambda: HourlyBar._make((3600, 2000.0)),
+        TypeError,
+        "Expected 5 arguments, got 2",
+    ),
 }
 
 # What the package exported when ``__all__`` was written out by hand.
@@ -237,6 +305,17 @@ def test_values_are_immutable_named_tuples(cls):
         setattr(value, cls._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = None
+
+
+@pytest.mark.parametrize("cls", [*GOOD, TrajectoryPoint], ids=lambda cls: cls.__name__)
+def test_constructors_show_the_fields_and_defaults(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(parameter.name for parameter in parameters) == cls._fields
+    assert {
+        parameter.name: parameter.default
+        for parameter in parameters
+        if parameter.default is not inspect.Parameter.empty
+    } == cls._field_defaults
 
 
 def test_values_unpickle_unchecked(monkeypatch):
