@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 data error (unreadable or malformed input, an
 unwritable output file or standard output, or a sweep worker that cannot
 start or dies before it sends its results), 2 usage error (bad flags or
-parameter values). An error prints one ``error:`` line to standard error,
-or nothing when standard error was closed at start-up.
+parameter values). An empty output path counts as an unwritable one. An
+error prints one ``error:`` line to standard error. An ``error:`` or ``-v``
+line that cannot be written (standard error closed at start-up, on a full
+device, or on a pipe whose reader has gone) is dropped, and the exit code
+stays the same.
 
 The cyclic garbage collector is off while a command runs. Bars, rows,
 results and trajectory points are tuples of numbers that cannot form a
@@ -18,15 +21,16 @@ library functions it calls do not touch the collector.
 
 :func:`run` is the process entry point, for ``python -m clbacktest.cli``
 and the ``clbacktest`` script alike; :func:`main` is the in-process API.
-Once :func:`main` returns, :func:`run` flushes standard output and
-standard error and ends the process with :func:`os._exit`. That skips the
-interpreter's teardown: atexit handlers (multiprocessing's among them), the
-final collections, which would walk every object still alive, and the
-teardown of every module. A command needs none of it: every file it opens
-is closed by a ``with`` block inside :func:`main`, and a sweep joins every
-worker and closes every pipe before it returns, so multiprocessing's
-handler would find nothing to join. A usage error raised by argparse and
-an uncaught exception leave by the normal exit path.
+Once :func:`main` returns, :func:`run` flushes standard output (each line
+to standard error was flushed when it was written) and ends the process
+with :func:`os._exit`. That skips the interpreter's teardown: atexit
+handlers (multiprocessing's among them), the final collections, which
+would walk every object still alive, and the teardown of every module. A
+command needs none of it: every file it opens is closed by a ``with``
+block inside :func:`main`, and a sweep joins every worker and closes every
+pipe before it returns, so multiprocessing's handler would find nothing to
+join. A usage error raised by argparse and an uncaught exception leave by
+the normal exit path.
 """
 
 from __future__ import annotations
@@ -99,9 +103,8 @@ def run() -> NoReturn:
     """Run :func:`main` on the process's arguments and end the process with
     its exit code, skipping the interpreter's teardown."""
     code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when its descriptor was closed at start-up
-            stream.flush()
+    if sys.stdout is not None:  # None when its descriptor was closed at start-up
+        sys.stdout.flush()
     os._exit(code)
 
 
@@ -260,19 +263,21 @@ def _load_series(args, pair: PairProfile) -> BarSeries:
 
 
 def _debug(args, message: str) -> None:
-    """Print a progress line to standard error under ``-v``. A failed write
-    is ignored: the line is not part of the command's result."""
+    """Print a progress line to standard error under ``-v``."""
     if args.verbose:
-        with contextlib.suppress(OSError):
-            _warn(f"DEBUG clbacktest.cli: {message}")
+        _warn(f"DEBUG clbacktest.cli: {message}")
 
 
 def _warn(line: str) -> None:
-    """Print ``line`` to standard error. Print nothing when its descriptor
-    was closed at start-up: Python then sets ``sys.stderr`` to None, and
-    ``print`` would write the line to standard output."""
+    """Print ``line`` to standard error and flush it, the one place that
+    writes there. A line that cannot be written is dropped: it is not part
+    of the command's result, and the exit code must not depend on it. Print
+    nothing when the descriptor was closed at start-up: Python then sets
+    ``sys.stderr`` to None, and ``print`` would write the line to standard
+    output."""
     if sys.stderr is not None:
-        print(line, file=sys.stderr)
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr, flush=True)
 
 
 def _snap_spacing(args, series: BarSeries) -> int | None:
@@ -293,14 +298,14 @@ def _cmd_backtest(args) -> int:
             print(f"value     {result.value:.6f}")
             print(f"total     {result.total:.6f}")
         if output is not None:
-            with _replacing(args.trajectory, output):
-                output.write("timestamp,fee,value,total\n")
-                output.writelines(
-                    [
-                        f"{timestamp},{fee!r},{value!r},{total!r}\n"
-                        for timestamp, fee, value, total in result.trajectory
-                    ]
-                )
+            _empty(output)
+            output.write("timestamp,fee,value,total\n")
+            output.writelines(
+                [
+                    f"{timestamp},{fee!r},{value!r},{total!r}\n"
+                    for timestamp, fee, value, total in result.trajectory
+                ]
+            )
             _debug(args, f"wrote {len(result.trajectory)} trajectory rows to {args.trajectory}")
     return 0
 
@@ -335,8 +340,8 @@ def _cmd_sweep(args) -> int:
         with _printing():
             print(render_report(summary))
         if output is not None:
-            with _replacing(args.dump, output):
-                write_results_csv(results, output)
+            _empty(output)
+            write_results_csv(results, output)
             _debug(args, f"dumped {len(results)} rows to {args.dump}")
     return 0
 
@@ -345,49 +350,39 @@ def _cmd_sweep(args) -> int:
 def _output(path: str | None):
     """Open the output file ``path`` before the work that fills it.
 
-    Yields None when no path is given. An unwritable path fails before any
-    work is done or printed, with a DataError that names it. The file is
-    opened without emptying it; :func:`_replacing` empties it only when the
-    command writes it, so a command that fails before then leaves an
-    existing file as it was. A file that this command created is removed if
-    the command fails.
+    Yields None when no path is given. An OSError raised while the file is
+    open, or by opening it, becomes a DataError that names ``path``, so an
+    unwritable path (an empty one included) fails before any work is done
+    or printed. The file is opened without emptying it; :func:`_empty`
+    empties it only when the command writes it, so a command that fails
+    before then leaves an existing file as it was. A file that this command
+    created is removed if the command fails.
     """
-    if not path:
+    if path is None:
         yield None
         return
-    with _writing(path):
+    created = False
+    try:
         try:
             handle, created = open(path, "x", newline="", encoding="utf-8"), True
         except FileExistsError:
-            handle, created = open(path, "a", newline="", encoding="utf-8"), False
-    try:
-        with _writing(path), handle:
+            handle = open(path, "a", newline="", encoding="utf-8")
+        with handle:
             yield handle
-    except BaseException:
+    except BaseException as exc:
         if created:
             with contextlib.suppress(OSError):
                 os.remove(path)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from None
         raise
 
 
-@contextlib.contextmanager
-def _replacing(path: str, handle):
-    """Empty the output file ``path``, open as ``handle``, for the write that
-    follows, unless it is not a regular file (a FIFO, say); an OSError
-    becomes a DataError that names ``path``."""
-    with _writing(path):
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            handle.truncate(0)
-        yield
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Turn an OSError raised while writing ``path`` into a DataError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+def _empty(handle) -> None:
+    """Empty the output file open as ``handle`` for the write that follows,
+    unless it is not a regular file (a FIFO, say)."""
+    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        handle.truncate(0)
 
 
 @contextlib.contextmanager

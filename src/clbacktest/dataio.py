@@ -44,7 +44,7 @@ import math
 import operator
 import os
 from itertools import islice, repeat
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 from ._tuples import checked_tuple
 from .clmath import PairProfile, check_bound
@@ -72,24 +72,26 @@ class DailyReturnPoint(checked_tuple("DailyReturnPoint", "date lp_return")):
 
 
 def load_bars(
-    source: str | os.PathLike[str] | TextIO,
+    source: str | os.PathLike[str] | TextIO | BinaryIO,
     pair: PairProfile,
     fee_rate: float,
 ) -> BarSeries:
     """Read and validate a bar CSV; any defect raises DataError naming the row,
-    and a failure to open or read the source names the source."""
-    if hasattr(source, "read"):
-        if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-            source = io.TextIOWrapper(
-                source, encoding="utf-8", newline="", errors="surrogateescape"
-            )
-        label = getattr(source, "name", "<stream>")
-    else:
-        label = os.fspath(source)
+    and a failure to open or read the source names the source. A stream
+    passed in, text or binary, is left open."""
     try:
-        if hasattr(source, "read"):
+        if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+            label = getattr(source, "name", "<stream>")
+            text = io.TextIOWrapper(source, encoding="utf-8", newline="", errors="surrogateescape")
+            try:
+                bars = _read_rows(text, label)
+            finally:
+                text.detach()  # else the wrapper's finalizer closes the caller's stream
+        elif hasattr(source, "read"):
+            label = getattr(source, "name", "<stream>")
             bars = _read_rows(source, label)
         else:
+            label = os.fspath(source)
             with open(label, newline="", encoding="utf-8", errors="surrogateescape") as handle:
                 bars = _read_rows(handle, label)
     except OSError as exc:

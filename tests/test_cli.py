@@ -1,6 +1,7 @@
 """End-to-end command line behavior and the exit-code contract."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import gc
@@ -182,15 +183,17 @@ class TestBacktestCommand:
         assert capsys.readouterr() == plain
         assert kept == [False, True]
 
-    def test_unwritable_trajectory_fails_before_the_run(self, data_file, tmp_path, capsys):
-        path = tmp_path / "missing-dir" / "traj.csv"
+    @pytest.mark.parametrize("name", ("missing-dir/traj.csv", ""), ids=("missing-dir", "empty"))
+    def test_unwritable_trajectory_fails_before_the_run(self, data_file, tmp_path, capsys, name):
+        path = str(tmp_path / name) if name else name
         code = main(
             ["backtest", "--data", str(data_file), "--fee", "0.003"]
-            + ["--strategy", "fixed:a=0.10", "--trajectory", str(path)]
+            + ["--strategy", "fixed:a=0.10", "--trajectory", path]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith(f"error: cannot write {path}: ")
+        unwritable = rf"error: cannot write {re.escape(path)}: \[Errno 2\] [^\n]+\n"
+        assert re.fullmatch(unwritable, captured.err)
         assert captured.out == ""
 
     def test_window_filter(self, data_file, capsys):
@@ -491,15 +494,17 @@ class TestSweepCommand:
         )
         assert code == 1
 
-    def test_unwritable_dump_fails_before_the_sweep(self, data_file, tmp_path, capsys):
-        path = tmp_path / "missing-dir" / "results.csv"
+    @pytest.mark.parametrize("name", ("missing-dir/results.csv", ""), ids=("missing-dir", "empty"))
+    def test_unwritable_dump_fails_before_the_sweep(self, data_file, tmp_path, capsys, name):
+        path = str(tmp_path / name) if name else name
         code = main(
             ["sweep", "--data", str(data_file), "--fee", "0.003", "--kind", "fixed"]
-            + ["--grid", "0.05,0.15,0.05", "--jobs", "1", "--dump", str(path)]
+            + ["--grid", "0.05,0.15,0.05", "--jobs", "1", "--dump", path]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith(f"error: cannot write {path}: ")
+        unwritable = rf"error: cannot write {re.escape(path)}: \[Errno 2\] [^\n]+\n"
+        assert re.fullmatch(unwritable, captured.err)
         assert captured.out == ""
 
 
@@ -742,12 +747,25 @@ class TestVerbose:
             f"DEBUG clbacktest.cli: dumped 4 rows to {dump}\n"
         )
 
-    def test_unwritable_stderr_does_not_fail_the_command(self, data_file, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["-v", "backtest", "--data", "{data}", "--fee", "0.003", "--strategy", "nolp"], 0),
+            (["backtest", "--data", "{data}", "--fee", "2", "--strategy", "nolp"], 2),
+            (["backtest", "--data", "{data}.absent", "--fee", "0.003", "--strategy", "nolp"], 1),
+        ],
+        ids=("verbose", "usage-error", "data-error"),
+    )
+    def test_unwritable_stderr_keeps_the_exit_code(
+        self, data_file, capsys, monkeypatch, args, code
+    ):
         monkeypatch.setattr(sys, "stderr", FailingStdout(on_write=True))
-        args = ["-v", "backtest", "--data", str(data_file), "--fee", "0.003", "--strategy", "nolp"]
-        code = main(args)
-        assert code == 0
-        assert capsys.readouterr().out.startswith("strategy  nolp\nbars      4\n")
+        assert main([arg.format(data=data_file) for arg in args]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert out.startswith("strategy  nolp\nbars      4\n")
+        else:
+            assert out == ""
 
 
 @pytest.fixture
@@ -878,24 +896,6 @@ class TestStandardOutput:
             "error: cannot write standard output: [Errno 32] Broken pipe\n"
         )
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_device_exits_one_without_a_traceback(self):
-        src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        with open("/dev/full", "w") as full:
-            process = subprocess.run(
-                [sys.executable, "-m", "clbacktest.cli", "selfcheck"],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                env=env,
-                text=True,
-                timeout=60,
-            )
-        assert process.returncode == 1
-        assert process.stderr == (
-            "error: cannot write standard output: [Errno 28] No space left on device\n"
-        )
-
 
 # The two ways a process enters the command line, both through cli.run: as
 # a module, and as the console script does, importing run and calling it
@@ -955,6 +955,77 @@ cli.run()
 """
 
 
+# Commands of the fault table besides EXIT_CASES.
+FAULT_COMMANDS = {
+    **EXIT_CASES,
+    "dump-full": ["sweep", "--data", "bars.csv", "--fee", "0.003", "--kind", "fixed"]
+    + ["--jobs", "1", "--dump", "/dev/full"],
+    "trajectory-full": ["backtest", "--data", "bars.csv", "--fee", "0.003", "--strategy", "nolp"]
+    + ["--trajectory", "/dev/full"],
+    # /proc/self/mem opens, but reading it from offset 0 fails with EIO.
+    "mem-backtest": ["backtest", "--strategy", "nolp"]
+    + ["--data", "/proc/self/mem", "--fee", "0.003"],
+    "mem-daily-returns": ["daily-returns", "--data", "/proc/self/mem", "--fee", "0.003"],
+}
+
+ERROR_LINE = rb"error: [^\n]+\n"
+DEBUG_LINES = rb"(DEBUG clbacktest\.cli: [^\n]+\n)+"
+STDOUT_CLOSED = rb"error: cannot write standard output: \[Errno 9\] Bad file descriptor\n"
+STDOUT_FULL = rb"error: cannot write standard output: \[Errno 28\] No space left on device\n"
+FILE_FULL = rb"error: cannot write /dev/full: \[Errno 28\] No space left on device\n"
+WORKER_DIED = rb"error: sweep worker %s before sending its results\n"
+PRINTED = None
+
+# The fault table. A process that meets the fault while it runs the command
+# (a key of FAULT_COMMANDS) ends with the exit code, and all it writes to
+# standard error matches the pattern: one error: line when the code is not
+# 0. With the fault on standard error, nothing reaches that stream, and the
+# pattern matches what an in-process main writes there. The last field is
+# all the process writes to standard output, or, for PRINTED, what an
+# in-process main prints: nothing follows an error. A fault is
+# STREAM:closed (its descriptor closed before Python starts), STREAM:full
+# (/dev/full), STREAM:no-reader (a pipe whose read end is closed),
+# worker:STATEMENT (a forked sweep worker runs STATEMENT in place of sending
+# its results), or "" for none.
+FAULTS = {
+    "fd1-closed-backtest": ("stdout:closed", "backtest", 1, STDOUT_CLOSED, b""),
+    "fd1-closed-sweep": ("stdout:closed", "sweep", 1, STDOUT_CLOSED, b""),
+    "fd1-closed-daily-returns": ("stdout:closed", "daily-returns", 1, STDOUT_CLOSED, b""),
+    "fd1-closed-selfcheck": ("stdout:closed", "selfcheck", 1, STDOUT_CLOSED, b""),
+    "fd2-closed-selfcheck": ("stderr:closed", "selfcheck", 0, b"", SELFCHECK_OUTPUT.encode()),
+    "fd2-closed-verbose": ("stderr:closed", "verbose", 0, DEBUG_LINES, PRINTED),
+    "fd2-closed-data-error": ("stderr:closed", "data-error", 1, ERROR_LINE, b""),
+    "fd2-closed-usage-error": ("stderr:closed", "usage-error", 2, ERROR_LINE, b""),
+    "stdout-full": ("stdout:full", "selfcheck", 1, STDOUT_FULL, b""),
+    "dump-full": ("", "dump-full", 1, FILE_FULL, PRINTED),
+    "trajectory-full": ("", "trajectory-full", 1, FILE_FULL, PRINTED),
+    "stderr-full-data-error": ("stderr:full", "data-error", 1, ERROR_LINE, b""),
+    "stderr-full-usage-error": ("stderr:full", "usage-error", 2, ERROR_LINE, b""),
+    "stderr-full-verbose": ("stderr:full", "verbose", 0, DEBUG_LINES, PRINTED),
+    "stderr-no-reader-data-error": ("stderr:no-reader", "data-error", 1, ERROR_LINE, b""),
+    "stderr-no-reader-usage-error": ("stderr:no-reader", "usage-error", 2, ERROR_LINE, b""),
+    "stderr-no-reader-verbose": ("stderr:no-reader", "verbose", 0, DEBUG_LINES, PRINTED),
+    "worker-exits": ("worker:os._exit(3)", "sweep", 1, WORKER_DIED % b"exited with code 3", b""),
+    "worker-killed": (
+        "worker:os.kill(os.getpid(), 9)", "sweep", 1, WORKER_DIED % b"was killed by signal 9", b""
+    ),
+    "mem-backtest": ("", "mem-backtest", 1, rb"error: cannot read /proc/self/mem: [^\n]+\n", b""),
+    "mem-daily-returns": (
+        "", "mem-daily-returns", 1, rb"error: cannot read /proc/self/mem: [^\n]+\n", b""
+    ),
+    "usage-error": ("", "usage-error", 2, ERROR_LINE, b""),
+}
+
+# A row whose id names one of these skips where it is missing.
+NEEDS = {
+    "full": pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+    "mem": pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem"),
+    "worker": pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    ),
+}
+
+
 def _workdir(root: Path, name: str) -> Path:
     workdir = root / name
     workdir.mkdir()
@@ -968,13 +1039,25 @@ def _written(workdir: Path) -> bytes | None:
     return out.read_bytes() if out.exists() else None
 
 
-def _subprocess(args: list[str], workdir: Path, prefix: tuple[str, ...] = ()):
+def _subprocess(
+    args: list[str],
+    workdir: Path,
+    prefix: tuple[str, ...] = (),
+    stdout=subprocess.PIPE,
+    stderr=subprocess.PIPE,
+):
     """Run ``python [prefix] args`` in ``workdir``, standard output and error
-    piped, without PYTHONUNBUFFERED, so both streams are block-buffered."""
+    piped unless given, without PYTHONUNBUFFERED, so standard output is
+    block-buffered."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, *prefix, *args], cwd=workdir, capture_output=True, env=env, timeout=120
+        [sys.executable, *prefix, *args],
+        cwd=workdir,
+        stdout=stdout,
+        stderr=stderr,
+        env=env,
+        timeout=120,
     )
 
 
@@ -998,55 +1081,54 @@ class TestExitPath:
         if case == "daily-returns":
             assert len(out) > 8192
 
-    @pytest.mark.parametrize("command", ("backtest", "daily-returns"))
-    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
-    def test_a_read_failure_after_open_exits_one(self, tmp_path, command):
-        # /proc/self/mem opens, but reading it from offset 0 fails with EIO.
-        args = ["backtest", "--strategy", "nolp"] if command == "backtest" else [command]
-        argv = [*ENTRY_POINTS["module"], *args, "--data", "/proc/self/mem", "--fee", "0.003"]
-        process = _subprocess(argv, tmp_path)
-        assert process.returncode == 1
-        assert process.stdout == b""
-        assert re.fullmatch(rb"error: cannot read /proc/self/mem: [^\n]+\n", process.stderr)
-
-    @pytest.mark.parametrize("case", ("backtest", "sweep", "daily-returns", "selfcheck"))
-    def test_closed_standard_output_exits_one(self, tmp_path, case):
-        workdir = _workdir(tmp_path, "run")
-        args = [*ENTRY_POINTS["module"], *EXIT_CASES[case]]
-        process = _subprocess(args, workdir, ("-c", CLOSE_FD, "1"))
-        assert process.returncode == 1
-        assert process.stderr == b"error: cannot write standard output: [Errno 9] Bad file descriptor\n"
-        assert _written(workdir) is None
-
     @pytest.mark.parametrize(
-        "case, code", [("selfcheck", 0), ("verbose", 0), ("data-error", 1), ("usage-error", 2)]
+        "fault, command, code, stderr, stdout",
+        [
+            pytest.param(*row, id=name, marks=[mark for key, mark in NEEDS.items() if key in name])
+            for name, row in FAULTS.items()
+        ],
     )
-    def test_closed_standard_error_keeps_the_exit_code(self, tmp_path, case, code):
-        args = [*ENTRY_POINTS["module"], *EXIT_CASES[case]]
-        process = _subprocess(args, _workdir(tmp_path, "run"), ("-c", CLOSE_FD, "2"))
+    def test_a_fault_ends_in_its_exit_code_and_one_error_line(
+        self, tmp_path, capsys, monkeypatch, fault, command, code, stderr, stdout
+    ):
+        argv = FAULT_COMMANDS[command]
+        stream, _, how = fault.partition(":")
+        workdir = _workdir(tmp_path, "run")
+        before = set(os.listdir(workdir))
+        prefix, streams = tuple(ENTRY_POINTS["module"]), {}
+        with contextlib.ExitStack() as stack:
+            if stream == "worker":
+                prefix = ("-c", WORKER_DEATH_SCRIPT.format(death=how))
+            elif how == "closed":
+                prefix = ("-c", CLOSE_FD, str({"stdout": 1, "stderr": 2}[stream]), *prefix)
+            elif how == "full":
+                streams[stream] = stack.enter_context(open("/dev/full", "wb"))
+            elif how == "no-reader":
+                read, write = os.pipe()
+                os.close(read)
+                streams[stream] = stack.enter_context(open(write, "wb"))
+            process = _subprocess([*prefix, *argv], workdir, **streams)
+        err = process.stderr
+        if stdout is None or stream == "stderr":
+            # What the command writes with its streams intact.
+            monkeypatch.chdir(_workdir(tmp_path, "main"))
+            assert main(argv) == code
+            printed, written = capsys.readouterr()
+            if stream == "stderr":
+                assert not process.stderr  # a closed descriptor 2 wrote nothing to the pipe
+                err = written.encode()
+            if stdout is None:
+                stdout = printed.encode()
         assert process.returncode == code
-        # Neither an error line nor a -v line moves to standard output.
-        opened = _subprocess(args, _workdir(tmp_path, "open"))
-        assert (opened.returncode, process.stdout) == (code, opened.stdout)
-        assert (opened.stderr == b"") == (case == "selfcheck")
-        if case == "selfcheck":
-            assert process.stdout == SELFCHECK_OUTPUT.encode()
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-    )
-    @pytest.mark.parametrize(
-        "death, reason",
-        [("os._exit(3)", "exited with code 3"), ("os.kill(os.getpid(), 9)", "was killed by signal 9")],
-    )
-    def test_a_worker_that_dies_ends_in_one_error_line(self, tmp_path, death, reason):
-        script = WORKER_DEATH_SCRIPT.format(death=death)
-        workdir = _workdir(tmp_path, "run")
-        process = _subprocess(EXIT_CASES["sweep"], workdir, ("-c", script))
-        assert (process.returncode, process.stdout, _written(workdir)) == (1, b"", None)
-        assert process.stderr.decode() == (
-            f"error: sweep worker {reason} before sending its results\n"
-        )
+        assert re.fullmatch(stderr, err)
+        assert sum(line.startswith(b"error:") for line in err.splitlines()) == (code != 0)
+        assert (process.stdout or b"") == stdout
+        created = set(os.listdir(workdir)) - before
+        if code == 0 and "out.csv" in argv:
+            assert created == {"out.csv"}
+            assert _written(workdir) == _written(tmp_path / "main")
+        else:
+            assert created == set()
 
     @pytest.mark.parametrize("method", ("fork", "spawn", "forkserver"))
     def test_a_sweep_on_two_processes_matches_one_under_each_start_method(

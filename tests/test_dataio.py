@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import errno
+import gc
 import io
 
 import pytest
@@ -50,6 +51,14 @@ class TestLoadBars:
     def test_accepts_byte_streams(self):
         series = load_bars(io.BytesIO(GOOD_CSV.encode()), VOLATILE, 0.003)
         assert len(series.bars) == 3
+
+    def test_a_byte_stream_is_left_open(self):
+        good, bad = io.BytesIO(GOOD_CSV.encode()), io.BytesIO(b"timestamp,price\n")
+        load_bars(good, VOLATILE, 0.003)
+        with pytest.raises(DataError, match="missing column"):
+            load_bars(bad, VOLATILE, 0.003)
+        gc.collect()  # runs the finalizer of any text wrapper left behind
+        assert (good.closed, bad.closed) == (False, False)
 
     def test_reads_from_a_path(self, tmp_path):
         path = tmp_path / "bars.csv"
