@@ -29,8 +29,8 @@ would walk every object still alive, and the teardown of every module. A
 command needs none of it: every file it opens is closed by a ``with``
 block inside :func:`main`, and a sweep joins every worker and closes every
 pipe before it returns, so multiprocessing's handler would find nothing to
-join. A usage error raised by argparse and an uncaught exception leave by
-the normal exit path.
+join. A usage error raised by argparse, and ``--help``, end the same way with
+argparse's exit code; an uncaught exception leaves by the normal exit path.
 """
 
 from __future__ import annotations
@@ -102,7 +102,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> NoReturn:
     """Run :func:`main` on the process's arguments and end the process with
     its exit code, skipping the interpreter's teardown."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # from argparse: a usage error, or --help
+        code = exc.code
+        if sys.stderr is not None:
+            # A usage message that argparse could not write stays buffered;
+            # it is dropped here, as _warn drops a line.
+            with contextlib.suppress(OSError):
+                sys.stderr.flush()
+        if code == 0 and sys.stdout is not None:
+            # --help's text is the command's output. (With standard output
+            # closed, argparse prints it to standard error.)
+            try:
+                with _printing():
+                    pass
+            except DataError as error:
+                _warn(f"error: {error}")
+                code = 1
     if sys.stdout is not None:  # None when its descriptor was closed at start-up
         sys.stdout.flush()
     os._exit(code)
@@ -315,7 +332,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     series = _load_series(args, pair_for_class(args.pair_class))
     axis = None
-    if args.grid:
+    if args.grid is not None:
         pieces = args.grid.split(",")
         if len(pieces) != 3:
             raise UsageError(f"--grid expects MIN,MAX,STEP, got {args.grid!r}")

@@ -169,11 +169,19 @@ def average_daily_return(
     end: dt.date | None = None,
 ) -> float:
     """Arithmetic mean of daily returns inside [start, end]; DataError if
-    it overflows."""
+    it overflows.
+
+    The returns are added left to right in plain float arithmetic. The
+    built-in ``sum`` would do that up to Python 3.11, but since 3.12 it
+    compensates float sums, which changes the last bit of some averages.
+    """
     selected = [p.lp_return for p in points if _in_window(p.date, start, end)]
     if not selected:
         raise UsageError(f"window {start}..{end} selects no daily returns")
-    average = sum(selected) / len(selected)
+    total = 0.0
+    for value in selected:
+        total += value
+    average = total / len(selected)
     if not math.isfinite(average):
         raise DataError(f"window {start}..{end}: the average daily return overflows")
     return average

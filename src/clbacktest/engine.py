@@ -43,7 +43,10 @@ place where bounds, tick snapping and their range checks are written; the
 rest of the reset, liquidating both ledgers and redepositing them
 one-sided, is done on the slot locals with no further call or tuple. Its
 two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
-reset takes two new square roots). A
+reset takes two new square roots). The loop is written once, in
+:func:`_advance`, which unpacks these locals from a flat state of 27
+values, runs a span of rows and returns the state after it, so a run can
+stop at a row and resume there (see the prefix rule). A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
@@ -90,14 +93,35 @@ close exactly on a shared or an outer bound. Apart from the loose tokens,
 the two ledgers' amounts stay separate: the compounding one cannot be
 derived from the plain one bit for bit.
 
-Memo rule. A sweep runs many configurations over one series, so every run
-takes its rows from a one-entry memo that holds the rows of the last bar
-tuple, keyed on the identity of that immutable ``tuple`` and on the fee rate,
-including its sign (``-0.0`` gives ``-0.0`` fee cells in a trajectory). Any
-other sequence is copied into a new tuple first, so it is checked and its
-rows built afresh. Only rows whose ordering check passed are remembered, so
-an unsorted tuple fails on every call. The memo keeps the last tuple and its
-rows alive until another tuple or fee rate is run.
+Memo and prefix rule. A sweep runs many configurations over one series, so
+every run takes its rows from a one-entry memo that holds the rows of the
+last bar tuple, keyed on the identity of that immutable ``tuple`` and on
+the fee rate, including its sign (``-0.0`` gives ``-0.0`` fee cells in a
+trajectory). Any other sequence is copied into a new tuple first, so it is
+checked and its rows built afresh. Only rows whose ordering check passed
+are remembered, so an unsorted tuple fails on every call. The same entry
+holds two prefix memos for the series, so they share its key and its
+lifetime: the memo keeps the last tuple, its rows and both prefix memos
+alive until another tuple or fee rate is run.
+
+Until its trigger first fires, a reset run is the run of its deployed
+ranges and ledger alone, and the grid's r values share that prefix. So a
+reset run without a trajectory finds ``k``, the first row whose price
+leaves its deploy-time trigger (memoised per trigger interval), and takes
+the state entering row ``k`` from a snapshot kept per deployed ``(ranges,
+ledger)`` group: it advances from the group's snapshot when that lies at
+or before row ``k``, else from the deploy state, with the trigger
+``(0.0, inf)``, which holds every valid price, and keeps the further of the
+two snapshots. It then runs rows ``k`` onwards with its own trigger. The
+prefix's arithmetic is the full run's: the rows before ``k`` see the same
+state and do the same IEEE operations in the same order, and the one test
+that differs, the trigger's, is false in both (by the definition of
+``k``). The group is all the prefix depends on besides the rows: the
+strategy's parameters enter it only through ``deploy``, and the budget
+only through the ledger and a trajectory's cells. Deployed values are
+finite and never ``-0.0``, so the group's float key cannot merge two
+groups with different bits. A run with a trajectory, and a strategy
+without a trigger, runs every row from deploy in one segment.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -138,6 +162,8 @@ from ._tuples import checked_tuple
 from .errors import DataError, UsageError
 from .clmath import check_bound, mark
 from .strategies import (
+    Ledger,
+    Ranges,
     StrategyConfig,
     StrategyState,
     active_liquidity,
@@ -148,8 +174,12 @@ from .strategies import (
 # Geometry of an unused slot: never in range, no bound equals a price.
 _EMPTY_SLOT = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
 
-# The last bar tuple run, its fee rate and sign, and its rows.
-_memo: tuple = ((), None, None)
+# The trigger interval of a run that never resets: it holds every valid price.
+_NO_TRIGGER = (0.0, math.inf)
+
+# The last bar tuple run, its fee rate and sign, its rows, and its prefix
+# memos: trigger -> first row it fires on, (ranges, ledger) -> (row, state).
+_memo: tuple = ((), None, None, None, None)
 
 # The float fields of a bar, in field order, and whether each must be finite
 # and > 0 (strict) or finite and >= 0. ``tvl`` may also be None. CSV ingest
@@ -239,42 +269,104 @@ def run_backtest(
         raise UsageError("cannot backtest an empty bar sequence")
     budget = config.initial_value
     strategy = config.strategy
-    rows = _series_rows(bars, config.fee_rate)
+    rows, fires, snapshots = _series_rows(bars, config.fee_rate)
     first = bars[0]
-    inf, sqrt = math.inf, math.sqrt
 
     try:
         ranges, ledger, trigger = deploy(strategy, first.price, budget)
     except ValueError as exc:
         raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
+    value = 0.0
+    if keep_trajectory or not rows:  # else bar 2 overwrites bar 1's mark unread
+        value = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
+
+    if trigger is None or keep_trajectory:
+        state = _deployed(ranges, ledger, trigger or _NO_TRIGGER, value)
+        columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
+        state = _advance(strategy, rows, 0, len(rows), state, budget, columns)
+    else:
+        # The prefix rule: rows before ``start``, the first whose price
+        # leaves this run's trigger, are the deployed group's run with no
+        # trigger; this run resumes from there with its own.
+        start = fires.get(trigger)
+        if start is None:
+            lower, upper = trigger
+            start = fires[trigger] = next(
+                (i for i, row in enumerate(rows) if not lower < row[1] < upper), len(rows)
+            )
+        group = (ranges, ledger)
+        saved = snapshots.get(group)
+        if saved is not None and saved[0] <= start:
+            at, prefix = saved
+        else:
+            at, prefix = 0, _deployed(ranges, ledger, _NO_TRIGGER, value)
+        if at < start:
+            prefix = _advance(strategy, rows, at, start, prefix, budget, None)
+            if saved is None or saved[0] < start:
+                snapshots[group] = (start, prefix)
+        state = _advance(strategy, rows, start, len(rows), trigger + prefix[2:], budget, None)
+    trajectory: tuple[TrajectoryPoint, ...] = ()
+    if keep_trajectory:
+        timestamps = [bar.timestamp for bar in bars]
+        trajectory = tuple(
+            map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, *columns))
+        )
+    fee_sum, value_now, total_now = state[-3:]
+    return BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
+
+
+def _deployed(ranges: Ranges, ledger: Ledger, trigger: tuple[float, float], value: float) -> tuple:
+    """The state (see :func:`_advance`) of a run just deployed into ``ranges``
+    and ``ledger``, with the trigger interval ``trigger`` and the value
+    ``value``."""
     # Both ledgers see the same prices, so they reset on the same bars and
     # share one trigger interval and the geometry of each slot; only their
     # liquidity and holdings differ.
-    trigger_lower, trigger_upper = trigger or (0.0, inf)
-    tail = not ranges
-    if tail:
-        (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1) = _EMPTY_SLOT
-        plain1 = 0.0
-        full_plain, hold_x, hold_y = ledger
-    else:
-        ((lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1),) = ranges
+    if ranges:
+        (slot1,) = ranges
         (plain1,) = ledger
         full_plain = hold_x = hold_y = 0.0
-    (lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2) = _EMPTY_SLOT
-    plain2 = 0.0
-    two = False
-    comp1, comp2 = plain1, plain2
-    full_comp = full_plain
+    else:
+        slot1, plain1 = _EMPTY_SLOT, 0.0
+        full_plain, hold_x, hold_y = ledger
+    return (
+        *trigger, *slot1, *_EMPTY_SLOT, plain1, 0.0, plain1, 0.0,
+        full_plain, full_plain, hold_x, hold_y, False, not ranges, 0.0, value, value,
+    )
 
-    fee_sum = 0.0
-    if keep_trajectory or not rows:  # else bar 2 overwrites bar 1's mark unread
-        value_now = total_now = mark(ranges, ledger, first.price, sqrt(first.price))[1]
-    if keep_trajectory:
-        fees = [0.0]
-        values = [value_now / budget]
-        totals = [total_now / budget]
 
-    for number, price, sqrt_price, volume_fee, pool_liquidity in rows:
+def _advance(
+    strategy: StrategyConfig,
+    rows: tuple[tuple, ...],
+    start: int,
+    stop: int,
+    state: tuple,
+    budget: float,
+    trajectory: tuple[list, list, list] | None,
+) -> tuple:
+    """Run ``rows[start:stop]`` from ``state``; return the state after them.
+
+    ``state`` is the kernel's 27 locals (see the kernel layout): the trigger
+    interval, both slots' geometry, each slot's ``L`` in the plain and the
+    compounding ledger, the tail (full-range liquidity per ledger and the
+    loose tokens), whether slot 2 and the tail are in use, the fee sum, and
+    the plain and compounding values at the last bar run. ``trajectory``,
+    when given, holds the fee, value and total lists that each bar's
+    ``/ budget`` cells are appended to.
+    """
+    (
+        trigger_lower, trigger_upper,
+        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
+        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
+        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
+        two, tail, fee_sum, value_now, total_now,
+    ) = state
+    inf, sqrt = math.inf, math.sqrt
+    keep = trajectory is not None
+    if keep:
+        fees, values, totals = trajectory
+
+    for number, price, sqrt_price, volume_fee, pool_liquidity in rows[start:stop]:
         # mark's arithmetic, written out for both ledgers, the two slots and the tail.
         active_plain = full_plain
         active_comp = full_comp
@@ -404,32 +496,34 @@ def run_backtest(
                 raise DataError(f"bar {number}: cannot reset {strategy.label()}: {exc}") from None
             two = True
 
-        if keep_trajectory:
+        if keep:
             fees.append(fee_plain / budget)
             values.append(value_now / budget)
             totals.append(total_now / budget)
 
-    trajectory: tuple[TrajectoryPoint, ...] = ()
-    if keep_trajectory:
-        timestamps = [bar.timestamp for bar in bars]
-        trajectory = tuple(
-            map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, fees, values, totals))
-        )
-    return BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
+    return (
+        trigger_lower, trigger_upper,
+        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
+        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
+        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
+        two, tail, fee_sum, value_now, total_now,
+    )
 
 
-def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, ...]:
-    """Check the ordering of ``bars``; return the kernel's rows of bars 2..n:
-    ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``.
+def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, dict, dict]:
+    """Check the ordering of ``bars``; return the kernel's rows of bars 2..n,
+    ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``, and
+    the series' two prefix memos: the first row each trigger fires on, and
+    the furthest snapshot of each deployed group.
 
-    The rows are remembered for the last tuple and fee rate (see the memo
+    All three are remembered for the last tuple and fee rate (see the memo
     rule). The memo holds the tuple itself, so its identity cannot be reused
     while it is remembered, and a tuple of frozen bars cannot change.
     """
     global _memo
     key = (fee_rate, math.copysign(1.0, fee_rate))
     if _memo[0] is bars and _memo[1] == key:
-        return _memo[2]
+        return _memo[2:]
     _check_ordering(bars)
     rows = tuple(
         zip(
@@ -440,8 +534,8 @@ def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, .
             [bar.pool_liquidity for bar in bars[1:]],
         )
     )
-    _memo = (bars, key, rows)
-    return rows
+    _memo = (bars, key, rows, {}, {})
+    return _memo[2:]
 
 
 def _check_ordering(bars: Sequence[HourlyBar]) -> None:

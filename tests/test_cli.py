@@ -371,8 +371,9 @@ class TestSweepCommand:
         [
             ("0.1,0.2", "--grid expects MIN,MAX,STEP, got '0.1,0.2'"),
             ("0.1,x,0.1", "--grid values must be numbers, got '0.1,x,0.1'"),
+            ("", "--grid expects MIN,MAX,STEP, got ''"),
         ],
-        ids=("two-values", "not-a-number"),
+        ids=("two-values", "not-a-number", "empty"),
     )
     def test_bad_grid_flag(self, data_file, capsys, grid, message):
         code = main(
@@ -966,9 +967,12 @@ FAULT_COMMANDS = {
     "mem-backtest": ["backtest", "--strategy", "nolp"]
     + ["--data", "/proc/self/mem", "--fee", "0.003"],
     "mem-daily-returns": ["daily-returns", "--data", "/proc/self/mem", "--fee", "0.003"],
+    "help": ["backtest", "--help"],
 }
 
 ERROR_LINE = rb"error: [^\n]+\n"
+# argparse's usage message, whose last line is its own error line.
+USAGE_LINES = rb"usage: (clbacktest backtest) [^\n]+\n( [^\n]+\n)*\1: error: [^\n]+\n"
 DEBUG_LINES = rb"(DEBUG clbacktest\.cli: [^\n]+\n)+"
 STDOUT_CLOSED = rb"error: cannot write standard output: \[Errno 9\] Bad file descriptor\n"
 STDOUT_FULL = rb"error: cannot write standard output: \[Errno 28\] No space left on device\n"
@@ -979,7 +983,8 @@ PRINTED = None
 # The fault table. A process that meets the fault while it runs the command
 # (a key of FAULT_COMMANDS) ends with the exit code, and all it writes to
 # standard error matches the pattern: one error: line when the code is not
-# 0. With the fault on standard error, nothing reaches that stream, and the
+# 0 (argparse's ``PROG: error:`` line counts as one). With the fault on
+# standard error, nothing reaches that stream, and the
 # pattern matches what an in-process main writes there. The last field is
 # all the process writes to standard output, or, for PRINTED, what an
 # in-process main prints: nothing follows an error. A fault is
@@ -1014,6 +1019,8 @@ FAULTS = {
         "", "mem-daily-returns", 1, rb"error: cannot read /proc/self/mem: [^\n]+\n", b""
     ),
     "usage-error": ("", "usage-error", 2, ERROR_LINE, b""),
+    "stderr-full-argparse-error": ("stderr:full", "argparse-error", 2, USAGE_LINES, b""),
+    "stdout-full-help": ("stdout:full", "help", 1, STDOUT_FULL, b""),
 }
 
 # A row whose id names one of these skips where it is missing.
@@ -1024,6 +1031,14 @@ NEEDS = {
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
     ),
 }
+
+
+def _main_code(argv: list[str]) -> int:
+    """:func:`main`'s exit code, or that of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _workdir(root: Path, name: str) -> Path:
@@ -1066,10 +1081,7 @@ class TestExitPath:
     def test_processes_match_an_in_process_main(self, tmp_path, capsys, monkeypatch, case):
         argv = EXIT_CASES[case]
         monkeypatch.chdir(_workdir(tmp_path, "main"))
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = _main_code(argv)
         out, err = capsys.readouterr()
         expected = (code, out.encode(), err.encode(), _written(tmp_path / "main"))
         for entry, prefix in ENTRY_POINTS.items():
@@ -1112,7 +1124,7 @@ class TestExitPath:
         if stdout is None or stream == "stderr":
             # What the command writes with its streams intact.
             monkeypatch.chdir(_workdir(tmp_path, "main"))
-            assert main(argv) == code
+            assert _main_code(argv) == code
             printed, written = capsys.readouterr()
             if stream == "stderr":
                 assert not process.stderr  # a closed descriptor 2 wrote nothing to the pipe
@@ -1121,7 +1133,8 @@ class TestExitPath:
                 stdout = printed.encode()
         assert process.returncode == code
         assert re.fullmatch(stderr, err)
-        assert sum(line.startswith(b"error:") for line in err.splitlines()) == (code != 0)
+        errors = [line for line in err.splitlines() if re.match(rb"([a-z -]+: )?error: ", line)]
+        assert len(errors) == (code != 0)
         assert (process.stdout or b"") == stdout
         created = set(os.listdir(workdir)) - before
         if code == 0 and "out.csv" in argv:
@@ -1147,6 +1160,12 @@ class TestExitPath:
         seen = (process.returncode, process.stdout, process.stderr, _written(workdir))
         assert seen == expected
         assert code == 0
+
+    def test_help_prints_its_text_and_exits_0(self, tmp_path):
+        process = _subprocess([*ENTRY_POINTS["module"], "backtest", "--help"], tmp_path)
+        assert (process.returncode, process.stderr) == (0, b"")
+        assert process.stdout.startswith(b"usage: clbacktest backtest ")
+        assert b"--trajectory PATH" in process.stdout
 
     def test_the_console_script_runs_run(self):
         text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")

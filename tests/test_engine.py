@@ -6,10 +6,12 @@ before the engine was written; the engine must reproduce them bit-for-bit.
 
 import math
 import pickle
+import random
 
 import pytest
 
 from clbacktest import engine
+from clbacktest.strategies import deploy
 from clbacktest import (
     BacktestConfig,
     DataError,
@@ -24,7 +26,7 @@ from clbacktest import (
     reset_config,
     run_backtest,
 )
-from helpers import make_bars
+from helpers import bars_from_rows, make_bars, seeded_series
 
 # Fixed(a=0.10), fee rate 0.003, budget 1, bars (p, V, L_t):
 # (2000, 0, 10000), (2000, 1e6, 10000), (2100, 1e6, 10000).
@@ -382,7 +384,7 @@ class TestSeriesMemo:
 
     @pytest.fixture(autouse=True)
     def _empty_memo(self, monkeypatch):
-        monkeypatch.setattr(engine, "_memo", ((), None, None))
+        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None))
 
     def test_a_changed_list_gives_fresh_results(self):
         bars = list(self.BARS)
@@ -420,3 +422,124 @@ class TestSeriesMemo:
         assert "fee=-0.0" in cold
         assert "fee=-0.0" not in trajectory(0.0)
         assert trajectory(-0.0) == cold
+
+
+def _bits(result):
+    """A result's three metrics, with every bit (the sign of zero included)."""
+    return (result.fees.hex(), result.value.hex(), result.total.hex())
+
+
+class TestSharedPrefix:
+    """A reset run without a trajectory resumes from its deployed group's
+    snapshot at the first row its trigger fires on (the prefix rule); its
+    results must be those of a cold run, bit for bit, in any order."""
+
+    # A stablecoin depeg: the narrowest triggers fire on the first bar,
+    # wider ones only in the depeg, and the widest never.
+    DEPEG = bars_from_rows(seeded_series("stable_depeg", count=96))
+    OTHER = bars_from_rows(seeded_series("stable_depeg", seed=1, count=48))
+    AXIS = (0.0002, 0.0005, 0.001, 0.003, 0.01, 0.02, 0.05, 0.2)
+    FEE_RATE = 0.0005
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None))
+
+    @classmethod
+    def _grid(cls, snap_spacing):
+        return [reset_config(a, r, snap_spacing) for a in cls.AXIS for r in cls.AXIS]
+
+    @classmethod
+    def _run(cls, strategy, bars, keep_trajectory=False):
+        config = BacktestConfig(strategy=strategy, fee_rate=cls.FEE_RATE)
+        return run_backtest(config, bars, keep_trajectory=keep_trajectory)
+
+    @classmethod
+    def _cold(cls, strategy, bars):
+        # A new tuple misses the memo, so the run starts with no snapshot.
+        return cls._run(strategy, tuple(list(bars)))
+
+    @pytest.mark.parametrize("snap_spacing", (None, 10), ids=("plain", "snapped"))
+    def test_every_order_gives_the_cold_results(self, snap_spacing, monkeypatch):
+        grid = self._grid(snap_spacing)
+        cold = {strategy: _bits(self._cold(strategy, self.DEPEG)) for strategy in grid}
+        steps = []
+        advance = engine._advance
+
+        def counting_advance(strategy, rows, start, stop, *rest):
+            steps.append(stop - start)
+            return advance(strategy, rows, start, stop, *rest)
+
+        monkeypatch.setattr(engine, "_advance", counting_advance)
+        shuffled = grid[:]
+        random.Random(0).shuffle(shuffled)
+        for order in (grid, grid[::-1], shuffled):
+            for i, strategy in enumerate(order):
+                if order is shuffled and i % 7 == 0:
+                    self._run(strategy, self.OTHER)  # evicts the memo
+                assert _bits(self._run(strategy, self.DEPEG)) == cold[strategy], strategy
+            if order is not shuffled:
+                # Every group keeps its furthest snapshot: the widest
+                # trigger never fires.
+                rows = len(self.DEPEG) - 1
+                assert {at for at, _ in engine._memo[4].values()} == {rows}
+            if order is grid:
+                # The first resets spread from the first row to none at
+                # all, and the grid ran fewer rows than cold runs do.
+                fires = sorted(engine._memo[3].values())
+                assert fires[0] == 0 and fires[-1] == rows
+                assert any(20 < row < rows for row in fires)
+                assert sum(steps) < 0.9 * rows * len(grid)
+
+    @pytest.mark.parametrize("side", (0, 1), ids=("lower", "upper"))
+    def test_a_close_on_a_trigger_bound_resets_as_in_a_trajectory_run(self, side):
+        strategy = reset_config(0.10, 0.05)
+        trigger = deploy(strategy, 2000.0, 1.0)[2]
+        bars = make_bars([2000.0, 2000.0, trigger[side], 2000.0], volumes=[0.0, 1e6, 1e6, 1e6])
+        kept = self._run(strategy, bars, keep_trajectory=True)
+        assert _bits(self._run(strategy, bars)) == _bits(kept)
+        assert engine._memo[3] == {trigger: 1}
+
+    def test_an_overflow_in_a_shared_prefix_names_the_same_bar_for_every_config(self):
+        # Bar 5's fee is infinite. Only r=0.1% fires before it, at bar 3;
+        # the other configs share the group's prefix up to bar 6, where
+        # every trigger fires.
+        bars = make_bars(
+            [2000.0, 2000.0, 2010.0, 1990.0, 2000.0, 2300.0],
+            volumes=[0.0, 1e6, 1e6, 1e6, 1e308, 1e6],
+            liquidity=[1e4, 1e4, 1e4, 1e4, 1e-300, 1e4],
+        )
+        widths = (0.001, 0.01, 0.02, 0.05)
+        configs = [reset_config(0.10, r) for r in (*widths, *widths[::-1])]
+        messages = []
+        for strategy in configs:
+            # A trajectory run starts from deploy, so it shares nothing.
+            with pytest.raises(DataError) as kept:
+                self._run(strategy, bars, keep_trajectory=True)
+            with pytest.raises(DataError) as shared:
+                self._run(strategy, bars)
+            assert str(shared.value) == str(kept.value)
+            messages.append(str(shared.value))
+        assert all(message.startswith("bar 5: compounding the fee inf") for message in messages)
+        assert len({text for strategy, text in zip(configs, messages) if strategy.r != 0.001}) == 1
+
+    def test_a_trajectory_run_starts_from_deploy_and_keeps_the_snapshots(self, monkeypatch):
+        grid = self._grid(None)
+        plain = {strategy: _bits(self._run(strategy, self.DEPEG)) for strategy in grid}
+        snapshots = dict(engine._memo[4])
+        calls = []
+        advance = engine._advance
+
+        def recording_advance(strategy, rows, start, stop, *rest):
+            calls.append((start, stop))
+            return advance(strategy, rows, start, stop, *rest)
+
+        monkeypatch.setattr(engine, "_advance", recording_advance)
+        rows = len(self.DEPEG) - 1
+        for strategy in grid:
+            calls.clear()
+            result = self._run(strategy, self.DEPEG, keep_trajectory=True)
+            assert calls == [(0, rows)]
+            assert _bits(result) == plain[strategy]
+            assert result.trajectory[-1][2:] == (result.value, result.total)
+        assert engine._memo[4] == snapshots
