@@ -21,16 +21,21 @@ library functions it calls do not touch the collector.
 
 :func:`run` is the process entry point, for ``python -m clbacktest.cli``
 and the ``clbacktest`` script alike; :func:`main` is the in-process API.
-Once :func:`main` returns, :func:`run` flushes standard output (each line
-to standard error was flushed when it was written) and ends the process
-with :func:`os._exit`. That skips the interpreter's teardown: atexit
-handlers (multiprocessing's among them), the final collections, which
-would walk every object still alive, and the teardown of every module. A
-command needs none of it: every file it opens is closed by a ``with``
-block inside :func:`main`, and a sweep joins every worker and closes every
-pipe before it returns, so multiprocessing's handler would find nothing to
-join. A usage error raised by argparse, and ``--help``, end the same way with
-argparse's exit code; an uncaught exception leaves by the normal exit path.
+:func:`main` returns the exit code of every outcome and never raises
+SystemExit: a command's own code, 1 or 2 for an error, and the code of the
+SystemExit that argparse raises after a usage error (2) or ``--help`` (0).
+Everything a command prints to standard output, ``--help``'s text
+included, goes through :func:`_printing`, which flushes it, and each line to
+standard error is flushed when it is written. So :func:`run` only ends the
+process with that code, through :func:`os._exit`. That skips the
+interpreter's teardown: atexit handlers (multiprocessing's among them), the
+final collections, which would walk every object still alive, and the
+teardown of every module. A command needs none of it: every file it opens
+is closed by a ``with`` block inside :func:`main`, and a sweep joins every
+worker and closes every pipe before it returns, so multiprocessing's
+handler would find nothing to join. A usage message that argparse could not
+write to standard error is dropped, as :func:`_warn` drops a line; an
+uncaught exception leaves by the normal exit path.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .strategies import (
     on_close,
 )
 from .sweep import (
+    PAIR_CLASSES,
     GridSpec,
     axis_from_span,
     build_grid,
@@ -85,12 +91,13 @@ from .sweep import (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # from argparse: a usage error, or after --help
+        return exc.code
     except (DataError, UsageError) as exc:
         _warn(f"error: {exc}")
         return 1 if isinstance(exc, DataError) else 2
@@ -100,33 +107,26 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run :func:`main` on the process's arguments and end the process with
-    its exit code, skipping the interpreter's teardown."""
-    try:
-        code = main()
-    except SystemExit as exc:  # from argparse: a usage error, or --help
-        code = exc.code
-        if sys.stderr is not None:
-            # A usage message that argparse could not write stays buffered;
-            # it is dropped here, as _warn drops a line.
-            with contextlib.suppress(OSError):
-                sys.stderr.flush()
-        if code == 0 and sys.stdout is not None:
-            # --help's text is the command's output. (With standard output
-            # closed, argparse prints it to standard error.)
-            try:
-                with _printing():
-                    pass
-            except DataError as error:
-                _warn(f"error: {error}")
-                code = 1
-    if sys.stdout is not None:  # None when its descriptor was closed at start-up
-        sys.stdout.flush()
-    os._exit(code)
+    """End the process with :func:`main`'s exit code on the process's
+    arguments, skipping the interpreter's teardown."""
+    os._exit(main())
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints ``--help`` through :func:`_printing`,
+    as every command prints its output. Subparsers are built as this class
+    too."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            with _printing():
+                print(self.format_help(), end="")
+        else:
+            super().print_help(file)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clbacktest",
         description="Backtest concentrated-liquidity strategies on hourly AMM pool data.",
     )
@@ -230,7 +230,7 @@ def _add_data_flags(sub: argparse.ArgumentParser, pair_class: bool = True) -> No
     if pair_class:
         sub.add_argument(
             "--pair-class",
-            choices=("volatile", "stable"),
+            choices=PAIR_CLASSES,
             default="volatile",
             help="tick spacing and report rounding preset (default: volatile)",
         )

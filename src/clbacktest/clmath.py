@@ -95,17 +95,16 @@ class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
             raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
 
 
-VOLATILE_PAIR = PairProfile(name="volatile", tick_spacing=60)
-STABLE_PAIR = PairProfile(name="stable", tick_spacing=10)
+# Each pair class by name, in the order the command line lists them.
+PAIRS = {pair.name: pair for pair in (PairProfile("volatile", 60), PairProfile("stable", 10))}
 
 
 def pair_for_class(pair_class: str) -> PairProfile:
-    """Map a pair class name ('volatile' or 'stable') to its profile."""
-    if pair_class == "volatile":
-        return VOLATILE_PAIR
-    if pair_class == "stable":
-        return STABLE_PAIR
-    raise ValueError(f"unknown pair class {pair_class!r}")
+    """Map a pair class name (a key of ``PAIRS``) to its profile."""
+    try:
+        return PAIRS[pair_class]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown pair class {pair_class!r}") from None
 
 
 def tick_price(index: int) -> float:

@@ -17,7 +17,7 @@ import os
 from typing import Sequence, TextIO
 
 from ._tuples import checked_tuple
-from .clmath import check_bound
+from .clmath import PAIRS, check_bound
 from .dataio import BarSeries
 from .engine import BacktestConfig, BacktestResult, check_fee_rate, run_backtest
 from .errors import DataError, UsageError
@@ -30,7 +30,7 @@ from .strategies import (
     passive_config,
 )
 
-PAIR_CLASSES = ("volatile", "stable")
+PAIR_CLASSES = tuple(PAIRS)
 
 # Default parameter axes per pair class: volatile pairs use a 0.6% step up to
 # 99.6% (166 values), stable pairs a 0.1% step up to 50% (500 values) for the
@@ -48,6 +48,12 @@ MAX_GRID_POINTS = 100_000
 ResultPair = tuple[StrategyConfig, BacktestResult]
 
 
+def _check_pair_class(pair_class: str) -> None:
+    """Raise UsageError unless ``pair_class`` is one of ``PAIR_CLASSES``."""
+    if pair_class not in PAIR_CLASSES:
+        raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {pair_class!r}")
+
+
 class GridSpec(
     checked_tuple("GridSpec", "pair_class kind a_axis r_axis snap_spacing", (None, None, None))
 ):
@@ -61,8 +67,7 @@ class GridSpec(
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.pair_class not in PAIR_CLASSES:
-            raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {self.pair_class!r}")
+        _check_pair_class(self.pair_class)
         if self.kind not in (FIXED, RESET):
             raise UsageError(f"only fixed and reset strategies sweep, got {self.kind!r}")
         if self.kind == FIXED and self.r_axis is not None:
@@ -247,8 +252,7 @@ def rank_results(
     """Pick the extremal configurations; ties go to the smaller parameters."""
     if not results:
         raise UsageError("cannot rank an empty result list")
-    if pair_class not in PAIR_CLASSES:
-        raise UsageError(f"pair_class must be one of {PAIR_CLASSES}, got {pair_class!r}")
+    _check_pair_class(pair_class)
     return SweepSummary(*_extremals(results), baselines, tuple(results), pair_class)
 
 

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import errno
 import gc
+import hashlib
 import io
 import multiprocessing
 import os
@@ -292,9 +293,7 @@ class TestBacktestCommand:
             ("--from", "2021-W09-1"),
             ("--from", "2021-03-01T00:00"),
         ]:
-            with pytest.raises(SystemExit) as excinfo:
-                main(args + [flag, value])
-            assert excinfo.value.code == 2
+            assert main(args + [flag, value]) == 2
             assert capsys.readouterr().err.splitlines()[-1].endswith(
                 f"error: argument {flag}: invalid date value: {value!r} (expected YYYY-MM-DD)"
             )
@@ -991,12 +990,15 @@ PRINTED = None
 # STREAM:closed (its descriptor closed before Python starts), STREAM:full
 # (/dev/full), STREAM:no-reader (a pipe whose read end is closed),
 # worker:STATEMENT (a forked sweep worker runs STATEMENT in place of sending
-# its results), or "" for none.
+# its results), or "" for none. A fault that starts with UNBUFFERED runs the
+# process with PYTHONUNBUFFERED=1, so standard output is not buffered.
+UNBUFFERED = "unbuffered "
 FAULTS = {
     "fd1-closed-backtest": ("stdout:closed", "backtest", 1, STDOUT_CLOSED, b""),
     "fd1-closed-sweep": ("stdout:closed", "sweep", 1, STDOUT_CLOSED, b""),
     "fd1-closed-daily-returns": ("stdout:closed", "daily-returns", 1, STDOUT_CLOSED, b""),
     "fd1-closed-selfcheck": ("stdout:closed", "selfcheck", 1, STDOUT_CLOSED, b""),
+    "fd1-closed-help": ("stdout:closed", "help", 1, STDOUT_CLOSED, b""),
     "fd2-closed-selfcheck": ("stderr:closed", "selfcheck", 0, b"", SELFCHECK_OUTPUT.encode()),
     "fd2-closed-verbose": ("stderr:closed", "verbose", 0, DEBUG_LINES, PRINTED),
     "fd2-closed-data-error": ("stderr:closed", "data-error", 1, ERROR_LINE, b""),
@@ -1021,6 +1023,7 @@ FAULTS = {
     "usage-error": ("", "usage-error", 2, ERROR_LINE, b""),
     "stderr-full-argparse-error": ("stderr:full", "argparse-error", 2, USAGE_LINES, b""),
     "stdout-full-help": ("stdout:full", "help", 1, STDOUT_FULL, b""),
+    "stdout-full-help-unbuffered": (UNBUFFERED + "stdout:full", "help", 1, STDOUT_FULL, b""),
 }
 
 # A row whose id names one of these skips where it is missing.
@@ -1031,14 +1034,6 @@ NEEDS = {
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
     ),
 }
-
-
-def _main_code(argv: list[str]) -> int:
-    """:func:`main`'s exit code, or that of the SystemExit argparse raises."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 def _workdir(root: Path, name: str) -> Path:
@@ -1060,12 +1055,16 @@ def _subprocess(
     prefix: tuple[str, ...] = (),
     stdout=subprocess.PIPE,
     stderr=subprocess.PIPE,
+    unbuffered: bool = False,
 ):
     """Run ``python [prefix] args`` in ``workdir``, standard output and error
-    piped unless given, without PYTHONUNBUFFERED, so standard output is
-    block-buffered."""
+    piped unless given, and help text 80 columns wide. Standard output is
+    block-buffered unless ``unbuffered``, which sets PYTHONUNBUFFERED."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
+    env["COLUMNS"] = "80"
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *prefix, *args],
         cwd=workdir,
@@ -1076,12 +1075,19 @@ def _subprocess(
     )
 
 
+# The --help text of the top level and of each command, 80 columns wide, is
+# pinned by the sha256 of their concatenation in this order, captured once
+# and never regenerated. It is the same on Python 3.10-3.13.
+HELP_COMMANDS = ([], ["backtest"], ["sweep"], ["daily-returns"], ["selfcheck"])
+HELP_SHA256 = "7357519ba2628bf701586c3d7608d9cacf961856ac4dc092401419e1ddc4a5cc"
+
+
 class TestExitPath:
     @pytest.mark.parametrize("case", EXIT_CASES)
     def test_processes_match_an_in_process_main(self, tmp_path, capsys, monkeypatch, case):
         argv = EXIT_CASES[case]
         monkeypatch.chdir(_workdir(tmp_path, "main"))
-        code = _main_code(argv)
+        code = main(argv)
         out, err = capsys.readouterr()
         expected = (code, out.encode(), err.encode(), _written(tmp_path / "main"))
         for entry, prefix in ENTRY_POINTS.items():
@@ -1104,7 +1110,8 @@ class TestExitPath:
         self, tmp_path, capsys, monkeypatch, fault, command, code, stderr, stdout
     ):
         argv = FAULT_COMMANDS[command]
-        stream, _, how = fault.partition(":")
+        unbuffered = fault.startswith(UNBUFFERED)
+        stream, _, how = fault.removeprefix(UNBUFFERED).partition(":")
         workdir = _workdir(tmp_path, "run")
         before = set(os.listdir(workdir))
         prefix, streams = tuple(ENTRY_POINTS["module"]), {}
@@ -1119,12 +1126,12 @@ class TestExitPath:
                 read, write = os.pipe()
                 os.close(read)
                 streams[stream] = stack.enter_context(open(write, "wb"))
-            process = _subprocess([*prefix, *argv], workdir, **streams)
+            process = _subprocess([*prefix, *argv], workdir, unbuffered=unbuffered, **streams)
         err = process.stderr
         if stdout is None or stream == "stderr":
             # What the command writes with its streams intact.
             monkeypatch.chdir(_workdir(tmp_path, "main"))
-            assert _main_code(argv) == code
+            assert main(argv) == code
             printed, written = capsys.readouterr()
             if stream == "stderr":
                 assert not process.stderr  # a closed descriptor 2 wrote nothing to the pipe
@@ -1161,11 +1168,19 @@ class TestExitPath:
         assert seen == expected
         assert code == 0
 
-    def test_help_prints_its_text_and_exits_0(self, tmp_path):
-        process = _subprocess([*ENTRY_POINTS["module"], "backtest", "--help"], tmp_path)
-        assert (process.returncode, process.stderr) == (0, b"")
-        assert process.stdout.startswith(b"usage: clbacktest backtest ")
-        assert b"--trajectory PATH" in process.stdout
+    def test_help_prints_its_text_and_exits_0(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        printed, written = [], []
+        for command in HELP_COMMANDS:
+            assert main([*command, "--help"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            printed.append(out.encode())
+            process = _subprocess([*ENTRY_POINTS["module"], *command, "--help"], tmp_path)
+            assert (process.returncode, process.stderr) == (0, b"")
+            written.append(process.stdout)
+        assert hashlib.sha256(b"".join(printed)).hexdigest() == HELP_SHA256
+        assert written == printed
 
     def test_the_console_script_runs_run(self):
         text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")

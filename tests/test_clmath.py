@@ -4,7 +4,10 @@ Expected constants were computed with a 50-digit arbitrary-precision oracle
 before the implementation existed and are frozen here.
 """
 
+import hashlib
 import math
+import random
+import struct
 
 import pytest
 
@@ -28,6 +31,30 @@ NARROW_X_AT_1900 = 0.389556282054
 NARROW_Y_AT_1900 = 227.954723859
 NARROW_VALUE_AT_1900 = 968.111659761
 WIDE_VALUE_AT_1900 = 971.320797226
+
+
+# sha256 pins of the tick helpers, captured once and never regenerated.
+# tick_price is libm's pow and nearest_spaced_tick uses libm's log, neither
+# of which libm must round correctly; on a libm that rounds them another way
+# these fail, and the snapped outputs may differ there too.
+TICK_PRICES_SHA256 = "14f0c7937eef0ecfb649f4a5c009e79a9f0586f88aa1c1222fdcf7dade84167c"
+MIDPOINT_TICKS_SHA256 = {
+    1: "fc677b6f81313acd1dcbd299a6fcb2755bc6d80023da337ac761383c79317f7e",
+    10: "81baa005dbc7cce2d9fdd732e9bb335016b5a80818ceb948e156aad5af7bdb04",
+    60: "280602691bb5f3238aba7604c1f3f7920d68859665451a34fdedefe42230fed4",
+}
+
+
+def _midpoint_prices(spacing: int):
+    """Seeded prices at and within 3 ulps of the geometric midpoint of two
+    neighbouring multiples of ``spacing``, each with the lower tick."""
+    rng = random.Random(spacing)
+    bound = MAX_TICK // spacing
+    for _ in range(400):
+        low = rng.randrange(-bound, bound) * spacing
+        mid = math.sqrt(tick_price(low) * tick_price(low + spacing))
+        for ulps in range(-3, 4):
+            yield low, mid + ulps * math.ulp(mid)
 
 
 class TestTicks:
@@ -81,6 +108,23 @@ class TestTicks:
     def test_snap_price_is_fixed_point(self):
         tick = nearest_spaced_tick(2000.0, 60)
         assert nearest_spaced_tick(tick_price(tick), 60) == tick
+
+    def test_tick_prices_are_pinned(self):
+        indices = range(-887270, 887271, 10)
+        packed = struct.pack(f"<{len(indices)}d", *map(tick_price, indices))
+        assert hashlib.sha256(packed).hexdigest() == TICK_PRICES_SHA256
+
+    @pytest.mark.parametrize("spacing", MIDPOINT_TICKS_SHA256)
+    def test_nearest_spaced_tick_is_pinned_at_midpoints(self, spacing):
+        ticks, above = [], 0
+        for low, price in _midpoint_prices(spacing):
+            tick = nearest_spaced_tick(price, spacing)
+            assert tick in (low, low + spacing)
+            ticks.append(tick)
+            above += tick > low
+        assert 0 < above < len(ticks)
+        packed = struct.pack(f"<{len(ticks)}q", *ticks)
+        assert hashlib.sha256(packed).hexdigest() == MIDPOINT_TICKS_SHA256[spacing]
 
 
 class TestPriceRange:
