@@ -16,18 +16,25 @@ example ``value = y + x * p``) so that results are reproducible bit-for-bit.
 
 The formulas live in flat helpers on plain floats that validate nothing:
 :func:`mark` (active liquidity, value and reserves of one ledger),
-:func:`one_sided_liquidity` and :func:`equal_value_liquidity`. The strategy
-state API, :func:`~clbacktest.strategies.redeposit`,
-:func:`liquidity_for_value` (the snapped deposit) and
-:func:`liquidity_from_equal_value` call them; the last two validate their
-arguments first. The backtest kernel is the one other spelling of this
-arithmetic: it marks and redeposits both of its ledgers on local floats so
-that a bar costs no call. ``mark`` and ``redeposit`` are its reference, and
-the golden replay test holds the two equal bit for bit. Each argument rule
-is written once, here: :func:`check_bound` (finite and > 0, or >= 0,
-raising the caller's error class) and :func:`check_range`. Bars, the run
-config, sweep axes and daily returns call ``check_bound`` too. Only CSV
-ingest's whole-column check spells the bound again, and only
+:func:`one_sided_liquidity`, :func:`equal_value_liquidity`,
+:func:`liquidity_for_value` (the snapped deposit, on a range's geometry)
+and :func:`nearest_spaced_tick`. The strategy state API,
+:func:`~clbacktest.strategies.deploy`,
+:func:`~clbacktest.strategies.redeposit` and
+:func:`liquidity_from_equal_value` call them; only the last validates its
+arguments first. :func:`tick_price` checks only that its index lies in the
+tick range, which a snapped bound can leave. The backtest kernel is the one
+other spelling of this arithmetic: it marks and redeposits both of its
+ledgers on local floats so that a bar costs no call. ``mark`` and
+``redeposit`` are its reference, and the golden replay test holds the two
+equal bit for bit. Each argument rule is written once, here:
+:func:`check_bound` (finite and > 0, or >= 0, raising the caller's error
+class), :func:`check_range` and :func:`check_spacing` (a tick spacing is an
+``int``, not a ``bool``, in [1, MAX_TICK]; :class:`PairProfile` and
+:class:`~clbacktest.strategies.StrategyConfig` call it where they are
+built, so a snapped deploy or reset does not check its spacing again).
+Bars, the run config, sweep axes and daily returns call ``check_bound``
+too. Only CSV ingest's whole-column check spells the bound again, and only
 :func:`~clbacktest.strategies.reset_bounds` the range test, for its three
 ranges in one comparison; it calls ``check_range`` to name a failure.
 
@@ -72,6 +79,13 @@ def check_range(lower: float, upper: float) -> None:
         raise ValueError(f"upper must exceed lower, got [{lower!r}, {upper!r}]")
 
 
+def check_spacing(spacing: int, name: str, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``spacing`` is a tick spacing: an ``int``, not
+    a ``bool``, in [1, MAX_TICK]."""
+    if isinstance(spacing, bool) or not isinstance(spacing, int) or not 1 <= spacing <= MAX_TICK:
+        raise error(f"{name} must be an integer in [1, {MAX_TICK}], got {spacing!r}")
+
+
 class PriceRange(checked_tuple("PriceRange", "lower upper")):
     """A price interval [lower, upper] with 0 < lower < upper, both finite."""
 
@@ -91,8 +105,7 @@ class PairProfile(checked_tuple("PairProfile", "name tick_spacing")):
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.tick_spacing < 1:
-            raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
+        check_spacing(self.tick_spacing, "tick_spacing")
 
 
 # Each pair class by name, in the order the command line lists them.
@@ -115,12 +128,9 @@ def tick_price(index: int) -> float:
 
 
 def nearest_spaced_tick(price: float, spacing: int) -> int:
-    """Tick index closest to ``price`` in log space among multiples of spacing."""
-    if spacing < 1:
-        raise ValueError(f"spacing must be >= 1, got {spacing}")
-    check_bound(price, "price")
-    exact = math.log(price) / _LOG_TICK_BASE
-    step = round(exact / spacing)
+    """Tick index closest to ``price`` in log space among multiples of
+    ``spacing``, clamped to the tick range; no validation."""
+    step = round(math.log(price) / _LOG_TICK_BASE / spacing)
     bound = MAX_TICK // spacing
     return max(-bound, min(bound, step)) * spacing
 
@@ -244,17 +254,11 @@ def equal_value_liquidity(price: float, a: float, total_value: float) -> float:
     return (total_value / 2.0) / (math.sqrt(price) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
 
 
-def liquidity_for_value(lower: float, upper: float, price: float, total_value: float) -> float:
-    """Liquidity such that a position on ``[lower, upper]`` is worth
-    ``total_value`` at ``price``.
+def liquidity_for_value(geometry: tuple[float, ...], price: float, total_value: float) -> float:
+    """Liquidity such that a position on the range ``geometry`` (a geometry
+    tuple) is worth ``total_value`` at ``price``; no validation.
 
     Inverse of the value :func:`mark` gives a lone position; used when the
     range is not centered on the deposit price (tick-snapped ranges).
     """
-    check_range(lower, upper)
-    check_bound(total_value, "total_value", strict=False)
-    check_bound(price, "price")
-    unit = mark((geometry_of(lower, upper),), (1.0,), price, math.sqrt(price))[1]
-    if unit <= 0.0:
-        raise ValueError(f"range [{lower!r}, {upper!r}] holds no value at {price!r}")
-    return total_value / unit
+    return total_value / mark((geometry,), (1.0,), price, math.sqrt(price))[1]

@@ -138,25 +138,30 @@ Checks. Each input is checked once, where it enters, and not per bar in
 the kernel: :class:`HourlyBar`'s constructor checks each field with
 :func:`~clbacktest.clmath.check_bound` (CSV ingest checks whole columns and
 then builds the bars without that per-bar check), :class:`BacktestConfig`
-the fee rate and budget, and
-:class:`~clbacktest.strategies.StrategyConfig` the strategy's parameters.
-So the kernel's :func:`~clbacktest.strategies.deploy` does not check the
-entry price and budget again, and a sweep, having checked the fee rate
-once per chunk, builds each point's config unchecked. What a run still
-checks is arithmetic on valid input: a value that overflows the ledger
-(an infinite fee or scaled liquidity), a deposit or range bound beyond
-float or tick range, or a snapped reset range so narrow that its bounds'
-square roots are equal (its deposit divides by zero), raises DataError
-naming the bar. Compounding tests only the scaled slots (and full-range
-liquidity): a non-finite factor makes a scaled slot non-finite too, since
-``L * inf`` is inf and ``0.0 * inf`` is NaN.
+the fee rate and budget, :class:`~clbacktest.dataio.BarSeries` its fee
+rate, and :class:`~clbacktest.strategies.StrategyConfig` the strategy's
+parameters, its tick spacing included. So the kernel's
+:func:`~clbacktest.strategies.deploy` does not check the entry price and
+budget again, a snapped deploy or reset does not check its spacing again,
+and a sweep, whose fee rate its ``BarSeries`` checked, builds each point's
+config unchecked. What a run still checks is arithmetic on valid input: a
+value that overflows the ledger (an infinite fee or scaled liquidity, or a
+nolp or passive ledger whose loose tokens or full-range deposit are worth
+more than a float at a bar's price), a deposit or range bound beyond float
+or tick range, or a snapped reset range so narrow that its bounds' square
+roots are equal (its deposit divides by zero), raises DataError naming the
+bar. Only nolp and passive mark a tail, so the marking test sits in the
+tail's block and range kinds pay nothing for it; a range ledger's marked
+value is not tested. Compounding tests only the scaled slots (and
+full-range liquidity): a non-finite factor makes a scaled slot non-finite
+too, since ``L * inf`` is inf and ``0.0 * inf`` is NaN.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._tuples import checked_tuple
 from .errors import DataError, UsageError
@@ -227,13 +232,10 @@ def check_fee_rate(fee_rate: float) -> None:
         raise UsageError(f"fee_rate must lie in [0, 1), got {fee_rate!r}")
 
 
-class TrajectoryPoint(NamedTuple):
+class TrajectoryPoint(checked_tuple("TrajectoryPoint", "timestamp fee value total")):
     """Per-bar outputs, each divided by the initial budget."""
 
-    timestamp: int
-    fee: float
-    value: float
-    total: float
+    __slots__ = ()
 
 
 class BacktestResult(checked_tuple("BacktestResult", "fees value total trajectory", ((),))):
@@ -410,6 +412,8 @@ def _advance(
                 holdings = hold_x * price + hold_y
                 value_now += holdings
                 value_comp += holdings
+            if not (value_now < inf and value_comp < inf):
+                raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
 
         fee_plain = volume_fee * active_plain / pool_liquidity
         fee_comp = volume_fee * active_comp / pool_liquidity

@@ -24,15 +24,20 @@ with the arithmetic of ``mark`` and :func:`redeposit` written out on local
 floats.
 
 Checks. :class:`StrategyConfig` checks a strategy's kind and parameters when
-it is built; :func:`check_width` is its width rule, which a sweep grid also
-applies, once per axis value. :func:`initialize` checks the entry price and
-budget; :func:`deploy`, which the kernel calls with a checked bar's price
-and a checked budget, does not check them again. What ``deploy`` and
-:func:`reset_bounds` still check is arithmetic on valid input: a bound or
-liquidity that overflows a float or leaves the tick range raises
-ValueError. ``reset_bounds`` tests its three ranges in one chained
-comparison and calls ``check_range`` only to name a failure; a snapped
-reset, like a snapped ``deploy``, also checks its bounds before snapping.
+it is built: :func:`check_width` is its width rule, which a sweep grid also
+applies, once per axis value, and :func:`~clbacktest.clmath.check_spacing`
+its ``snap_spacing`` rule (an ``int``, not a ``bool``, in [1, MAX_TICK]).
+:func:`initialize` checks the entry price and budget; :func:`deploy`, which
+the kernel calls with a checked bar's price and a checked budget, does not
+check them again. No snapped deploy or reset checks its spacing again:
+``nearest_spaced_tick`` and ``liquidity_for_value`` validate nothing. What
+``deploy`` and :func:`reset_bounds` still check is arithmetic on valid
+input: a bound or liquidity that overflows a float or leaves the tick range
+raises ValueError. ``reset_bounds`` tests its three ranges in one chained
+comparison and calls ``check_range`` only to name a failure. A snapped
+reset, like a snapped ``deploy``, checks its bounds once, before snapping;
+the snapped bounds are tick prices with the price strictly between them.
+A snapped ``deploy`` builds its range's geometry once and mints on it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .clmath import (
     PriceRange,
     check_bound,
     check_range,
+    check_spacing,
     equal_value_liquidity,
     geometry_of,
     liquidity_for_value,
@@ -78,7 +84,7 @@ class StrategyConfig(
     ``a`` is the half-width factor of the liquidity range (bounds at
     p/(1+a) and p*(1+a)); ``r`` is the same-shaped factor for the reset
     trigger interval. ``snap_spacing``, when set, snaps range bounds to tick
-    indices that are multiples of it.
+    indices that are multiples of it; it is an ``int`` in [1, MAX_TICK].
     """
 
     __slots__ = ()
@@ -97,8 +103,8 @@ class StrategyConfig(
                 check_width(kind, name, value)
             elif value is not None:
                 raise UsageError(f"strategy {kind!r} takes no {width} {name}")
-        if snap_spacing is not None and snap_spacing < 1:
-            raise UsageError(f"snap_spacing must be >= 1, got {snap_spacing!r}")
+        if snap_spacing is not None:
+            check_spacing(snap_spacing, "snap_spacing", UsageError)
 
     def params_text(self) -> str:
         """Parameters as percentages, e.g. ``a=6.0%, r=3.0%``; empty if none."""
@@ -192,18 +198,19 @@ def deploy(config: StrategyConfig, price: float, budget: float) -> tuple[Ranges,
 
     lower, upper = symmetric_bounds(price, config.a)
     check_range(lower, upper)
-    if config.snap_spacing is not None:
-        lower, upper = _snap_outward(lower, upper, price, config.snap_spacing)
-        liquidity = liquidity_for_value(lower, upper, price, budget)
-    else:
+    if config.snap_spacing is None:
+        geometry = geometry_of(lower, upper)
         liquidity = equal_value_liquidity(price, config.a, budget)
+    else:
+        geometry = geometry_of(*_snap_outward(lower, upper, price, config.snap_spacing))
+        liquidity = liquidity_for_value(geometry, price, budget)
     check_bound(liquidity, "liquidity", strict=False)
 
     trigger = None
     if config.kind == RESET:
         trigger = symmetric_bounds(price, config.r)
         check_range(*trigger)
-    return (geometry_of(lower, upper),), (liquidity,), trigger
+    return (geometry,), (liquidity,), trigger
 
 
 def on_close(state: StrategyState, price: float) -> StrategyState:
@@ -300,14 +307,14 @@ def scale_liquidity(state: StrategyState, factor: float) -> StrategyState:
 
 def _snap_outward(lower: float, upper: float, price: float, spacing: int) -> tuple[float, float]:
     """Snap both bounds to the nearest spaced ticks, moving each outward
-    until ``price`` lies strictly inside."""
+    until ``price`` lies strictly inside; returns the two tick prices."""
     lower_tick = nearest_spaced_tick(lower, spacing)
     upper_tick = nearest_spaced_tick(upper, spacing)
-    while tick_price(lower_tick) >= price:
+    while (lower := tick_price(lower_tick)) >= price:
         lower_tick -= spacing
-    while tick_price(upper_tick) <= price:
+    while (upper := tick_price(upper_tick)) <= price:
         upper_tick += spacing
-    return tick_price(lower_tick), tick_price(upper_tick)
+    return lower, upper
 
 
 def _pct(value: float | None) -> str:

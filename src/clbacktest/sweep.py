@@ -4,10 +4,11 @@ Each input of a sweep is checked once. :func:`build_grid` checks the size
 of the grid, then each axis value once, in the order in which building the
 points one by one would meet them, so a grid with several bad values raises
 the same first error; it then builds the points without checking each. A
-chunk of the grid checks the series' fee rate once and builds each point's
-``BacktestConfig`` unchecked, and ``run_backtest`` checks nothing it is
-given again (see :mod:`clbacktest.engine`). Ranking and the report compute
-each result's tie key once.
+chunk of the grid builds each point's ``BacktestConfig`` unchecked: the
+series' fee rate was checked when its :class:`~clbacktest.dataio.BarSeries`
+was built, and ``run_backtest`` checks nothing it is given again (see
+:mod:`clbacktest.engine`). Ranking and the report compute each result's tie
+key once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence, TextIO
 from ._tuples import checked_tuple
 from .clmath import PAIRS, check_bound
 from .dataio import BarSeries
-from .engine import BacktestConfig, BacktestResult, check_fee_rate, run_backtest
+from .engine import BacktestConfig, BacktestResult, run_backtest
 from .errors import DataError, UsageError
 from .strategies import (
     FIXED,
@@ -280,13 +281,7 @@ def render_report(summary: SweepSummary) -> str:
 
     header = ("strategy", "parameters", "fees", "value", "total")
     table = [header] + [
-        (
-            name,
-            params,
-            f"{result.fees:.{decimals}f}",
-            f"{result.value:.{decimals}f}",
-            f"{result.total:.{decimals}f}",
-        )
+        (name, params, *(f"{metric:.{decimals}f}" for metric in result[:3]))
         for name, params, result in rows
     ]
     lines = ["| " + " | ".join(cells) + " |" for cells in table]
@@ -318,8 +313,7 @@ def _run_chunk(payload) -> tuple[list[BacktestResult], Exception | None]:
     try:
         # Each point's BacktestConfig is built unchecked: its strategy was
         # checked when the grid was built, its budget is the default 1.0,
-        # and its fee rate is checked here, once per chunk.
-        check_fee_rate(fee_rate)
+        # and its fee rate when the BarSeries was built.
         for strategy in configs:
             config = tuple.__new__(BacktestConfig, (strategy, fee_rate, 1.0))
             done.append(run_backtest(config, bars, keep_trajectory=False))

@@ -208,11 +208,14 @@ def test_criterion_4_property_suite():
     assert time.perf_counter() - started < 30.0
 
 
-def _oracle_metrics(kind, a, r, raw_bars, fee_rate, budget):
+def _oracle_metrics(kind, a, r, raw_bars, fee_rate, budget, spacing=None):
     """Brute-force per-bar ledger, written directly from the methodology.
 
     Positions are [lower, upper, liquidity] triples; no code is shared with
-    the engine beyond the math library.
+    the engine beyond the math library. With a tick ``spacing``, range
+    bounds lie on the tick grid (tick i has price 1.0001 ** i; only
+    multiples of ``spacing`` are used), and a deposit mints its budget over
+    the value of one unit of liquidity on the snapped range.
     """
 
     def reserves(liquidity, lower, upper, p):
@@ -225,6 +228,24 @@ def _oracle_metrics(kind, a, r, raw_bars, fee_rate, budget):
             liquidity * (math.sqrt(p) - math.sqrt(lower)),
         )
 
+    def bounds(p):
+        lower, upper = p / (1.0 + a), p * (1.0 + a)
+        if spacing is None:
+            return lower, upper
+        # Each bound snaps to the nearest spaced tick in log space, within
+        # the tick range [-887272, 887272], then moves outward by whole
+        # spacings until p lies strictly inside.
+        limit = 887272 // spacing
+        low, high = (
+            max(-limit, min(limit, round(math.log(bound) / math.log(1.0001) / spacing)))
+            for bound in (lower, upper)
+        )
+        while 1.0001 ** (low * spacing) >= p:
+            low -= 1
+        while 1.0001 ** (high * spacing) <= p:
+            high += 1
+        return 1.0001 ** (low * spacing), 1.0001 ** (high * spacing)
+
     def fresh_state():
         p0 = raw_bars[0][1]
         positions, hold, full, trigger = [], (0.0, 0.0), 0.0, None
@@ -233,8 +254,13 @@ def _oracle_metrics(kind, a, r, raw_bars, fee_rate, budget):
         elif kind == "passive":
             full = budget / (2.0 * math.sqrt(p0))
         else:
-            liquidity = (budget / 2.0) / (math.sqrt(p0) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
-            positions = [[p0 / (1.0 + a), p0 * (1.0 + a), liquidity]]
+            lower, upper = bounds(p0)
+            if spacing is None:
+                liquidity = (budget / 2.0) / (math.sqrt(p0) * (1.0 - 1.0 / math.sqrt(1.0 + a)))
+            else:
+                x, y = reserves(1.0, lower, upper, p0)
+                liquidity = budget / (y + x * p0)
+            positions = [[lower, upper, liquidity]]
             if kind == "reset":
                 trigger = (p0 / (1.0 + r), p0 * (1.0 + r))
         return positions, hold, full, trigger
@@ -271,8 +297,7 @@ def _oracle_metrics(kind, a, r, raw_bars, fee_rate, budget):
             x, y = reserves(liquidity, lower, upper, p)
             x_total += x
             y_total += y
-        lower_new = p / (1.0 + a)
-        upper_new = p * (1.0 + a)
+        lower_new, upper_new = bounds(p)
         below = y_total / (math.sqrt(p) - math.sqrt(lower_new)) if y_total > 0.0 else 0.0
         above = (
             x_total / (1.0 / math.sqrt(p) - 1.0 / math.sqrt(upper_new)) if x_total > 0.0 else 0.0
@@ -347,6 +372,41 @@ def test_criterion_5_oracle_equivalence():
         assert result.fees == fees, f"case {case} ({kind}): fees differ"
         assert result.value == value, f"case {case} ({kind}): value differs"
         assert result.total == total, f"case {case} ({kind}): total differs"
+
+
+@pytest.mark.parametrize("spacing", (1, 10, 60))
+def test_snapped_runs_match_the_oracle_bit_for_bit(spacing):
+    """Snapped fixed and reset runs on seeded short fixtures equal the
+    oracle. A fifth of the closes sit exactly on a spaced tick, and the
+    widths reach below one spacing, so some bounds snap onto the price and
+    must move outward."""
+    rng = random.Random(spacing)
+    step = math.log(1.0001) * spacing
+    for case in range(200):
+        kind = ("fixed", "reset")[case % 2]
+        prices = [rng.uniform(0.5, 5000.0)]
+        for _ in range(rng.randint(0, 29)):
+            price = prices[-1] * rng.uniform(0.95, 1.05)
+            if rng.random() < 0.2:
+                price = 1.0001 ** (spacing * round(math.log(price) / step))
+            prices.append(price)
+        raw = []
+        for i, price in enumerate(prices):
+            volume = rng.choice([0.0, rng.uniform(1.0, 1e7)]) if i else 0.0
+            raw.append((3600 * i, price, volume, rng.uniform(1e2, 1e8)))
+        bars = tuple(HourlyBar(*row) for row in raw)
+        a = 10.0 ** rng.uniform(-5.0, -0.7)
+        r = 10.0 ** rng.uniform(-5.0, -1.3)
+        budget = rng.choice([1.0, rng.uniform(0.5, 10.0)])
+        fee_rate = rng.choice([0.003, 0.0005, 0.01])
+        strategy = fixed_config(a, spacing) if kind == "fixed" else reset_config(a, r, spacing)
+        result = run_backtest(
+            BacktestConfig(strategy=strategy, fee_rate=fee_rate, initial_value=budget),
+            bars,
+            keep_trajectory=False,
+        )
+        expected = _oracle_metrics(kind, a, r, raw, fee_rate, budget, spacing)
+        assert result[:3] == expected, f"case {case} ({strategy.label()})"
 
 
 @criterion(6, "hand-computed 3-bar ledger reproduced exactly")

@@ -905,8 +905,8 @@ ENTRY_POINTS = {
     "script": ["-c", "from clbacktest.cli import run; run()"],
 }
 
-# Commands run from a directory that holds bars.csv and days.csv; a command
-# that writes a file writes out.csv.
+# Commands run from a directory that holds bars.csv, days.csv and
+# overflow.csv; a command that writes a file writes out.csv.
 EXIT_CASES = {
     "backtest": ["backtest", "--data", "bars.csv", "--fee", "0.003"]
     + ["--strategy", "reset:a=0.10,r=0.05", "--snap-ticks", "--trajectory", "out.csv"],
@@ -924,6 +924,10 @@ EXIT_CASES = {
 # 400 days of two bars each: daily-returns prints more than the 8 KiB that
 # standard output buffers.
 DAYS_ROWS = [(1600041600 + 43200 * i, 2000.0, 1e6 + i, 1e4, 4e7) for i in range(800)]
+
+# Valid rows whose second close overflows the value of the loose tokens
+# that nolp holds from the first.
+OVERFLOW_ROWS = [(1600000000, 1e-300, 0.0, 1e4, ""), (1600003600, 1e300, 0.0, 1e4, "")]
 
 # Closes the descriptor named by its first argument, then runs Python on the
 # other arguments.
@@ -967,6 +971,11 @@ FAULT_COMMANDS = {
     + ["--data", "/proc/self/mem", "--fee", "0.003"],
     "mem-daily-returns": ["daily-returns", "--data", "/proc/self/mem", "--fee", "0.003"],
     "help": ["backtest", "--help"],
+    "nolp-overflow": ["backtest", "--data", "overflow.csv", "--fee", "0.003"]
+    + ["--strategy", "nolp"],
+    # The sweep's baselines run nolp.
+    "baseline-overflow": ["sweep", "--data", "overflow.csv", "--fee", "0.003", "--kind", "fixed"]
+    + ["--jobs", "1"],
 }
 
 ERROR_LINE = rb"error: [^\n]+\n"
@@ -977,6 +986,7 @@ STDOUT_CLOSED = rb"error: cannot write standard output: \[Errno 9\] Bad file des
 STDOUT_FULL = rb"error: cannot write standard output: \[Errno 28\] No space left on device\n"
 FILE_FULL = rb"error: cannot write /dev/full: \[Errno 28\] No space left on device\n"
 WORKER_DIED = rb"error: sweep worker %s before sending its results\n"
+MARKED_OVERFLOW = rb"error: bar 2: marking the ledger at price 1e\+300 overflows\n"
 PRINTED = None
 
 # The fault table. A process that meets the fault while it runs the command
@@ -1024,6 +1034,8 @@ FAULTS = {
     "stderr-full-argparse-error": ("stderr:full", "argparse-error", 2, USAGE_LINES, b""),
     "stdout-full-help": ("stdout:full", "help", 1, STDOUT_FULL, b""),
     "stdout-full-help-unbuffered": (UNBUFFERED + "stdout:full", "help", 1, STDOUT_FULL, b""),
+    "nolp-overflow": ("", "nolp-overflow", 1, MARKED_OVERFLOW, b""),
+    "baseline-overflow": ("", "baseline-overflow", 1, MARKED_OVERFLOW, b""),
 }
 
 # A row whose id names one of these skips where it is missing.
@@ -1041,6 +1053,7 @@ def _workdir(root: Path, name: str) -> Path:
     workdir.mkdir()
     (workdir / "bars.csv").write_text(csv_text(FIXTURE_ROWS))
     (workdir / "days.csv").write_text(csv_text(DAYS_ROWS))
+    (workdir / "overflow.csv").write_text(csv_text(OVERFLOW_ROWS))
     return workdir
 
 

@@ -197,25 +197,55 @@ def test_rejects_empty_and_unsorted_bars():
         run_backtest(BacktestConfig(strategy=nolp_config(), fee_rate=0.003), shuffled)
 
 
-@pytest.mark.parametrize(
-    "strategy, value",
-    [
-        (passive_config(), "1.0033541019662497"),
-        (fixed_config(0.10), "1.0720732398274229"),
-        (reset_config(0.10, 0.05), "1.0720732398274229"),
-    ],
-    ids=("passive", "fixed", "reset"),
+# Bar 3's fee is infinite, and so is the compounding factor.
+FEE_OVERFLOW = make_bars(
+    [2000.0, 2000.0, 2000.0], volumes=[0.0, 1e6, 1e308], liquidity=[1e4, 1e4, 1e-300]
 )
-def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, value):
-    # Bar 3's fee is infinite, and so is the compounding factor.
-    bars = make_bars(
-        [2000.0, 2000.0, 2000.0], volumes=[0.0, 1e6, 1e308], liquidity=[1e4, 1e4, 1e-300]
-    )
-    with pytest.raises(DataError) as caught:
-        run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars)
-    assert str(caught.value) == (
-        f"bar 3: compounding the fee inf into value {value} overflows the ledger"
-    )
+
+
+@pytest.mark.parametrize(
+    "strategy, bars, message",
+    [
+        (
+            passive_config(),
+            FEE_OVERFLOW,
+            "bar 3: compounding the fee inf into value 1.0033541019662497 overflows the ledger",
+        ),
+        (
+            fixed_config(0.10),
+            FEE_OVERFLOW,
+            "bar 3: compounding the fee inf into value 1.0720732398274229 overflows the ledger",
+        ),
+        (
+            reset_config(0.10, 0.05),
+            FEE_OVERFLOW,
+            "bar 3: compounding the fee inf into value 1.0720732398274229 overflows the ledger",
+        ),
+        # Bar 2's value of the loose tokens, or of the full-range deposit, is
+        # infinite, with or without fees.
+        (
+            nolp_config(),
+            make_bars([1e-300, 1e300]),
+            "bar 2: marking the ledger at price 1e+300 overflows",
+        ),
+        (
+            passive_config(),
+            make_bars([5e-324, 1e308]),
+            "bar 2: marking the ledger at price 1e+308 overflows",
+        ),
+        (
+            passive_config(),
+            make_bars([5e-324, 1e308], volumes=[0.0, 1e6]),
+            "bar 2: marking the ledger at price 1e+308 overflows",
+        ),
+    ],
+    ids=("passive", "fixed", "reset", "nolp-marked", "passive-marked", "passive-marked-fee"),
+)
+def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, bars, message):
+    for keep_trajectory in (False, True):
+        with pytest.raises(DataError) as caught:
+            run_backtest(BacktestConfig(strategy=strategy, fee_rate=0.003), bars, keep_trajectory)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ from clbacktest import (
     reset_config,
     scale_liquidity,
 )
-from clbacktest.clmath import nearest_spaced_tick
+from clbacktest.clmath import MAX_TICK
 
 BAR = HourlyBar(timestamp=3600, price=2000.0, volume=1e6, pool_liquidity=1e4, tvl=5e7)
 RESULT = BacktestResult(
@@ -92,7 +92,12 @@ GOOD = {
 # A field change that breaks a rule, and the error each way of building must raise.
 BAD = [
     (PriceRange, {"upper": 0.5}, ValueError, "upper must exceed lower, got [1.0, 0.5]"),
-    (PairProfile, {"tick_spacing": 0}, ValueError, "tick_spacing must be >= 1, got 0"),
+    (
+        PairProfile,
+        {"tick_spacing": 0},
+        ValueError,
+        "tick_spacing must be an integer in [1, 887272], got 0",
+    ),
     (
         StrategyConfig,
         {"kind": "grid"},
@@ -105,7 +110,12 @@ BAD = [
         UsageError,
         "strategy 'reset' needs r > 0 (at least 1e-09), got None",
     ),
-    (StrategyConfig, {"snap_spacing": 0}, UsageError, "snap_spacing must be >= 1, got 0"),
+    (
+        StrategyConfig,
+        {"snap_spacing": 0},
+        UsageError,
+        "snap_spacing must be an integer in [1, 887272], got 0",
+    ),
     (HourlyBar, {"price": 0.0}, DataError, "price must be finite and > 0, got 0.0"),
     (BacktestConfig, {"fee_rate": 1.0}, UsageError, "fee_rate must lie in [0, 1), got 1.0"),
     (
@@ -225,9 +235,24 @@ BOUND_CALLS = {
     ),
     "pair-class": (lambda: pair_for_class("x"), ValueError, "unknown pair class 'x'"),
     "tick-spacing": (
-        lambda: nearest_spaced_tick(1.0, 0),
+        lambda: PairProfile("x", 2.5),
         ValueError,
-        "spacing must be >= 1, got 0",
+        "tick_spacing must be an integer in [1, 887272], got 2.5",
+    ),
+    "snap-spacing-float": (
+        lambda: fixed_config(0.1, snap_spacing=1.5),
+        UsageError,
+        "snap_spacing must be an integer in [1, 887272], got 1.5",
+    ),
+    "snap-spacing-bool": (
+        lambda: StrategyConfig("fixed", 0.1, None, True),
+        UsageError,
+        "snap_spacing must be an integer in [1, 887272], got True",
+    ),
+    "snap-spacing-beyond-the-tick-range": (
+        lambda: reset_config(0.1, 0.05, MAX_TICK + 1),
+        UsageError,
+        "snap_spacing must be an integer in [1, 887272], got 887273",
     ),
     "arity-missing": (
         lambda: HourlyBar(3600, 2000.0),

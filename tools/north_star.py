@@ -1,12 +1,13 @@
-"""Report the CPU time of one sweep of the north-star workload.
+"""Report the CPU time of one sweep of the north-star workload, plain and snapped.
 
 Writes ``bench/gen.py``'s seed-0 stable series of 730 hourly bars (fee rate
 0.0005, a month across a depeg) to a temporary directory, then runs ``python
 -m clbacktest.cli sweep --kind reset --pair-class stable --jobs 1`` over it
-once: the default 2500-point stable Reset grid in one process. Prints the
-process's CPU time (user + system, from ``os.wait4``). Report only: it exits
-0 whatever it measures, unless the sweep fails. Needs ``os.posix_spawn``
-(Linux, macOS).
+once, and once more with ``--snap-ticks``: the default 2500-point stable
+Reset grid in one process, with plain and with tick-snapped ranges. Prints
+one line per sweep with the process's CPU time (user + system, from
+``os.wait4``). Report only: it exits 0 whatever it measures, unless a sweep
+fails. Needs ``os.posix_spawn`` (Linux, macOS).
 
 Usage: python tools/north_star.py [SRC]   (default: src, the directory that holds clbacktest)
 """
@@ -42,15 +43,17 @@ def main(argv: list[str]) -> int:
         args = ["-m", "clbacktest.cli", "sweep", "--data", data, "--fee", str(FEE_RATE)]
         args += ["--kind", "reset", "--pair-class", "stable", "--jobs", "1"]
         discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-        pid = os.posix_spawn(sys.executable, [sys.executable, *args], env, file_actions=discard)
-        _, status, usage = os.wait4(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit(f"error: python {' '.join(args)} failed")
-    print(
-        f"stable Reset sweep, default grid, {BARS} bars (seed {SEED}, "
-        f"sha256 {record['csv_sha256'][:12]}), one process: "
-        f"{usage.ru_utime + usage.ru_stime:.3f} s CPU"
-    )
+        for ranges, extra in (("plain", []), ("snapped", ["--snap-ticks"])):
+            argv = [sys.executable, *args, *extra]
+            pid = os.posix_spawn(sys.executable, argv, env, file_actions=discard)
+            _, status, usage = os.wait4(pid, 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                sys.exit(f"error: python {' '.join(argv[1:])} failed")
+            print(
+                f"stable Reset sweep, default grid, {ranges} ranges, {BARS} bars (seed "
+                f"{SEED}, sha256 {record['csv_sha256'][:12]}), one process: "
+                f"{usage.ru_utime + usage.ru_stime:.3f} s CPU"
+            )
     return 0
 
 
