@@ -93,35 +93,55 @@ close exactly on a shared or an outer bound. Apart from the loose tokens,
 the two ledgers' amounts stay separate: the compounding one cannot be
 derived from the plain one bit for bit.
 
-Memo and prefix rule. A sweep runs many configurations over one series, so
-every run takes its rows from a one-entry memo that holds the rows of the
-last bar tuple, keyed on the identity of that immutable ``tuple`` and on
-the fee rate, including its sign (``-0.0`` gives ``-0.0`` fee cells in a
+Memo rule. A sweep runs many configurations over one series, so every run
+takes its rows from a one-entry memo that holds the rows of the last bar
+tuple, keyed on the identity of that immutable ``tuple`` and on the fee
+rate, including its sign (``-0.0`` gives ``-0.0`` fee cells in a
 trajectory). Any other sequence is copied into a new tuple first, so it is
 checked and its rows built afresh. Only rows whose ordering check passed
 are remembered, so an unsorted tuple fails on every call. The same entry
-holds two prefix memos for the series, so they share its key and its
-lifetime: the memo keeps the last tuple, its rows and both prefix memos
-alive until another tuple or fee rate is run.
+holds three memos for the series (fire schedules, prefix snapshots and
+results), so they share its key and its lifetime: the memo keeps the last
+tuple, its rows and those memos alive until another tuple or fee rate is
+run.
 
-Until its trigger first fires, a reset run is the run of its deployed
-ranges and ledger alone, and the grid's r values share that prefix. So a
-reset run without a trajectory finds ``k``, the first row whose price
-leaves its deploy-time trigger (memoised per trigger interval), and takes
-the state entering row ``k`` from a snapshot kept per deployed ``(ranges,
-ledger)`` group: it advances from the group's snapshot when that lies at
-or before row ``k``, else from the deploy state, with the trigger
-``(0.0, inf)``, which holds every valid price, and keeps the further of the
-two snapshots. It then runs rows ``k`` onwards with its own trigger. The
-prefix's arithmetic is the full run's: the rows before ``k`` see the same
-state and do the same IEEE operations in the same order, and the one test
-that differs, the trigger's, is false in both (by the definition of
-``k``). The group is all the prefix depends on besides the rows: the
-strategy's parameters enter it only through ``deploy``, and the budget
-only through the ledger and a trajectory's cells. Deployed values are
-finite and never ``-0.0``, so the group's float key cannot merge two
-groups with different bits. A run with a trajectory, and a strategy
-without a trigger, runs every row from deploy in one segment.
+Schedule rule. A trigger is centred on the price it was set at, with
+half-width r, and is never snapped; the kernel reads r nowhere but in the
+trigger test. So the rows a Reset(a, r) run fires on, its fire schedule,
+depend on r and the prices alone, and two r values with one schedule take
+the same branch on every row and do the same IEEE operations on the same
+operands: their runs are bit-identical. A reset run without a trajectory
+takes its schedule from a memo keyed on r (:func:`_fire_schedule`) and
+looks its result up by ``(a, snap_spacing, budget, schedule)``; a hit
+returns the stored :class:`BacktestResult` and does not even deploy, as a
+stored result shows that this a, spacing and budget deploy, and a valid
+schedule that this trigger does. The key holds a and the spacing rather
+than the deployed group, since two widths can snap to one deployed range
+and still reset into ranges of their own a, and the budget, which sizes the
+ledger. A run stores its result only when it succeeds and every trigger
+interval of its schedule is valid. A schedule's scan stops at an invalid
+one, where ``deploy`` or ``reset_bounds`` raises naming the strategy (r
+included), and is never looked up; so a config whose trigger or run fails
+raises its own error.
+
+Prefix rule. Until its trigger first fires, a reset run is the run of its
+deployed ranges and ledger alone, and the grid's r values share that
+prefix. So a run that misses the result memo takes the state entering row
+``k``, the first row of its schedule (past the last row if it never fires),
+from a snapshot kept per deployed ``(ranges, ledger)`` group: it advances
+from the group's snapshot when that lies at or before row ``k``, else from
+the deploy state, with the trigger ``(0.0, inf)``, which holds every valid
+price, and keeps the further of the two snapshots. It then runs rows ``k``
+onwards with its own trigger. The prefix's arithmetic is the full run's:
+the rows before ``k`` see the same state and do the same IEEE operations in
+the same order, and the one test that differs, the trigger's, is false in
+both (by the definition of ``k``). The group is all the prefix depends on
+besides the rows: the strategy's parameters enter it only through
+``deploy``, and the budget only through the ledger and a trajectory's
+cells. Deployed values are finite and never ``-0.0``, so the group's float
+key cannot merge two groups with different bits. A run with a trajectory,
+and a strategy without a trigger, runs every row from deploy in one
+segment.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -134,8 +154,8 @@ A run without a trajectory allocates none of this, and marks bar 1 (with
 ``mark``) only when it has one bar, whose value is the result; otherwise
 bar 2 overwrites that value unread.
 
-Checks. Each input is checked once, where it enters, and not per bar in
-the kernel: :class:`HourlyBar`'s constructor checks each field with
+Checks. Each input is checked once, where it enters, and not per bar in the
+kernel: :class:`HourlyBar`'s constructor checks each field with
 :func:`~clbacktest.clmath.check_bound` (CSV ingest checks whole columns and
 then builds the bars without that per-bar check), :class:`BacktestConfig`
 the fee rate and budget, :class:`~clbacktest.dataio.BarSeries` its fee
@@ -146,15 +166,18 @@ budget again, a snapped deploy or reset does not check its spacing again,
 and a sweep, whose fee rate its ``BarSeries`` checked, builds each point's
 config unchecked. What a run still checks is arithmetic on valid input: a
 value that overflows the ledger (an infinite fee or scaled liquidity, or a
-nolp or passive ledger whose loose tokens or full-range deposit are worth
-more than a float at a bar's price), a deposit or range bound beyond float
-or tick range, or a snapped reset range so narrow that its bounds' square
-roots are equal (its deposit divides by zero), raises DataError naming the
-bar. Only nolp and passive mark a tail, so the marking test sits in the
-tail's block and range kinds pay nothing for it; a range ledger's marked
-value is not tested. Compounding tests only the scaled slots (and
-full-range liquidity): a non-finite factor makes a scaled slot non-finite
-too, since ``L * inf`` is inf and ``0.0 * inf`` is NaN.
+ledger whose holdings are worth more than a float at a bar's price), a
+deposit or range bound beyond float or tick range, or a snapped reset range
+so narrow that its bounds' square roots are equal (its deposit divides by
+zero), raises DataError naming the bar. The marking test runs once per bar
+for every kind and reads only the compounding ledger's value, which the
+plain ledger's never exceeds: both start from one deposit, a compounding
+factor ``(value + fee) / value`` is at least 1, and marking, compounding
+and a reset's redeposit apply the same non-negative operands in the same
+order to each ledger's amounts, so with rounding monotone no plain amount
+or value exceeds its compounding twin. Compounding tests only the scaled
+slots (and full-range liquidity): a non-finite factor makes a scaled slot
+non-finite too, since ``L * inf`` is inf and ``0.0 * inf`` is NaN.
 """
 
 from __future__ import annotations
@@ -165,8 +188,9 @@ from typing import Sequence
 
 from ._tuples import checked_tuple
 from .errors import DataError, UsageError
-from .clmath import check_bound, mark
+from .clmath import check_bound, mark, symmetric_bounds
 from .strategies import (
+    RESET,
     Ledger,
     Ranges,
     StrategyConfig,
@@ -182,9 +206,10 @@ _EMPTY_SLOT = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
 # The trigger interval of a run that never resets: it holds every valid price.
 _NO_TRIGGER = (0.0, math.inf)
 
-# The last bar tuple run, its fee rate and sign, its rows, and its prefix
-# memos: trigger -> first row it fires on, (ranges, ledger) -> (row, state).
-_memo: tuple = ((), None, None, None, None)
+# The last bar tuple run, its fee rate and sign, its rows, and its memos:
+# r -> (fire schedule, valid), (ranges, ledger) -> (row, state), and
+# (a, snap_spacing, budget, schedule) -> result.
+_memo: tuple = ((), None, None, None, None, None)
 
 # The float fields of a bar, in field order, and whether each must be finite
 # and > 0 (strict) or finite and >= 0. ``tvl`` may also be None. CSV ingest
@@ -271,8 +296,23 @@ def run_backtest(
         raise UsageError("cannot backtest an empty bar sequence")
     budget = config.initial_value
     strategy = config.strategy
-    rows, fires, snapshots = _series_rows(bars, config.fee_rate)
+    rows, schedules, snapshots, results = _series_rows(bars, config.fee_rate)
     first = bars[0]
+
+    # The schedule rule: a reset run without a trajectory is the run of its
+    # a, spacing, budget and fire schedule, and is memoised as such.
+    shared = strategy.kind == RESET and not keep_trajectory
+    key = None
+    if shared:
+        schedule = schedules.get(strategy.r)
+        if schedule is None:
+            schedule = schedules[strategy.r] = _fire_schedule(rows, first.price, strategy.r)
+        fired, valid = schedule
+        if valid:
+            key = (strategy.a, strategy.snap_spacing, budget, fired)
+            done = results.get(key)
+            if done is not None:
+                return done
 
     try:
         ranges, ledger, trigger = deploy(strategy, first.price, budget)
@@ -282,20 +322,15 @@ def run_backtest(
     if keep_trajectory or not rows:  # else bar 2 overwrites bar 1's mark unread
         value = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
 
-    if trigger is None or keep_trajectory:
+    if not shared:
         state = _deployed(ranges, ledger, trigger or _NO_TRIGGER, value)
         columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
         state = _advance(strategy, rows, 0, len(rows), state, budget, columns)
     else:
-        # The prefix rule: rows before ``start``, the first whose price
-        # leaves this run's trigger, are the deployed group's run with no
-        # trigger; this run resumes from there with its own.
-        start = fires.get(trigger)
-        if start is None:
-            lower, upper = trigger
-            start = fires[trigger] = next(
-                (i for i, row in enumerate(rows) if not lower < row[1] < upper), len(rows)
-            )
+        # The prefix rule: rows before ``start``, the first this run's
+        # trigger fires on, are the deployed group's run with no trigger;
+        # this run resumes from there with its own.
+        start = fired[0] if fired else len(rows)
         group = (ranges, ledger)
         saved = snapshots.get(group)
         if saved is not None and saved[0] <= start:
@@ -314,7 +349,10 @@ def run_backtest(
             map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, *columns))
         )
     fee_sum, value_now, total_now = state[-3:]
-    return BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
+    result = BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
+    if key is not None:
+        results[key] = result
+    return result
 
 
 def _deployed(ranges: Ranges, ledger: Ledger, trigger: tuple[float, float], value: float) -> tuple:
@@ -412,8 +450,8 @@ def _advance(
                 holdings = hold_x * price + hold_y
                 value_now += holdings
                 value_comp += holdings
-            if not (value_now < inf and value_comp < inf):
-                raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
+        if not value_comp < inf:  # value_now <= value_comp (see the checks)
+            raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
 
         fee_plain = volume_fee * active_plain / pool_liquidity
         fee_comp = volume_fee * active_comp / pool_liquidity
@@ -514,13 +552,39 @@ def _advance(
     )
 
 
-def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, dict, dict]:
+def _fire_schedule(
+    rows: tuple[tuple, ...], price: float, r: float
+) -> tuple[tuple[int, ...], bool]:
+    """The rows on which a trigger of half-width ``r`` set at ``price``
+    fires, and whether every trigger interval on the way is valid.
+
+    Each interval is ``symmetric_bounds(price, r)``, as ``deploy`` and
+    ``reset_bounds`` compute it, and fires, as in the kernel, on a price not
+    strictly inside it. The scan stops at the first interval that is not
+    ``0 < lower < upper < inf``, where ``deploy`` or ``reset_bounds`` raises.
+    """
+    fired = []
+    lower, upper = symmetric_bounds(price, r)
+    if not 0.0 < lower < upper < math.inf:
+        return (), False
+    for i, row in enumerate(rows):
+        price = row[1]
+        if not lower < price < upper:
+            fired.append(i)
+            lower, upper = symmetric_bounds(price, r)
+            if not 0.0 < lower < upper < math.inf:
+                return tuple(fired), False
+    return tuple(fired), True
+
+
+def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, dict, dict, dict]:
     """Check the ordering of ``bars``; return the kernel's rows of bars 2..n,
     ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``, and
-    the series' two prefix memos: the first row each trigger fires on, and
-    the furthest snapshot of each deployed group.
+    the series' three memos: the fire schedule of each reset width ``r``,
+    the furthest snapshot of each deployed group, and the result of each
+    ``(a, snap_spacing, budget, schedule)``.
 
-    All three are remembered for the last tuple and fee rate (see the memo
+    All four are remembered for the last tuple and fee rate (see the memo
     rule). The memo holds the tuple itself, so its identity cannot be reused
     while it is remembered, and a tuple of frozen bars cannot change.
     """
@@ -538,7 +602,7 @@ def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, d
             [bar.pool_liquidity for bar in bars[1:]],
         )
     )
-    _memo = (bars, key, rows, {}, {})
+    _memo = (bars, key, rows, {}, {}, {})
     return _memo[2:]
 
 

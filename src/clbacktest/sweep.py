@@ -9,6 +9,12 @@ series' fee rate was checked when its :class:`~clbacktest.dataio.BarSeries`
 was built, and ``run_backtest`` checks nothing it is given again (see
 :mod:`clbacktest.engine`). Ranking and the report compute each result's tie
 key once.
+
+A sweep on several processes gives each a contiguous chunk of the grid. A
+Reset grid lists the r values of one a side by side, and neighbouring r
+values often fire on the same bars, so their runs share one kernel run
+within a process (the schedule rule in :mod:`clbacktest.engine`); strided
+chunks would split them between processes.
 """
 
 from __future__ import annotations
@@ -156,28 +162,36 @@ def run_sweep(
 
     Results come back in grid order and are identical whatever ``jobs`` is;
     ``jobs=None`` uses every CPU this process may run on. ``jobs`` counts
-    processes, the calling one included: it runs one strided chunk of the
-    grid itself and starts one process for each other chunk. A failing
-    configuration raises its error; when several fail, the first in grid
-    order does, whatever ``jobs`` is. A process that cannot be started, or
-    that dies before it sends its results, raises DataError naming the
-    cause, once the ones already started have been stopped.
-    Trajectories are dropped to keep memory flat across large grids.
+    processes, the calling one included. With ``n`` configurations on ``w``
+    processes, process ``i`` runs the contiguous chunk from grid index
+    ``ceil(n * i / w)`` up to ``ceil(n * (i + 1) / w)``: the calling process
+    runs the first, of ``ceil(n / w)`` configurations, and starts one
+    process for each other chunk. A failing configuration raises its error;
+    when several fail, the first in grid order does, whatever ``jobs`` is. A
+    process that cannot be started, or that dies before it sends its
+    results, raises DataError naming the cause, once the ones already
+    started have been stopped. Trajectories are dropped to keep memory flat
+    across large grids.
     """
     configs = list(grid)
     if not configs:
         raise UsageError("cannot sweep an empty grid")
-    workers = worker_count(jobs, len(configs), usable_cpus())
-    payloads = [(configs[i::workers], series.bars, series.fee_rate) for i in range(workers)]
+    n = len(configs)
+    workers = worker_count(jobs, n, usable_cpus())
+    # Chunk i is configs[ceil(n * i / workers):ceil(n * (i + 1) / workers)].
+    bounds = [-(-n * i // workers) for i in range(workers + 1)]
+    payloads = [
+        (configs[start:stop], series.bars, series.fee_rate)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
     outcomes = _dispatch(payloads) if workers > 1 else [_run_chunk(payloads[0])]
-    # A chunk stops at its first failure, whose grid index follows from the
-    # chunk's offset and how many results it has.
-    failures = {i + len(done) * workers: error for i, (done, error) in enumerate(outcomes) if error}
-    if failures:
-        raise failures[min(failures)]
-    # Stitch the strided chunks back into grid order: grid point i is result
-    # i // workers of chunk i % workers.
-    results = [outcomes[i % workers][0][i // workers] for i in range(len(configs))]
+    results = []
+    for done, error in outcomes:
+        # A chunk stops at its first failure, and every chunk before it ran
+        # whole: that failure is the first in grid order.
+        if error:
+            raise error
+        results += done
     return list(zip(configs, results))
 
 

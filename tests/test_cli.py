@@ -905,8 +905,8 @@ ENTRY_POINTS = {
     "script": ["-c", "from clbacktest.cli import run; run()"],
 }
 
-# Commands run from a directory that holds bars.csv, days.csv and
-# overflow.csv; a command that writes a file writes out.csv.
+# Commands run from a directory that holds bars.csv, days.csv, overflow.csv
+# and marked.csv; a command that writes a file writes out.csv.
 EXIT_CASES = {
     "backtest": ["backtest", "--data", "bars.csv", "--fee", "0.003"]
     + ["--strategy", "reset:a=0.10,r=0.05", "--snap-ticks", "--trajectory", "out.csv"],
@@ -928,6 +928,14 @@ DAYS_ROWS = [(1600041600 + 43200 * i, 2000.0, 1e6 + i, 1e4, 4e7) for i in range(
 # Valid rows whose second close overflows the value of the loose tokens
 # that nolp holds from the first.
 OVERFLOW_ROWS = [(1600000000, 1e-300, 0.0, 1e4, ""), (1600003600, 1e300, 0.0, 1e4, "")]
+
+# Valid rows whose second fee compounds a range of half-width 1e10 so far
+# that the third close marks it above the range at more than a float holds.
+MARKED_ROWS = [
+    (1600000000, 1.0, 0.0, 1e4, ""),
+    (1600003600, 1.0, 1e305, 1e-3, ""),
+    (1600007200, 1e15, 0.0, 1e4, ""),
+]
 
 # Closes the descriptor named by its first argument, then runs Python on the
 # other arguments.
@@ -976,6 +984,8 @@ FAULT_COMMANDS = {
     # The sweep's baselines run nolp.
     "baseline-overflow": ["sweep", "--data", "overflow.csv", "--fee", "0.003", "--kind", "fixed"]
     + ["--jobs", "1"],
+    "range-overflow": ["backtest", "--data", "marked.csv", "--fee", "0.003"]
+    + ["--strategy", "fixed:a=1e10"],
 }
 
 ERROR_LINE = rb"error: [^\n]+\n"
@@ -987,6 +997,7 @@ STDOUT_FULL = rb"error: cannot write standard output: \[Errno 28\] No space left
 FILE_FULL = rb"error: cannot write /dev/full: \[Errno 28\] No space left on device\n"
 WORKER_DIED = rb"error: sweep worker %s before sending its results\n"
 MARKED_OVERFLOW = rb"error: bar 2: marking the ledger at price 1e\+300 overflows\n"
+RANGE_OVERFLOW = rb"error: bar 3: marking the ledger at price 1000000000000000\.0 overflows\n"
 PRINTED = None
 
 # The fault table. A process that meets the fault while it runs the command
@@ -1036,6 +1047,7 @@ FAULTS = {
     "stdout-full-help-unbuffered": (UNBUFFERED + "stdout:full", "help", 1, STDOUT_FULL, b""),
     "nolp-overflow": ("", "nolp-overflow", 1, MARKED_OVERFLOW, b""),
     "baseline-overflow": ("", "baseline-overflow", 1, MARKED_OVERFLOW, b""),
+    "range-overflow": ("", "range-overflow", 1, RANGE_OVERFLOW, b""),
 }
 
 # A row whose id names one of these skips where it is missing.
@@ -1054,6 +1066,7 @@ def _workdir(root: Path, name: str) -> Path:
     (workdir / "bars.csv").write_text(csv_text(FIXTURE_ROWS))
     (workdir / "days.csv").write_text(csv_text(DAYS_ROWS))
     (workdir / "overflow.csv").write_text(csv_text(OVERFLOW_ROWS))
+    (workdir / "marked.csv").write_text(csv_text(MARKED_ROWS))
     return workdir
 
 

@@ -22,6 +22,7 @@ from clbacktest import (
     fixed_config,
     initialize,
     nolp_config,
+    on_close,
     passive_config,
     reset_config,
     run_backtest,
@@ -202,6 +203,12 @@ FEE_OVERFLOW = make_bars(
     [2000.0, 2000.0, 2000.0], volumes=[0.0, 1e6, 1e308], liquidity=[1e4, 1e4, 1e-300]
 )
 
+# Bar 2's fee compounds a range of half-width 1e10 to about 7.5e304 of
+# liquidity, which bar 3 marks above the range at more than a float holds.
+RANGE_MARK_OVERFLOW = make_bars(
+    [1.0, 1.0, 1e15], volumes=[0.0, 1e305, 0.0], liquidity=[1e4, 1e-3, 1e4]
+)
+
 
 @pytest.mark.parametrize(
     "strategy, bars, message",
@@ -238,8 +245,29 @@ FEE_OVERFLOW = make_bars(
             make_bars([5e-324, 1e308], volumes=[0.0, 1e6]),
             "bar 2: marking the ledger at price 1e+308 overflows",
         ),
+        # A range ledger's marked value is tested too; the reset's trigger
+        # holds bar 3's close, so it does not fire there.
+        (
+            fixed_config(1e10),
+            RANGE_MARK_OVERFLOW,
+            "bar 3: marking the ledger at price 1000000000000000.0 overflows",
+        ),
+        (
+            reset_config(1e10, 1e16),
+            RANGE_MARK_OVERFLOW,
+            "bar 3: marking the ledger at price 1000000000000000.0 overflows",
+        ),
     ],
-    ids=("passive", "fixed", "reset", "nolp-marked", "passive-marked", "passive-marked-fee"),
+    ids=(
+        "passive",
+        "fixed",
+        "reset",
+        "nolp-marked",
+        "passive-marked",
+        "passive-marked-fee",
+        "fixed-marked",
+        "reset-marked",
+    ),
 )
 def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, bars, message):
     for keep_trajectory in (False, True):
@@ -251,11 +279,13 @@ def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, bars, message)
 @pytest.mark.parametrize(
     "strategy, initial_value, prices, reason",
     [
+        # The base tokens and their value are finite; their deposit in the
+        # range above the price, about twice the deployed liquidity, is not.
         (
             reset_config(1e-9, 1e-9),
-            1e149,
-            [1e-300, 0.99e-300],
-            "redepositing inf base and 0.0 quote overflows",
+            1e299,
+            [1.0, 0.99],
+            "redepositing 1e+299 base and 0.0 quote overflows",
         ),
         (
             reset_config(1e-9, 1e-9),
@@ -414,7 +444,7 @@ class TestSeriesMemo:
 
     @pytest.fixture(autouse=True)
     def _empty_memo(self, monkeypatch):
-        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None))
+        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None, None))
 
     def test_a_changed_list_gives_fresh_results(self):
         bars = list(self.BARS)
@@ -473,7 +503,7 @@ class TestSharedPrefix:
 
     @pytest.fixture(autouse=True)
     def _empty_memo(self, monkeypatch):
-        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None))
+        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None, None))
 
     @classmethod
     def _grid(cls, snap_spacing):
@@ -516,7 +546,8 @@ class TestSharedPrefix:
             if order is grid:
                 # The first resets spread from the first row to none at
                 # all, and the grid ran fewer rows than cold runs do.
-                fires = sorted(engine._memo[3].values())
+                schedules = engine._memo[3].values()
+                fires = sorted(fired[0] if fired else rows for fired, _ in schedules)
                 assert fires[0] == 0 and fires[-1] == rows
                 assert any(20 < row < rows for row in fires)
                 assert sum(steps) < 0.9 * rows * len(grid)
@@ -528,7 +559,8 @@ class TestSharedPrefix:
         bars = make_bars([2000.0, 2000.0, trigger[side], 2000.0], volumes=[0.0, 1e6, 1e6, 1e6])
         kept = self._run(strategy, bars, keep_trajectory=True)
         assert _bits(self._run(strategy, bars)) == _bits(kept)
-        assert engine._memo[3] == {trigger: 1}
+        ((fired, valid),) = engine._memo[3].values()
+        assert fired[0] == 1 and valid
 
     def test_an_overflow_in_a_shared_prefix_names_the_same_bar_for_every_config(self):
         # Bar 5's fee is infinite. Only r=0.1% fires before it, at bar 3;
@@ -573,3 +605,133 @@ class TestSharedPrefix:
             assert _bits(result) == plain[strategy]
             assert result.trajectory[-1][2:] == (result.value, result.total)
         assert engine._memo[4] == snapshots
+
+
+class TestSharedSchedule:
+    """A reset run without a trajectory is the run of its ``a``, tick
+    spacing, budget and fire schedule (the schedule rule): configs that
+    share all four share one kernel run, and every result is that of a cold
+    run, bit for bit, in any order."""
+
+    DEPEG = TestSharedPrefix.DEPEG
+    OTHER = TestSharedPrefix.OTHER
+    AXIS = TestSharedPrefix.AXIS + (0.0021, 0.004, 0.0045, 0.03)
+    FEE_RATE = TestSharedPrefix.FEE_RATE
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(engine, "_memo", ((), None, None, None, None, None))
+
+    @pytest.fixture
+    def deploys(self, monkeypatch):
+        """The configs that ran the kernel: a run that misses the memo
+        deploys once, and a hit deploys nothing."""
+        calls = []
+        real = engine.deploy
+
+        def counting_deploy(strategy, price, budget):
+            calls.append((strategy, budget))
+            return real(strategy, price, budget)
+
+        monkeypatch.setattr(engine, "deploy", counting_deploy)
+        return calls
+
+    @classmethod
+    def _run(cls, strategy, bars, initial_value=1.0):
+        config = BacktestConfig(strategy, cls.FEE_RATE, initial_value)
+        return run_backtest(config, bars, keep_trajectory=False)
+
+    @classmethod
+    def _cold(cls, strategy, bars, initial_value=1.0):
+        return cls._run(strategy, tuple(list(bars)), initial_value)
+
+    @staticmethod
+    def _schedule(strategy, bars):
+        """The bars a reset fires on, replayed through the state API."""
+        state = initialize(strategy, bars[0].price, 1.0)
+        fired = []
+        for i, bar in enumerate(bars[1:]):
+            after = on_close(state, bar.price)
+            if after is not state:
+                fired.append(i)
+            state = after
+        return tuple(fired)
+
+    @pytest.mark.parametrize("snap_spacing", (None, 10), ids=("plain", "snapped"))
+    def test_every_order_gives_the_cold_results_from_one_run_per_schedule(
+        self, snap_spacing, deploys, monkeypatch
+    ):
+        grid = [reset_config(a, r, snap_spacing) for a in self.AXIS for r in self.AXIS]
+        cold = {strategy: _bits(self._cold(strategy, self.DEPEG)) for strategy in grid}
+        schedules = {r: self._schedule(reset_config(0.01, r), self.DEPEG) for r in self.AXIS}
+        # Some r values share a schedule, so the grid needs fewer runs.
+        runs = {(strategy.a, schedules[strategy.r]) for strategy in grid}
+        assert len(runs) < len(grid)
+        shuffled = grid[:]
+        random.Random(1).shuffle(shuffled)
+        for order in (grid, grid[::-1], shuffled):
+            monkeypatch.setattr(engine, "_memo", ((), None, None, None, None, None))
+            deploys.clear()
+            for i, strategy in enumerate(order):
+                if order is shuffled and i % 7 == 0:
+                    self._run(strategy, self.OTHER)  # evicts the memo
+                assert _bits(self._run(strategy, self.DEPEG)) == cold[strategy], strategy
+            if order is not shuffled:
+                assert len(deploys) == len(runs)
+                assert {(s.a, schedules[s.r]) for s, _ in deploys} == runs
+
+    def test_a_snapped_range_of_another_a_in_the_same_group_is_not_shared(self, deploys):
+        # Snapped at spacing 10, both ranges deploy into the same ticks, but
+        # each reset snaps a range of its own a.
+        pair = (reset_config(0.001, 0.002, 10), reset_config(0.0011, 0.002, 10))
+        price = self.DEPEG[0].price
+        assert deploy(pair[0], price, 1.0)[:2] == deploy(pair[1], price, 1.0)[:2]
+        cold = [_bits(self._cold(strategy, self.DEPEG)) for strategy in pair]
+        assert cold[0] != cold[1]
+        deploys.clear()
+        for strategy, bits in zip((*pair, *pair), cold + cold):
+            assert _bits(self._run(strategy, self.DEPEG)) == bits
+        assert deploys == [(strategy, 1.0) for strategy in pair]
+
+    def test_another_budget_or_tick_spacing_is_not_shared(self, deploys):
+        plain, snapped = reset_config(0.003, 0.001), reset_config(0.003, 0.001, 10)
+        runs = ((plain, 1.0), (plain, 3.0), (snapped, 1.0))
+        cold = [_bits(self._cold(strategy, self.DEPEG, budget)) for strategy, budget in runs]
+        assert len(set(cold)) == len(runs)
+        deploys.clear()
+        for (strategy, budget), bits in zip(runs + runs, cold + cold):
+            assert _bits(self._run(strategy, self.DEPEG, budget)) == bits
+        assert deploys == list(runs)
+
+    def test_an_overflow_makes_each_config_of_the_schedule_raise_its_own_label(self, deploys):
+        # Both triggers fire on bar 2 and hold every later close; bar 2's
+        # reset range is wider than a float holds.
+        bars = make_bars([1.0, 1e300, 1e300])
+        configs = [reset_config(1e10, r) for r in (0.05, 0.06, 0.05)]
+        for strategy in configs:
+            with pytest.raises(DataError) as caught:
+                self._run(strategy, bars)
+            assert str(caught.value) == (
+                f"bar 2: cannot reset {strategy.label()}: upper must be finite, got inf"
+            )
+        assert engine._memo[3] == {0.05: ((0,), True), 0.06: ((0,), True)}
+        assert engine._memo[5] == {}
+        assert len(deploys) == len(configs)
+
+    def test_an_invalid_trigger_is_not_memoised(self, deploys):
+        # Bar 2's reset range is valid for every config, its trigger only
+        # for r=50%; r=100% and r=200% fire on the same bar, but their new
+        # triggers overflow.
+        bars = make_bars([1.0, 1e308])
+        valid = reset_config(1e-9, 0.5)
+        self._run(valid, bars)
+        for r in (1.0, 2.0, 1.0):
+            strategy = reset_config(1e-9, r)
+            with pytest.raises(DataError) as caught:
+                self._run(strategy, bars)
+            assert str(caught.value) == (
+                f"bar 2: cannot reset {strategy.label()}: upper must be finite, got inf"
+            )
+        assert engine._memo[3] == {0.5: ((0,), True), 1.0: ((0,), False), 2.0: ((0,), False)}
+        assert len(engine._memo[5]) == 1
+        assert len(deploys) == 4

@@ -193,6 +193,55 @@ class TestRunSweep:
         parallel = run_sweep(grid, series, jobs=3)
         assert parallel == serial
 
+    @staticmethod
+    def _chunks_run_here(monkeypatch):
+        """Run every chunk of a sweep in this process, on 4 CPUs; returns
+        the list that holds the chunks of the last multi-process sweep."""
+        chunks = []
+
+        def dispatch(payloads):
+            chunks[:] = [configs for configs, _, _ in payloads]
+            return [sweep._run_chunk(payload) for payload in payloads]
+
+        monkeypatch.setattr(sweep, "_dispatch", dispatch)
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: 4)
+        return chunks
+
+    def test_each_process_runs_one_contiguous_chunk(self, monkeypatch):
+        chunks = self._chunks_run_here(monkeypatch)
+        series = _series()
+        grid = [fixed_config(0.01 * k) for k in range(1, 8)]
+        for n in range(1, 8):
+            serial = run_sweep(grid[:n], series, jobs=1)
+            for jobs in range(2, 5):
+                workers = min(jobs, n)
+                chunks.clear()
+                assert run_sweep(grid[:n], series, jobs=jobs) == serial
+                # The calling process runs the first chunk, of ceil(n / workers).
+                assert len(chunks) == (workers if workers > 1 else 0)
+                if workers > 1:
+                    assert [config for chunk in chunks for config in chunk] == grid[:n]
+                    assert len(chunks[0]) == -(-n // workers)
+                    assert all(chunks)
+
+    def test_the_first_failure_in_grid_order_is_raised_whatever_the_jobs(self, monkeypatch):
+        self._chunks_run_here(monkeypatch)
+        # Every reset of r >= 13% fails on the second bar, where its new
+        # trigger overflows; a fixed range does not.
+        series = _series([1.0, 1.6e308])
+        for n in range(1, 8):
+            for first in range(n):
+                grid = [
+                    reset_config(0.10, 0.13 + 0.01 * i)
+                    if i == first or (i > first and i % 2)
+                    else fixed_config(0.01 * (i + 1))
+                    for i in range(n)
+                ]
+                for jobs in range(1, 5):
+                    with pytest.raises(DataError) as caught:
+                        run_sweep(grid, series, jobs=jobs)
+                    assert f"cannot reset {grid[first].label()}: " in str(caught.value)
+
     def test_accepts_baseline_configs(self):
         series = _series()
         results = run_sweep([nolp_config()], series)

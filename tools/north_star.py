@@ -1,13 +1,16 @@
-"""Report the CPU time of one sweep of the north-star workload, plain and snapped.
+"""Report the CPU time of sweeps of the north-star workload.
 
 Writes ``bench/gen.py``'s seed-0 stable series of 730 hourly bars (fee rate
 0.0005, a month across a depeg) to a temporary directory, then runs ``python
--m clbacktest.cli sweep --kind reset --pair-class stable --jobs 1`` over it
-once, and once more with ``--snap-ticks``: the default 2500-point stable
-Reset grid in one process, with plain and with tick-snapped ranges. Prints
-one line per sweep with the process's CPU time (user + system, from
-``os.wait4``). Report only: it exits 0 whatever it measures, unless a sweep
-fails. Needs ``os.posix_spawn`` (Linux, macOS).
+-m clbacktest.cli sweep --kind reset --pair-class stable`` over it three
+times: the default 2500-point stable Reset grid with ``--jobs 1``, once with
+plain and once with tick-snapped ranges (``--snap-ticks``), and with plain
+ranges at ``--jobs 2``. Prints one line per sweep with its CPU time (user +
+system, from ``os.wait4``). That time covers the command's process and each
+process it started and waited for: the ``--jobs 2`` worker where the start
+method makes it the command's child (``fork`` and ``spawn``; a
+``forkserver`` worker is not counted). Report only: it exits 0 whatever it
+measures, unless a sweep fails. Needs ``os.posix_spawn`` (Linux, macOS).
 
 Usage: python tools/north_star.py [SRC]   (default: src, the directory that holds clbacktest)
 """
@@ -41,9 +44,13 @@ def main(argv: list[str]) -> int:
         data = os.path.join(tmp, "stable.csv")
         record = load_gen().write_series(data, "stable", SEED, BARS, FEE_RATE)
         args = ["-m", "clbacktest.cli", "sweep", "--data", data, "--fee", str(FEE_RATE)]
-        args += ["--kind", "reset", "--pair-class", "stable", "--jobs", "1"]
+        args += ["--kind", "reset", "--pair-class", "stable"]
         discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-        for ranges, extra in (("plain", []), ("snapped", ["--snap-ticks"])):
+        for ranges, jobs, extra in (
+            ("plain", "one process", ["--jobs", "1"]),
+            ("snapped", "one process", ["--jobs", "1", "--snap-ticks"]),
+            ("plain", "--jobs 2, the process tree", ["--jobs", "2"]),
+        ):
             argv = [sys.executable, *args, *extra]
             pid = os.posix_spawn(sys.executable, argv, env, file_actions=discard)
             _, status, usage = os.wait4(pid, 0)
@@ -51,7 +58,7 @@ def main(argv: list[str]) -> int:
                 sys.exit(f"error: python {' '.join(argv[1:])} failed")
             print(
                 f"stable Reset sweep, default grid, {ranges} ranges, {BARS} bars (seed "
-                f"{SEED}, sha256 {record['csv_sha256'][:12]}), one process: "
+                f"{SEED}, sha256 {record['csv_sha256'][:12]}), {jobs}: "
                 f"{usage.ru_utime + usage.ru_stime:.3f} s CPU"
             )
     return 0
