@@ -43,10 +43,17 @@ place where bounds, tick snapping and their range checks are written; the
 rest of the reset, liquidating both ledgers and redepositing them
 one-sided, is done on the slot locals with no further call or tuple. Its
 two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
-reset takes two new square roots). The loop is written once, in
+reset takes two new square roots). This general loop is written once, in
 :func:`_advance`, which unpacks these locals from a flat state of 27
 values, runs a span of rows and returns the state after it, so a run can
-stop at a row and resume there (see the prefix rule). A
+stop at a row and resume there (see the prefix rule). A run that holds one
+range in slot 1, with no tail, no trigger and no trajectory, runs in a
+second loop over the same state, the held-range segment :func:`_hold`: each
+bar marks only the compounding ledger, and only a bar inside the range
+accrues fees and compounds. Two kinds of run take it: every Fixed run
+without a trajectory, for all its rows, and every shared reset run's
+prefix, its rows before its first fire. nolp, passive, every run with a
+trajectory, and a reset's rows from its first fire on run in ``_advance``. A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
@@ -55,8 +62,9 @@ tuples (its ranges, one ledger and its trigger), and the state API
 :func:`~clbacktest.clmath.mark` and :func:`~clbacktest.strategies.redeposit`.
 
 Bit-identity rule. The loop's marking is a second spelling of ``mark``'s
-arithmetic, and its reset block a second spelling of ``redeposit``'s; both
-must stay the same IEEE operations on the same operands in the same order.
+arithmetic, ``_hold``'s a third, for one range, and the loop's reset block
+a second spelling of ``redeposit``'s; all must stay the same IEEE operations
+on the same operands in the same order.
 The reset block is spelled out because calling ``redeposit`` once per
 ledger costs too much: in a copy that did so, ``sweep._run_chunk`` over the
 default 2500-point stable Reset grid at 48 bars took 107-129 ms instead of
@@ -73,7 +81,20 @@ sum unchanged. The compounding factor divides the bar's ``total``, the sum
 ``value_comp + fee_comp`` computed once, by ``value_comp``: the same
 operations as the replay's ``(value_comp + fee_comp) / value_comp``. The
 shared-bound tie rule is ``mark``'s too: a slot whose lower bound equals
-the price is inactive when any slot's upper bound also equals it. Reset:
+the price is inactive when any slot's upper bound also equals it; a held
+range's lower bound is below its upper one and slot 2 is empty, so a held
+range is active wherever the price is inside it. Held range: outside the
+range a bar's two fees are ``volume_fee * 0.0 / pool_liquidity``, ``+0.0``
+or, at a fee rate of ``-0.0``, ``-0.0``. Adding either to the fee sum, which
+starts at ``+0.0`` and so is never ``-0.0``, or to the non-negative
+``value_comp`` changes no bit, and a zero fee never compounds; so ``_hold``
+skips that work there and takes ``value_comp`` as the bar's total. It
+makes ``_advance``'s overflow checks in the same order, with the same
+messages. The plain ledger's ``L`` does not change while its range is
+held, so a held segment that ends at the last row marks that ledger once,
+there, with ``mark``: the value ``_advance`` would have left. One that
+ends before it leaves ``value_now`` for ``_advance``'s next row to
+overwrite unread. Reset:
 after compounding, the reserves of each ledger are computed again from
 its slot ``L``s (``x = L * inv_span`` below a slot, ``y = L * sqrt_span``
 above it, ``L * unit_x`` and ``L * unit_y`` inside it, slot 1 before
@@ -128,14 +149,14 @@ Prefix rule. Until its trigger first fires, a reset run is the run of its
 deployed ranges and ledger alone, and the grid's r values share that
 prefix. So a run that misses the result memo takes the state entering row
 ``k``, the first row of its schedule (past the last row if it never fires),
-from a snapshot kept per deployed ``(ranges, ledger)`` group: it advances
-from the group's snapshot when that lies at or before row ``k``, else from
-the deploy state, with the trigger ``(0.0, inf)``, which holds every valid
-price, and keeps the further of the two snapshots. It then runs rows ``k``
-onwards with its own trigger. The prefix's arithmetic is the full run's:
-the rows before ``k`` see the same state and do the same IEEE operations in
-the same order, and the one test that differs, the trigger's, is false in
-both (by the definition of ``k``). The group is all the prefix depends on
+from a snapshot kept per deployed ``(ranges, ledger)`` group: it holds the
+range in ``_hold`` from the group's snapshot when that lies at or before
+row ``k``, else from the deploy state, and keeps the further of the two
+snapshots. It then runs rows ``k`` onwards in ``_advance`` with its own
+trigger. The prefix's arithmetic is the full run's: the rows before ``k``
+see the same state, and ``_hold`` gives the bits ``_advance`` would (see the
+bit-identity rule); the trigger test it leaves out is false on each of them
+(by the definition of ``k``). The group is all the prefix depends on
 besides the rows: the strategy's parameters enter it only through
 ``deploy``, and the budget only through the ledger and a trajectory's
 cells. Deployed values are finite and never ``-0.0``, so the group's float
@@ -152,7 +173,7 @@ no constructor call or bar lookup per bar. The rows hold the same
 divisions of the same values as the metrics, so the last row equals them.
 A run without a trajectory allocates none of this, and marks bar 1 (with
 ``mark``) only when it has one bar, whose value is the result; otherwise
-bar 2 overwrites that value unread.
+a later bar's mark overwrites that value unread.
 
 Checks. Each input is checked once, where it enters, and not per bar in the
 kernel: :class:`HourlyBar`'s constructor checks each field with
@@ -190,6 +211,7 @@ from ._tuples import checked_tuple
 from .errors import DataError, UsageError
 from .clmath import check_bound, mark, symmetric_bounds
 from .strategies import (
+    FIXED,
     RESET,
     Ledger,
     Ranges,
@@ -319,26 +341,29 @@ def run_backtest(
     except ValueError as exc:
         raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
     value = 0.0
-    if keep_trajectory or not rows:  # else bar 2 overwrites bar 1's mark unread
+    if keep_trajectory or not rows:  # else a later bar's mark overwrites it unread
         value = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
 
     if not shared:
         state = _deployed(ranges, ledger, trigger or _NO_TRIGGER, value)
-        columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
-        state = _advance(strategy, rows, 0, len(rows), state, budget, columns)
+        if strategy.kind == FIXED and not keep_trajectory:
+            state = _hold(rows, 0, len(rows), state)
+        else:
+            columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
+            state = _advance(strategy, rows, 0, len(rows), state, budget, columns)
     else:
         # The prefix rule: rows before ``start``, the first this run's
-        # trigger fires on, are the deployed group's run with no trigger;
-        # this run resumes from there with its own.
+        # trigger fires on, hold the deployed group's range; this run
+        # resumes from there with its own trigger.
         start = fired[0] if fired else len(rows)
         group = (ranges, ledger)
         saved = snapshots.get(group)
         if saved is not None and saved[0] <= start:
             at, prefix = saved
         else:
-            at, prefix = 0, _deployed(ranges, ledger, _NO_TRIGGER, value)
+            at, prefix = 0, _deployed(ranges, ledger, trigger, value)
         if at < start:
-            prefix = _advance(strategy, rows, at, start, prefix, budget, None)
+            prefix = _hold(rows, at, start, prefix)
             if saved is None or saved[0] < start:
                 snapshots[group] = (start, prefix)
         state = _advance(strategy, rows, start, len(rows), trigger + prefix[2:], budget, None)
@@ -543,6 +568,63 @@ def _advance(
             values.append(value_now / budget)
             totals.append(total_now / budget)
 
+    return (
+        trigger_lower, trigger_upper,
+        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
+        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
+        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
+        two, tail, fee_sum, value_now, total_now,
+    )
+
+
+def _hold(rows: tuple[tuple, ...], start: int, stop: int, state: tuple) -> tuple:
+    """Run ``rows[start:stop]`` from ``state``, a run that holds one range in
+    slot 1 with no tail, trigger or trajectory; return the state after them.
+
+    The held-range segment (see the kernel layout): each bar marks only the
+    compounding ledger, and only a bar inside the range accrues fees and
+    compounds. The plain ledger keeps its deployed ``L``; a segment that
+    ends at the last row marks it once, with ``mark``, there, and any other
+    leaves ``value_now`` to ``_advance``'s next row. Only the compounding
+    ``L``, the fee sum and the two values change.
+    """
+    (
+        trigger_lower, trigger_upper,
+        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
+        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
+        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
+        two, tail, fee_sum, value_now, total_now,
+    ) = state
+    inf = math.inf
+    for number, price, sqrt_price, volume_fee, pool_liquidity in rows[start:stop]:
+        if price < lower1:
+            total_now = comp1 * inv_span1 * price
+        elif price > upper1:
+            total_now = comp1 * sqrt_span1
+        else:
+            # Inside the range, slot 1 is active: lower1 < upper1, and slot
+            # 2 is empty.
+            unit_x = 1.0 / sqrt_price - inv_sqrt_upper1
+            value_comp = comp1 * (sqrt_price - sqrt_lower1) + comp1 * unit_x * price
+            if not value_comp < inf:
+                raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
+            fee_comp = volume_fee * comp1 / pool_liquidity
+            fee_sum += volume_fee * plain1 / pool_liquidity
+            total_now = value_comp + fee_comp
+            if fee_comp > 0.0 and value_comp > 0.0:
+                comp1 *= total_now / value_comp
+                if not comp1 < inf:
+                    raise DataError(
+                        f"bar {number}: compounding the fee {fee_comp!r} into value "
+                        f"{value_comp!r} overflows the ledger"
+                    )
+            continue
+        # Outside the range both fees are +-0.0: the value is the total.
+        if not total_now < inf:
+            raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
+    if start < stop == len(rows):
+        slot1 = (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1)
+        value_now = mark((slot1,), (plain1,), price, sqrt_price)[1]
     return (
         trigger_lower, trigger_upper,
         lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,

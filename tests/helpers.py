@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import random
+import runpy
+from pathlib import Path
 from typing import Sequence
 
-from clbacktest import HourlyBar
+from clbacktest import HourlyBar, load_bars, pair_for_class
 from clbacktest.clmath import geometry_of, mark
 
 CSV_HEADER = ("timestamp", "price", "volume", "pool_liquidity", "tvl")
@@ -109,3 +112,16 @@ def bars_from_rows(rows: Sequence[tuple[int, float, float, float]]) -> tuple[Hou
     return tuple(
         HourlyBar(timestamp=ts, price=p, volume=v, pool_liquidity=lq) for ts, p, v, lq in rows
     )
+
+
+@functools.lru_cache(maxsize=None)
+def bench_bars(shape: str, bars: int, fee_rate: float) -> tuple[HourlyBar, ...]:
+    """``bench/gen.py``'s seed-0 series of ``bars`` hourly bars, the bytes that
+    ``tools/north_star.py`` and the benchmark write, read back by ``load_bars``.
+
+    ``runpy`` compiles the generator without writing bytecode under ``bench/``.
+    A caller that needs a tuple no earlier run has seen copies this one.
+    """
+    gen = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "gen.py"))
+    text = "\n".join(gen["series_rows"](shape, 0, bars, fee_rate)) + "\n"
+    return load_bars(io.StringIO(text), pair_for_class(shape), fee_rate).bars

@@ -204,9 +204,24 @@ FEE_OVERFLOW = make_bars(
 )
 
 # Bar 2's fee compounds a range of half-width 1e10 to about 7.5e304 of
-# liquidity, which bar 3 marks above the range at more than a float holds.
+# liquidity, which bar 3 marks above the range at more than a float holds;
+# marked inside the range, at 1e9, it overflows too.
 RANGE_MARK_OVERFLOW = make_bars(
     [1.0, 1.0, 1e15], volumes=[0.0, 1e305, 0.0], liquidity=[1e4, 1e-3, 1e4]
+)
+IN_RANGE_MARK_OVERFLOW = make_bars(
+    [1.0, 1.0, 1e9], volumes=[0.0, 1e305, 0.0], liquidity=[1e4, 1e-3, 1e4]
+)
+
+# Below a range the value is less than at its lower bound, so it overflows
+# only by rounding: bar 3 closes on the lower bound of a = 300%, 7917.016 /
+# 4, with a fee that brings its total to one float below the largest, and
+# bar 4, one float below that bound, rounds past it.
+_LOWER = 7917.016 / 4.0
+BELOW_RANGE_MARK_OVERFLOW = make_bars(
+    [7917.016, 7917.016, _LOWER, math.nextafter(_LOWER, 0.0)],
+    volumes=[0.0, 1e6, 1e300, 0.0],
+    liquidity=[1.0, 1e-4, 6.323633841681785e-08, 1.0],
 )
 
 
@@ -257,6 +272,27 @@ RANGE_MARK_OVERFLOW = make_bars(
             RANGE_MARK_OVERFLOW,
             "bar 3: marking the ledger at price 1000000000000000.0 overflows",
         ),
+        # Inside the range, and for the reset before its first fire.
+        (
+            fixed_config(1e10),
+            IN_RANGE_MARK_OVERFLOW,
+            "bar 3: marking the ledger at price 1000000000.0 overflows",
+        ),
+        (
+            reset_config(1e10, 1e16),
+            IN_RANGE_MARK_OVERFLOW,
+            "bar 3: marking the ledger at price 1000000000.0 overflows",
+        ),
+        (
+            fixed_config(3.0),
+            BELOW_RANGE_MARK_OVERFLOW,
+            "bar 4: marking the ledger at price 1979.2539999999997 overflows",
+        ),
+        (
+            reset_config(3.0, 1e16),
+            BELOW_RANGE_MARK_OVERFLOW,
+            "bar 4: marking the ledger at price 1979.2539999999997 overflows",
+        ),
     ],
     ids=(
         "passive",
@@ -267,6 +303,10 @@ RANGE_MARK_OVERFLOW = make_bars(
         "passive-marked-fee",
         "fixed-marked",
         "reset-marked",
+        "fixed-marked-in-range",
+        "reset-marked-in-range",
+        "fixed-marked-below-range",
+        "reset-marked-below-range",
     ),
 )
 def test_ledger_overflow_is_a_data_error_naming_the_bar(strategy, bars, message):
@@ -505,6 +545,25 @@ class TestSharedPrefix:
     def _empty_memo(self, monkeypatch):
         monkeypatch.setattr(engine, "_memo", ((), None, None, None, None, None))
 
+    @pytest.fixture
+    def segments(self, monkeypatch):
+        """The kernel segments runs make, as ``(loop, start, stop)``: the
+        held-range segment ``_hold`` or the general ``_advance``."""
+        calls = []
+        advance, hold = engine._advance, engine._hold
+
+        def recording_advance(strategy, rows, start, stop, *rest):
+            calls.append(("advance", start, stop))
+            return advance(strategy, rows, start, stop, *rest)
+
+        def recording_hold(rows, start, stop, state):
+            calls.append(("hold", start, stop))
+            return hold(rows, start, stop, state)
+
+        monkeypatch.setattr(engine, "_advance", recording_advance)
+        monkeypatch.setattr(engine, "_hold", recording_hold)
+        return calls
+
     @classmethod
     def _grid(cls, snap_spacing):
         return [reset_config(a, r, snap_spacing) for a in cls.AXIS for r in cls.AXIS]
@@ -520,17 +579,10 @@ class TestSharedPrefix:
         return cls._run(strategy, tuple(list(bars)))
 
     @pytest.mark.parametrize("snap_spacing", (None, 10), ids=("plain", "snapped"))
-    def test_every_order_gives_the_cold_results(self, snap_spacing, monkeypatch):
+    def test_every_order_gives_the_cold_results(self, snap_spacing, segments):
         grid = self._grid(snap_spacing)
         cold = {strategy: _bits(self._cold(strategy, self.DEPEG)) for strategy in grid}
-        steps = []
-        advance = engine._advance
-
-        def counting_advance(strategy, rows, start, stop, *rest):
-            steps.append(stop - start)
-            return advance(strategy, rows, start, stop, *rest)
-
-        monkeypatch.setattr(engine, "_advance", counting_advance)
+        segments.clear()
         shuffled = grid[:]
         random.Random(0).shuffle(shuffled)
         for order in (grid, grid[::-1], shuffled):
@@ -550,7 +602,7 @@ class TestSharedPrefix:
                 fires = sorted(fired[0] if fired else rows for fired, _ in schedules)
                 assert fires[0] == 0 and fires[-1] == rows
                 assert any(20 < row < rows for row in fires)
-                assert sum(steps) < 0.9 * rows * len(grid)
+                assert sum(stop - start for _, start, stop in segments) < 0.9 * rows * len(grid)
 
     @pytest.mark.parametrize("side", (0, 1), ids=("lower", "upper"))
     def test_a_close_on_a_trigger_bound_resets_as_in_a_trajectory_run(self, side):
@@ -585,26 +637,36 @@ class TestSharedPrefix:
         assert all(message.startswith("bar 5: compounding the fee inf") for message in messages)
         assert len({text for strategy, text in zip(configs, messages) if strategy.r != 0.001}) == 1
 
-    def test_a_trajectory_run_starts_from_deploy_and_keeps_the_snapshots(self, monkeypatch):
+    def test_a_trajectory_run_starts_from_deploy_and_keeps_the_snapshots(self, segments):
         grid = self._grid(None)
         plain = {strategy: _bits(self._run(strategy, self.DEPEG)) for strategy in grid}
         snapshots = dict(engine._memo[4])
-        calls = []
-        advance = engine._advance
-
-        def recording_advance(strategy, rows, start, stop, *rest):
-            calls.append((start, stop))
-            return advance(strategy, rows, start, stop, *rest)
-
-        monkeypatch.setattr(engine, "_advance", recording_advance)
         rows = len(self.DEPEG) - 1
         for strategy in grid:
-            calls.clear()
+            segments.clear()
             result = self._run(strategy, self.DEPEG, keep_trajectory=True)
-            assert calls == [(0, rows)]
+            assert segments == [("advance", 0, rows)]
             assert _bits(result) == plain[strategy]
             assert result.trajectory[-1][2:] == (result.value, result.total)
         assert engine._memo[4] == snapshots
+
+    def test_a_held_range_runs_in_the_held_range_segment(self, segments):
+        # Only a Fixed run without a trajectory and a reset's prefix, up to
+        # its first fire (none for r=20%, row 27 for r=1%), hold their range.
+        rows = len(self.DEPEG) - 1
+        expected = {
+            (fixed_config(0.01), False): [("hold", 0, rows)],
+            (fixed_config(0.01), True): [("advance", 0, rows)],
+            (nolp_config(), False): [("advance", 0, rows)],
+            (passive_config(), False): [("advance", 0, rows)],
+            (reset_config(0.01, 0.2), True): [("advance", 0, rows)],
+            (reset_config(0.01, 0.2), False): [("hold", 0, rows), ("advance", rows, rows)],
+            (reset_config(0.01, 0.01), False): [("hold", 0, 27), ("advance", 27, rows)],
+        }
+        for (strategy, keep_trajectory), calls in expected.items():
+            segments.clear()
+            self._run(strategy, tuple(list(self.DEPEG)), keep_trajectory)
+            assert segments == calls, (strategy, keep_trajectory)
 
 
 class TestSharedSchedule:

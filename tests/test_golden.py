@@ -10,12 +10,19 @@ bars must reproduce dump digests captured before the kernel's compounding
 step was trimmed, one of them also on two processes. Never regenerate these
 constants to make a change pass: a differing digest means the numbers moved.
 
+The default grids of the north-star workloads, over ``bench/gen.py``'s
+seed-0 series, must reproduce dump digests captured before the kernel's
+held-range segment was added: the volatile Fixed and the stable Reset grid
+over 730 bars and the whole volatile Reset grid over 240, plain and snapped,
+the stable one also on two processes.
+
 The state-machine API (``initialize``, ``accrue_fees``, ``mark_to_market``,
 ``scale_liquidity``, ``on_close``), replayed in the engine's per-bar order,
 must also give ``run_backtest``'s trajectory and metrics bit for bit, plain
 and snapped, on two of those series, on two short ones whose bars close
 exactly on a shared or an outer bound, and on Hypothesis series of 2-40 bars
-that close at random or on the bounds of the state they have reached.
+that close at random or on the bounds of the state they have reached. A run
+without a trajectory must give the same metrics, or the same error.
 """
 
 import hashlib
@@ -45,7 +52,7 @@ from clbacktest import (
     scale_liquidity,
     write_results_csv,
 )
-from helpers import bars_from_rows, make_bars, seeded_series
+from helpers import bars_from_rows, bench_bars, make_bars, seeded_series
 from test_acceptance import _oracle_metrics
 
 # shape -> (fee rate, tick spacing used when snapping)
@@ -184,6 +191,36 @@ def test_full_grid_digests(case, jobs):
     assert _dump_digest(run_sweep(grid, series, jobs=jobs)) == FULL_GRID_DIGESTS[case]
 
 
+# (pair class, kind, bars, snap spacing) -> dump digest of that default grid
+# over ``bench/gen.py``'s seed-0 series of the pair class (the north-star
+# workloads); captured before the kernel's held-range segment was added.
+NORTH_STAR_DIGESTS = {
+    ("volatile", "fixed", 730, None): "05aa5bcfb944f2e2da4cd335aec434c3be4b3668f9780d993f0f805a828a8983",
+    ("volatile", "fixed", 730, 60): "8ae166ba11d67001db68352030ad530ab5b49169a580d14c26ba42fab3779c5d",
+    ("stable", "reset", 730, None): "20e2c8485fd25e2ae6caad5d3586f4daee3d0b5376907a956e31573a9634b76d",
+    ("stable", "reset", 730, 10): "8190b6ab3aa96ec29db6bdb238cb2e20b8c83c6b7e3195d1e0b29b04a78b19d9",
+    ("volatile", "reset", 240, None): "18de1dfff37bb62ff562a7f429fab17c320813a2887c6eb4b97c88bfae735c78",
+    ("volatile", "reset", 240, 60): "9270f011dfaf37314a5205212d1165aebeddedbf4a364a1f65eff89f3e31302c",
+}
+NORTH_STAR_FEE_RATES = {"volatile": 0.003, "stable": 0.0005}
+
+
+@pytest.mark.parametrize(
+    "case, jobs",
+    [(case, 1) for case in NORTH_STAR_DIGESTS]
+    + [(case, 2) for case in NORTH_STAR_DIGESTS if case[0] == "stable"],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else f"jobs{value}",
+)
+def test_north_star_digests(case, jobs):
+    pair_class, kind, count, spacing = case
+    fee_rate = NORTH_STAR_FEE_RATES[pair_class]
+    # A tuple of its own: no run before this one has memoised its rows.
+    bars = tuple(list(bench_bars(pair_class, count, fee_rate)))
+    series = BarSeries(pair=pair_for_class(pair_class), fee_rate=fee_rate, bars=bars)
+    grid = build_grid(GridSpec(pair_class, kind, snap_spacing=spacing))
+    assert _dump_digest(run_sweep(grid, series, jobs=jobs)) == NORTH_STAR_DIGESTS[case]
+
+
 @pytest.mark.parametrize("shape", sorted(SERIES))
 def test_trajectory_digests(shape):
     bars = bars_from_rows(_rows(shape))
@@ -276,10 +313,15 @@ def test_state_machine_replay_matches_run_backtest(shape, snap):
     bars, fee_rate = _replay_series(shape)
     for kind, a, r in ORACLE_CASES:
         strategy = _strategy(kind, a, r, 60 if snap and a is not None else None)
-        result = run_backtest(BacktestConfig(strategy=strategy, fee_rate=fee_rate), bars)
+        config = BacktestConfig(strategy=strategy, fee_rate=fee_rate)
+        result = run_backtest(config, bars)
         rows, metrics = _replay(strategy, bars, fee_rate)
         assert rows == [tuple(p) for p in result.trajectory], strategy.label()
         assert metrics == result[:3], strategy.label()
+        # Without a trajectory, on a tuple no run has seen, a Fixed run and a
+        # reset's prefix hold their range in the kernel's held-range segment.
+        plain = run_backtest(config, tuple(list(bars)), keep_trajectory=False)
+        assert repr(plain[:3]) == repr(metrics), strategy.label()
 
 
 # (kind, snapped) of the differential test below: every kind, plain, and
@@ -342,11 +384,16 @@ def test_random_series_replay_matches_run_backtest(kind, snapped, data):
     try:
         rows, metrics = _replay(strategy, bars, fee_rate, budget)
     except (ValueError, ZeroDivisionError) as error:
-        with pytest.raises(DataError) as caught:
-            run_backtest(config, bars)
-        assert str(caught.value) == f"bar {count}: cannot reset {strategy.label()}: {error}"
+        for keep_trajectory in (True, False):
+            with pytest.raises(DataError) as caught:
+                run_backtest(config, tuple(list(bars)), keep_trajectory)
+            assert str(caught.value) == f"bar {count}: cannot reset {strategy.label()}: {error}"
         return
     result = run_backtest(config, bars)
     # repr tells -0.0 from 0.0, which == does not.
     assert repr(rows) == repr([tuple(p) for p in result.trajectory])
     assert repr(metrics) == repr(result[:3])
+    # A run without a trajectory, on a tuple no run has seen, takes the
+    # held-range segment for a Fixed run and a reset's prefix.
+    plain = run_backtest(config, tuple(list(bars)), keep_trajectory=False)
+    assert repr(metrics) == repr(plain[:3])
