@@ -12,19 +12,26 @@ return estimate. Data rows are numbered from 1, excluding the header, and
 every validation error names its row. One leading byte-order mark (U+FEFF,
 as spreadsheet exports write) is dropped from the header.
 
-Ingest reads every row first, then checks one rule at a time over a whole
-column: row width, integer timestamps, numbers, finiteness, the bounds of
+Ingest reads the rows in blocks of ``_BLOCK_ROWS`` (2048) and checks one
+rule at a time over a whole column of each block: row width, integer
+timestamps, numbers, finiteness, the bounds of
 :data:`~clbacktest.engine.BAR_FIELDS` (the table :class:`HourlyBar`'s
-constructor checks one bar at a time), and strictly increasing timestamps.
-Only when all pass are the bars built, and then without that constructor's
-checks, so each value is checked once. If any check fails, a row-by-row
-reporter walks the rows in order and raises the first defect, so the error
-is the one a row-at-a-time reader would meet first: within a row, the
-timestamp and then each value is parsed in column order, then the values
-are bounded (through the checked constructor), then the timestamp is
-compared with the previous row's. The reporter never returns bars. Rows are
-read until the first CSV syntax error; a defect in a row read before it is
-reported in its place.
+constructor checks one bar at a time), and strictly increasing timestamps,
+the block's first timestamp also exceeding the previous block's last. Cells
+are converted as read, since ``int`` and ``float`` accept surrounding
+whitespace; only a column with a cell that fails is converted again from
+stripped cells, which also drops ``\\x1c``-``\\x1f`` and turns a blank
+``tvl`` into None. Each block's values are kept; once every block has
+passed, the bars are built without that constructor's checks, so each value
+is checked once. If a block fails a check, a row-by-row reporter walks that
+block's rows in order, numbered from the block's first row and following
+the previous block's last timestamp, and raises the first defect. Every
+earlier block passed every check, so the error is the one a row-at-a-time
+reader would meet first: within a row, the timestamp and then each value
+is parsed in column order, then the values are bounded (through the
+checked constructor), then the timestamp is compared with the previous
+row's. The reporter never returns bars. Rows are read until the first CSV
+syntax error; a defect in a row read before it is reported in its place.
 
 Paths and byte streams are decoded with ``errors="surrogateescape"``, so an
 undecodable byte reaches its cell as a lone surrogate, which valid UTF-8
@@ -54,6 +61,9 @@ from .errors import DataError, UsageError
 REQUIRED_COLUMNS = ("timestamp", "price", "volume", "pool_liquidity")
 OPTIONAL_COLUMNS = ("tvl",)
 HEADER = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+
+# Rows read and checked at a time; timing showed 512 to 4096 equally fast.
+_BLOCK_ROWS = 2048
 
 
 class BarSeries(checked_tuple("BarSeries", "pair fee_rate bars")):
@@ -209,20 +219,34 @@ def _read_rows(handle: Iterable[str], label: str) -> tuple[HourlyBar, ...]:
     if not _is_text(header):
         raise DataError(f"{label}: not UTF-8 text in the header")
     index = _column_index(header, label)
-    rows: list[list[str]] = []
-    try:
-        rows.extend(reader)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        # A bad row read before the unreadable one is reported first.
-        _raise_first_error(rows, index)
-        raise _read_error(label, exc) from None
-    if not rows:
+    columns: list[list] = [[] for _ in index]  # the timestamps, then each field present
+    read = 0
+    previous_ts: int | None = None
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK_ROWS))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # A bad row read before the unreadable one is reported first.
+            _raise_first_error(block, index, read + 1, previous_ts)
+            raise _read_error(label, exc) from None
+        if block:
+            converted = _block_columns(block, index, previous_ts)
+            if converted is None:
+                _raise_first_error(block, index, read + 1, previous_ts)
+                raise RuntimeError(f"{label}: the column checks reject rows the row checks accept")
+            for column, values in zip(columns, converted):
+                column.extend(values)
+            read += len(block)
+            previous_ts = columns[0][-1]
+        if len(block) < _BLOCK_ROWS:
+            break
+    if not read:
         raise DataError(f"{label}: no data rows")
-    bars = _bars_from_columns(rows, index)
-    if bars is None:
-        _raise_first_error(rows, index)
-        raise RuntimeError(f"{label}: the column checks reject rows the row checks accept")
-    return bars
+    fields = iter(columns[1:])
+    values = [next(fields) if name in index else repeat(None) for name, _ in BAR_FIELDS]
+    # Every field passed the checks HourlyBar's constructor would repeat.
+    return tuple(map(tuple.__new__, repeat(HourlyBar), zip(columns[0], *values)))
 
 
 def _read_error(label: str, exc: Exception) -> DataError:
@@ -247,27 +271,25 @@ def _column_index(header: list[str], label: str) -> dict[str, int]:
     return {name: header.index(name) for name in header}
 
 
-def _bars_from_columns(
-    rows: list[list[str]], index: dict[str, int]
-) -> tuple[HourlyBar, ...] | None:
-    """Check every rule a column at a time; return the bars, or None if any
-    check fails (:func:`_raise_first_error` then names the first bad row)."""
+def _block_columns(
+    rows: list[list[str]], index: dict[str, int], previous_ts: int | None
+) -> list[list] | None:
+    """Check every rule a column at a time over one block of rows whose
+    first timestamp must exceed ``previous_ts``; return the timestamps and
+    then each present field's values in :data:`BAR_FIELDS` order, or None if
+    any check fails (:func:`_raise_first_error` then names the first bad row)."""
     if set(map(len, rows)) != {len(index)}:
         return None
     cells = list(zip(*rows))
     try:
-        timestamps = list(map(int, map(str.strip, cells[index["timestamp"]])))
-        columns = []
+        timestamps = _convert(int, cells[index["timestamp"]])
+        columns = [timestamps]
         for name, strict in BAR_FIELDS:
             if name not in index:
-                columns.append(repeat(None, len(rows)))
                 continue
-            text = map(str.strip, cells[index[name]])
+            values = present = _convert(float, cells[index[name]], name in OPTIONAL_COLUMNS)
             if name in OPTIONAL_COLUMNS:
-                values = [float(cell) if cell else None for cell in text]
                 present = [value for value in values if value is not None]
-            else:
-                values = present = list(map(float, text))
             if present and not (
                 all(map(math.isfinite, present))
                 and (min(present) > 0.0 if strict else min(present) >= 0.0)
@@ -276,17 +298,37 @@ def _bars_from_columns(
             columns.append(values)
     except ValueError:
         return None
+    if previous_ts is not None and timestamps[0] <= previous_ts:
+        return None
     if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
         return None
-    # Every field passed the checks HourlyBar's constructor would repeat.
-    return tuple(map(tuple.__new__, repeat(HourlyBar), zip(timestamps, *columns)))
+    return columns
 
 
-def _raise_first_error(rows: list[list[str]], index: dict[str, int]) -> None:
-    """Check ``rows`` one at a time, in the order the module docstring gives,
-    and raise the first defect's DataError; return if every row is valid."""
-    previous_ts: int | None = None
-    for row_number, row in enumerate(rows, start=1):
+def _convert(convert, cells: Sequence[str], optional: bool = False) -> list:
+    """``convert`` each cell. ``int`` and ``float`` accept the whitespace
+    ``str.strip`` removes, except ``\\x1c``-``\\x1f``, so cells are stripped
+    only when a cell fails; then an empty optional cell is None."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        text = map(str.strip, cells)
+        if optional:
+            return [convert(cell) if cell else None for cell in text]
+        return list(map(convert, text))
+
+
+def _raise_first_error(
+    rows: list[list[str]],
+    index: dict[str, int],
+    first_row: int,
+    previous_ts: int | None,
+) -> None:
+    """Check ``rows``, numbered from ``first_row`` and following a row with
+    timestamp ``previous_ts``, one at a time in the order the module
+    docstring gives, and raise the first defect's DataError; return if every
+    row is valid."""
+    for row_number, row in enumerate(rows, start=first_row):
         if not _is_text(row):
             raise DataError(f"row {row_number}: not UTF-8 text")
         if not row or all(cell.strip() == "" for cell in row):

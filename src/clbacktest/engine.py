@@ -18,9 +18,10 @@ mark-to-market of the non-compounding ledger, fee cash excluded), and
 fee). "Final" means at the last bar's close, before any same-bar reset; that
 matches the last trajectory row, and a reset conserves value anyway.
 
-Kernel layout. :func:`run_backtest` copies the bars into rows
+Kernel layout. :func:`run_backtest` transposes the bars once into columns
+and zips them into rows
 ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)`` after
-checking once that they are strictly increasing in time. The initial deposit
+one check of the timestamp column for strict increase. The initial deposit
 comes from :func:`~clbacktest.strategies.deploy`, the flat form of
 :func:`~clbacktest.strategies.initialize`, so snapping and the closed-form
 deposit live in one place. Both ledgers start from that one deposit, reset
@@ -204,7 +205,8 @@ non-finite too, since ``L * inf`` is inf and ``0.0 * inf`` is NaN.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+import operator
+from itertools import islice, repeat
 from typing import Sequence
 
 from ._tuples import checked_tuple
@@ -674,14 +676,17 @@ def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, d
     key = (fee_rate, math.copysign(1.0, fee_rate))
     if _memo[0] is bars and _memo[1] == key:
         return _memo[2:]
-    _check_ordering(bars)
+    timestamps, prices, volumes, liquidity, _ = zip(*bars)
+    if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+        _check_ordering(bars)
+    prices = prices[1:]
     rows = tuple(
         zip(
             range(2, len(bars) + 1),
-            [bar.price for bar in bars[1:]],
-            [math.sqrt(bar.price) for bar in bars[1:]],
-            [bar.volume * fee_rate for bar in bars[1:]],
-            [bar.pool_liquidity for bar in bars[1:]],
+            prices,
+            list(map(math.sqrt, prices)),
+            [volume * fee_rate for volume in islice(volumes, 1, None)],
+            islice(liquidity, 1, None),
         )
     )
     _memo = (bars, key, rows, {}, {}, {})
@@ -689,6 +694,7 @@ def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, d
 
 
 def _check_ordering(bars: Sequence[HourlyBar]) -> None:
+    """Raise DataError naming the first bar whose timestamp does not increase."""
     for i in range(1, len(bars)):
         if bars[i].timestamp <= bars[i - 1].timestamp:
             raise DataError(

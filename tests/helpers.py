@@ -115,13 +115,21 @@ def bars_from_rows(rows: Sequence[tuple[int, float, float, float]]) -> tuple[Hou
 
 
 @functools.lru_cache(maxsize=None)
-def bench_bars(shape: str, bars: int, fee_rate: float) -> tuple[HourlyBar, ...]:
-    """``bench/gen.py``'s seed-0 series of ``bars`` hourly bars, the bytes that
-    ``tools/north_star.py`` and the benchmark write, read back by ``load_bars``.
+def bench_csv(shape: str, bars: int, fee_rate: float) -> str:
+    """``bench/gen.py``'s seed-0 series of ``bars`` hourly bars as CSV text,
+    the bytes that ``tools/north_star.py`` and the benchmark write.
 
     ``runpy`` compiles the generator without writing bytecode under ``bench/``.
-    A caller that needs a tuple no earlier run has seen copies this one.
     """
     gen = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "gen.py"))
-    text = "\n".join(gen["series_rows"](shape, 0, bars, fee_rate)) + "\n"
+    return "\n".join(gen["series_rows"](shape, 0, bars, fee_rate)) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_bars(shape: str, bars: int, fee_rate: float) -> tuple[HourlyBar, ...]:
+    """:func:`bench_csv`'s series read back by ``load_bars``.
+
+    A caller that needs a tuple no earlier run has seen copies this one.
+    """
+    text = bench_csv(shape, bars, fee_rate)
     return load_bars(io.StringIO(text), pair_for_class(shape), fee_rate).bars

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import errno
 import gc
+import hashlib
 import io
 
 import pytest
@@ -22,7 +23,7 @@ from clbacktest import (
 )
 from clbacktest import dataio
 from clbacktest.dataio import DailyReturnPoint
-from helpers import csv_text, make_bars, seeded_series
+from helpers import CSV_HEADER, bench_csv, csv_text, make_bars, seeded_series
 
 VOLATILE = pair_for_class("volatile")
 
@@ -37,6 +38,14 @@ GOOD_CSV = csv_text(
 
 def _series(bars, fee_rate=0.003):
     return BarSeries(pair=VOLATILE, fee_rate=fee_rate, bars=bars)
+
+
+@pytest.fixture(params=(1, 2, 7, None), ids=("block1", "block2", "block7", "default"))
+def block_rows(request, monkeypatch):
+    """Ingest's block size: small ones put defects on blocks' first and last rows."""
+    if request.param is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", request.param)
+    return dataio._BLOCK_ROWS
 
 
 class TestLoadBars:
@@ -70,7 +79,7 @@ class TestLoadBars:
         with pytest.raises(DataError, match="cannot read"):
             load_bars(tmp_path / "absent.csv", VOLATILE, 0.003)
 
-    def test_a_read_failure_names_the_source(self):
+    def test_a_read_failure_names_the_source(self, block_rows):
         class FailingStream(io.StringIO):
             """Yields the header, then fails as a device read would."""
 
@@ -192,13 +201,13 @@ class TestLoadBars:
             ),
         ],
     )
-    def test_first_defect_of_a_row_wins(self, row, message):
+    def test_first_defect_of_a_row_wins(self, block_rows, row, message):
         rows = [(1600000000, 2000.0, 1e6, 1e4, 5e7), row, (1600000000, "x", "", "", "")]
         with pytest.raises(DataError) as excinfo:
             load_bars(io.StringIO(csv_text(rows)), VOLATILE, 0.003)
         assert str(excinfo.value) == message
 
-    def test_bad_row_wins_over_a_later_unreadable_one(self):
+    def test_bad_row_wins_over_a_later_unreadable_one(self, block_rows):
         text = _long_csv(bad_row_2=True)
         source = io.StringIO(text + "1600000000,2000.0,1.0,1.0," + "9" * 200_000 + "\n")
         with pytest.raises(DataError) as excinfo:
@@ -210,7 +219,9 @@ class TestLoadBars:
     @pytest.mark.parametrize("where", ("row 3", "8191", "8192", "last row"))
     @pytest.mark.parametrize("bad_row_2", (False, True), ids=("clean", "bad_row_2"))
     @pytest.mark.parametrize("kind", ("path", "bytes"))
-    def test_undecodable_byte_is_reported_in_row_order(self, tmp_path, kind, bad_row_2, where):
+    def test_undecodable_byte_is_reported_in_row_order(
+        self, tmp_path, block_rows, kind, bad_row_2, where
+    ):
         text = _long_csv(bad_row_2)
         lines = text.splitlines(keepends=True)
         offsets = {
@@ -305,15 +316,15 @@ def _bars_of(rows: list[list[str]]) -> tuple[HourlyBar, ...]:
     )
 
 
-@pytest.mark.parametrize("position", [0, 14, 29], ids=["first", "middle", "last"])
-def test_column_checks_agree_with_the_row_reporter(position):
+@pytest.mark.parametrize("position", [0, 6, 7, 14, 29])
+def test_column_checks_agree_with_the_row_reporter(block_rows, position):
     """Each defect is the row reporter's error, or the bars are accepted."""
     errors = 0
     for case, rows in _corruptions(position):
         text = csv_text(rows)
         header, *data = csv.reader(io.StringIO(text))
         try:
-            dataio._raise_first_error(data, dataio._column_index(header, "<stream>"))
+            dataio._raise_first_error(data, dataio._column_index(header, "<stream>"), 1, None)
         except DataError as exc:
             errors += 1
             with pytest.raises(DataError) as excinfo:
@@ -324,6 +335,79 @@ def test_column_checks_agree_with_the_row_reporter(position):
             assert bars == _bars_of(rows), case
             assert all(type(bar) is HourlyBar for bar in bars), case
     assert 0 < errors < 54
+
+
+def _filled_rows(count: int, header=CSV_HEADER) -> list[list[str]]:
+    """``count`` seeded rows as cells, every ``tvl`` filled in."""
+    rows = []
+    for ts, price, volume, liquidity in seeded_series("volatile", count=count):
+        rows.append([str(ts), repr(price), repr(volume), repr(liquidity), repr(2 * liquidity)])
+    return [row[: len(header)] for row in rows]
+
+
+@pytest.mark.parametrize("step", (0, -3600))
+def test_a_timestamp_that_does_not_increase_at_a_block_start(block_rows, step):
+    rows = _filled_rows(2 * block_rows + 1)
+    rows[block_rows][0] = str(int(rows[block_rows - 1][0]) + step)
+    with pytest.raises(DataError) as excinfo:
+        load_bars(io.StringIO(csv_text(rows)), VOLATILE, 0.003)
+    assert str(excinfo.value) == (
+        f"row {block_rows + 1}: timestamp {rows[block_rows][0]} does not increase "
+        f"over previous {rows[block_rows - 1][0]}"
+    )
+
+
+@pytest.mark.parametrize("blank", ("", "  "))
+def test_a_blank_tvl_only_in_a_later_block(block_rows, blank):
+    rows = _filled_rows(2 * block_rows + 1)
+    rows[-1][4] = blank
+    bars = load_bars(io.StringIO(csv_text(rows)), VOLATILE, 0.003).bars
+    assert bars == _bars_of(rows)
+    assert [bar.tvl is None for bar in bars] == [False] * (2 * block_rows) + [True]
+
+
+def test_no_tvl_column_over_several_blocks(block_rows):
+    header = CSV_HEADER[:4]
+    rows = _filled_rows(3 * block_rows + 1, header)
+    bars = load_bars(io.StringIO(csv_text(rows, header)), VOLATILE, 0.003).bars
+    assert bars == _bars_of([row + [""] for row in rows])
+    assert all(type(bar) is HourlyBar and bar.tvl is None for bar in bars)
+
+
+@pytest.mark.parametrize("bad_row", (False, True), ids=("clean", "bad_row"))
+def test_a_csv_error_in_a_later_block(block_rows, bad_row):
+    """A clean block, then one whose last row cannot be read; a bad row read
+    just before that one is reported in its place, by its row number."""
+    rows = _filled_rows(2 * block_rows - 1)
+    if bad_row:
+        rows[-1][2] = "-1"
+    text = csv_text(rows) + "1600000000,2000.0,1.0,1.0," + "9" * 200_000 + "\n"
+    with pytest.raises(DataError) as excinfo:
+        load_bars(io.StringIO(text), VOLATILE, 0.003)
+    if bad_row:
+        assert str(excinfo.value) == f"row {len(rows)}: volume must be finite and >= 0, got -1.0"
+    else:
+        assert str(excinfo.value) == (
+            "<stream>: malformed CSV: field larger than field limit (131072)"
+        )
+
+
+# sha256 of ``repr(bars)`` of ``bench/gen.py``'s seed-0 two-year volatile
+# series (17 520 rows, several ingest blocks); captured before ingest read
+# rows in blocks, and never regenerated.
+TWO_YEAR_BARS_DIGEST = "c49d5845826099c14450ca59aaabf4c329efc889b68684f7e9f9a25d0f2ce3f8"
+
+
+@pytest.mark.parametrize("kind", ("path", "bytes", "text"))
+def test_a_multi_block_file_loads_bit_for_bit(tmp_path, kind):
+    text = bench_csv("volatile", 2 * 8760, 0.003)
+    if kind == "text":
+        source = io.StringIO(text)
+    else:
+        source = _byte_source(tmp_path, kind, text.encode())
+    bars = load_bars(source, VOLATILE, 0.003).bars
+    assert len(bars) == 2 * 8760 > 2 * dataio._BLOCK_ROWS
+    assert hashlib.sha256(repr(bars).encode()).hexdigest() == TWO_YEAR_BARS_DIGEST
 
 
 class TestRoundTrip:

@@ -196,6 +196,12 @@ def test_rejects_empty_and_unsorted_bars():
     )
     with pytest.raises(DataError, match="bar 2"):
         run_backtest(BacktestConfig(strategy=nolp_config(), fee_rate=0.003), shuffled)
+    bars = make_bars([2000.0] * 6)
+    repeated = (*bars[:4], bars[4]._replace(timestamp=bars[3].timestamp), bars[5])
+    with pytest.raises(DataError) as caught:
+        run_backtest(BacktestConfig(strategy=nolp_config(), fee_rate=0.003), repeated)
+    ts = bars[3].timestamp
+    assert str(caught.value) == f"bar 5: timestamp {ts} does not increase over previous {ts}"
 
 
 # Bar 3's fee is infinite, and so is the compounding factor.

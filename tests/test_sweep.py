@@ -415,18 +415,21 @@ def test_compute_baselines():
 
 
 def test_a_sweep_builds_its_rows_once_per_process(monkeypatch):
-    checks = []
-    check_ordering = engine._check_ordering
+    builds = []
+    series_rows = engine._series_rows
 
-    def counting_check(bars):
-        checks.append(len(bars))
-        return check_ordering(bars)
+    def counting_rows(bars, fee_rate):
+        memo = engine._memo
+        rows = series_rows(bars, fee_rate)
+        if engine._memo is not memo:  # a miss builds the rows and a new memo
+            builds.append(len(bars))
+        return rows
 
-    monkeypatch.setattr(engine, "_check_ordering", counting_check)
+    monkeypatch.setattr(engine, "_series_rows", counting_rows)
     series = _series()
     compute_baselines(series)
     run_sweep(build_grid(GridSpec("volatile", "reset", (0.05, 0.1), (0.02, 0.05))), series, jobs=1)
-    assert checks == [len(series.bars)]
+    assert builds == [len(series.bars)]
 
 
 def _run_python(script, *args):
