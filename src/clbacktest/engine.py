@@ -45,16 +45,19 @@ rest of the reset, liquidating both ledgers and redepositing them
 one-sided, is done on the slot locals with no further call or tuple. Its
 two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
 reset takes two new square roots). This general loop is written once, in
-:func:`_advance`, which unpacks these locals from a flat state of 27
-values, runs a span of rows and returns the state after it, so a run can
-stop at a row and resume there (see the prefix rule). A run that holds one
-range in slot 1, with no tail, no trigger and no trajectory, runs in a
-second loop over the same state, the held-range segment :func:`_hold`: each
-bar marks only the compounding ledger, and only a bar inside the range
-accrues fees and compounds. Two kinds of run take it: every Fixed run
-without a trajectory, for all its rows, and every shared reset run's
-prefix, its rows before its first fire. nolp, passive, every run with a
-trajectory, and a reset's rows from its first fire on run in ``_advance``. A
+:func:`_advance`, which runs from a given row to the last and returns only
+the fee sum and the two values there. A run that holds one range in slot 1,
+with no tail, no trigger and no trajectory, runs in a second loop, the
+held-range segment :func:`_hold`: each bar marks only the compounding
+ledger, and only a bar inside the range accrues fees and compounds. Its
+held state, 11 floats (slot 1's geometry, its ``L`` in each ledger, the fee
+sum and the two values), is the one state that crosses a call: ``_hold``
+can stop at any row, and ``_advance`` can resume from a held state there,
+with slot 2 empty (see the prefix rule). Two kinds of run take ``_hold``:
+every Fixed run without a trajectory, for all its rows, and every shared
+reset run's prefix, its rows before its first fire. nolp, passive, every
+run with a trajectory, and a reset's rows from its first fire on run in
+``_advance``, which nolp and passive enter with their ledger as its tail. A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
 (``initialize``, ``on_close``, ``mark_to_market``, ``active_liquidity``,
@@ -95,7 +98,11 @@ messages. The plain ledger's ``L`` does not change while its range is
 held, so a held segment that ends at the last row marks that ledger once,
 there, with ``mark``: the value ``_advance`` would have left. One that
 ends before it leaves ``value_now`` for ``_advance``'s next row to
-overwrite unread. Reset:
+overwrite unread. Until a range run first resets, slot 2 is empty and it
+has no tail, so its held state and its trigger are all of its state:
+``_advance`` resumes from a held state with slot 2 empty, no tail and the
+run's own trigger, the locals a run from deploy would have entering that
+row. Reset:
 after compounding, the reserves of each ledger are computed again from
 its slot ``L``s (``x = L * inv_span`` below a slot, ``y = L * sqrt_span``
 above it, ``L * unit_x`` and ``L * unit_y`` inside it, slot 1 before
@@ -148,16 +155,18 @@ raises its own error.
 
 Prefix rule. Until its trigger first fires, a reset run is the run of its
 deployed ranges and ledger alone, and the grid's r values share that
-prefix. So a run that misses the result memo takes the state entering row
-``k``, the first row of its schedule (past the last row if it never fires),
-from a snapshot kept per deployed ``(ranges, ledger)`` group: it holds the
-range in ``_hold`` from the group's snapshot when that lies at or before
-row ``k``, else from the deploy state, and keeps the further of the two
-snapshots. It then runs rows ``k`` onwards in ``_advance`` with its own
-trigger. The prefix's arithmetic is the full run's: the rows before ``k``
-see the same state, and ``_hold`` gives the bits ``_advance`` would (see the
-bit-identity rule); the trigger test it leaves out is false on each of them
-(by the definition of ``k``). The group is all the prefix depends on
+prefix. So a run that misses the result memo takes the held state entering
+row ``k``, the first row of its schedule (past the last row if it never
+fires), from a snapshot kept per deployed ``(ranges, ledger)`` group: it
+holds the range in ``_hold`` from the group's snapshot, itself a held
+state, when that lies at or before row ``k``, else from the deploy state,
+and keeps the further of the two snapshots. It then runs rows ``k`` onwards
+in ``_advance`` with its own trigger; a run that never fires makes no
+``_advance`` call and takes its sums from the held state. The prefix's
+arithmetic is the full run's: the rows before ``k`` see the same state, and
+``_hold`` gives the bits ``_advance`` would (see the bit-identity rule);
+the trigger test it leaves out is false on each of them (by the definition
+of ``k``). The group is all the prefix depends on
 besides the rows: the strategy's parameters enter it only through
 ``deploy``, and the budget only through the ledger and a trajectory's
 cells. Deployed values are finite and never ``-0.0``, so the group's float
@@ -216,7 +225,6 @@ from .strategies import (
     FIXED,
     RESET,
     Ledger,
-    Ranges,
     StrategyConfig,
     StrategyState,
     active_liquidity,
@@ -345,14 +353,21 @@ def run_backtest(
     value = 0.0
     if keep_trajectory or not rows:  # else a later bar's mark overwrites it unread
         value = mark(ranges, ledger, first.price, math.sqrt(first.price))[1]
+    # The held state (see _hold). nolp and passive hold no range and keep
+    # their ledger as _advance's tail.
+    if ranges:
+        (slot1,), (plain1,) = ranges, ledger
+        tail = None
+    else:
+        slot1, plain1, tail = _EMPTY_SLOT, 0.0, ledger
+    held = (*slot1, plain1, plain1, 0.0, value, value)
 
     if not shared:
-        state = _deployed(ranges, ledger, trigger or _NO_TRIGGER, value)
         if strategy.kind == FIXED and not keep_trajectory:
-            state = _hold(rows, 0, len(rows), state)
+            sums = _hold(rows, 0, len(rows), held)[-3:]
         else:
             columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
-            state = _advance(strategy, rows, 0, len(rows), state, budget, columns)
+            sums = _advance(strategy, rows, 0, held, trigger or _NO_TRIGGER, tail, budget, columns)
     else:
         # The prefix rule: rows before ``start``, the first this run's
         # trigger fires on, hold the deployed group's range; this run
@@ -360,80 +375,66 @@ def run_backtest(
         start = fired[0] if fired else len(rows)
         group = (ranges, ledger)
         saved = snapshots.get(group)
+        at = 0
         if saved is not None and saved[0] <= start:
-            at, prefix = saved
-        else:
-            at, prefix = 0, _deployed(ranges, ledger, trigger, value)
+            at, held = saved
         if at < start:
-            prefix = _hold(rows, at, start, prefix)
+            held = _hold(rows, at, start, held)
             if saved is None or saved[0] < start:
-                snapshots[group] = (start, prefix)
-        state = _advance(strategy, rows, start, len(rows), trigger + prefix[2:], budget, None)
+                snapshots[group] = (start, held)
+        sums = held[-3:]
+        if fired:
+            sums = _advance(strategy, rows, start, held, trigger, None, budget, None)
     trajectory: tuple[TrajectoryPoint, ...] = ()
     if keep_trajectory:
         timestamps = [bar.timestamp for bar in bars]
         trajectory = tuple(
             map(tuple.__new__, repeat(TrajectoryPoint), zip(timestamps, *columns))
         )
-    fee_sum, value_now, total_now = state[-3:]
+    fee_sum, value_now, total_now = sums
     result = BacktestResult(fee_sum / budget, value_now / budget, total_now / budget, trajectory)
     if key is not None:
         results[key] = result
     return result
 
 
-def _deployed(ranges: Ranges, ledger: Ledger, trigger: tuple[float, float], value: float) -> tuple:
-    """The state (see :func:`_advance`) of a run just deployed into ``ranges``
-    and ``ledger``, with the trigger interval ``trigger`` and the value
-    ``value``."""
-    # Both ledgers see the same prices, so they reset on the same bars and
-    # share one trigger interval and the geometry of each slot; only their
-    # liquidity and holdings differ.
-    if ranges:
-        (slot1,) = ranges
-        (plain1,) = ledger
-        full_plain = hold_x = hold_y = 0.0
-    else:
-        slot1, plain1 = _EMPTY_SLOT, 0.0
-        full_plain, hold_x, hold_y = ledger
-    return (
-        *trigger, *slot1, *_EMPTY_SLOT, plain1, 0.0, plain1, 0.0,
-        full_plain, full_plain, hold_x, hold_y, False, not ranges, 0.0, value, value,
-    )
-
-
 def _advance(
     strategy: StrategyConfig,
     rows: tuple[tuple, ...],
     start: int,
-    stop: int,
-    state: tuple,
+    held: tuple,
+    trigger: tuple[float, float],
+    tail: Ledger | None,
     budget: float,
     trajectory: tuple[list, list, list] | None,
-) -> tuple:
-    """Run ``rows[start:stop]`` from ``state``; return the state after them.
+) -> tuple[float, float, float]:
+    """Run ``rows[start:]`` and return the fee sum and the plain and
+    compounding values at the last row.
 
-    ``state`` is the kernel's 27 locals (see the kernel layout): the trigger
-    interval, both slots' geometry, each slot's ``L`` in the plain and the
-    compounding ledger, the tail (full-range liquidity per ledger and the
-    loose tokens), whether slot 2 and the tail are in use, the fee sum, and
-    the plain and compounding values at the last bar run. ``trajectory``,
-    when given, holds the fee, value and total lists that each bar's
-    ``/ budget`` cells are appended to.
+    The run enters row ``start`` in the held state ``held`` (see
+    :func:`_hold`) with the trigger interval ``trigger``; nolp and passive
+    also bring their ledger, ``(full-range liquidity, hold_x, hold_y)``, as
+    ``tail``, which is None for a strategy with a range. Slot 2 starts
+    empty. ``trajectory``, when given, holds the fee, value and total lists
+    that each bar's ``/ budget`` cells are appended to.
     """
     (
-        trigger_lower, trigger_upper,
         lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
-        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
-        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
-        two, tail, fee_sum, value_now, total_now,
-    ) = state
+        plain1, comp1, fee_sum, value_now, total_now,
+    ) = held
+    trigger_lower, trigger_upper = trigger
+    lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2 = _EMPTY_SLOT
+    plain2 = comp2 = 0.0
+    full_plain, hold_x, hold_y = tail or (0.0, 0.0, 0.0)
+    full_comp = full_plain
+    tail = tail is not None  # a bool: the per-bar tests below run fastest on one
+    two = False
     inf, sqrt = math.inf, math.sqrt
     keep = trajectory is not None
     if keep:
         fees, values, totals = trajectory
 
-    for number, price, sqrt_price, volume_fee, pool_liquidity in rows[start:stop]:
+    for number, price, sqrt_price, volume_fee, pool_liquidity in rows[start:]:
         # mark's arithmetic, written out for both ledgers, the two slots and the tail.
         active_plain = full_plain
         active_comp = full_comp
@@ -569,34 +570,29 @@ def _advance(
             fees.append(fee_plain / budget)
             values.append(value_now / budget)
             totals.append(total_now / budget)
-
-    return (
-        trigger_lower, trigger_upper,
-        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
-        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
-        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
-        two, tail, fee_sum, value_now, total_now,
-    )
+    return fee_sum, value_now, total_now
 
 
-def _hold(rows: tuple[tuple, ...], start: int, stop: int, state: tuple) -> tuple:
-    """Run ``rows[start:stop]`` from ``state``, a run that holds one range in
-    slot 1 with no tail, trigger or trajectory; return the state after them.
+def _hold(rows: tuple[tuple, ...], start: int, stop: int, held: tuple) -> tuple:
+    """Run ``rows[start:stop]`` from ``held``, the state of a run that holds
+    one range with no tail, trigger or trajectory; return the held state
+    after them.
 
-    The held-range segment (see the kernel layout): each bar marks only the
-    compounding ledger, and only a bar inside the range accrues fees and
-    compounds. The plain ledger keeps its deployed ``L``; a segment that
-    ends at the last row marks it once, with ``mark``, there, and any other
-    leaves ``value_now`` to ``_advance``'s next row. Only the compounding
-    ``L``, the fee sum and the two values change.
+    The held state is 11 floats: the range's geometry (``lower, upper,
+    sqrt_lower, inv_span, sqrt_span, inv_sqrt_upper``), its ``L`` in the
+    plain and the compounding ledger, the fee sum, and the plain and
+    compounding values at the last bar run. The held-range segment (see the
+    kernel layout): each bar marks only the compounding ledger, and only a
+    bar inside the range accrues fees and compounds. The plain ledger keeps
+    its deployed ``L``; a segment that ends at the last row marks it once,
+    with ``mark``, there, and any other leaves ``value_now`` to
+    ``_advance``'s next row. Only the compounding ``L``, the fee sum and the
+    two values change.
     """
     (
-        trigger_lower, trigger_upper,
         lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
-        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
-        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
-        two, tail, fee_sum, value_now, total_now,
-    ) = state
+        plain1, comp1, fee_sum, value_now, total_now,
+    ) = held
     inf = math.inf
     for number, price, sqrt_price, volume_fee, pool_liquidity in rows[start:stop]:
         if price < lower1:
@@ -625,15 +621,8 @@ def _hold(rows: tuple[tuple, ...], start: int, stop: int, state: tuple) -> tuple
         if not total_now < inf:
             raise DataError(f"bar {number}: marking the ledger at price {price!r} overflows")
     if start < stop == len(rows):
-        slot1 = (lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1)
-        value_now = mark((slot1,), (plain1,), price, sqrt_price)[1]
-    return (
-        trigger_lower, trigger_upper,
-        lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
-        lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2,
-        plain1, plain2, comp1, comp2, full_plain, full_comp, hold_x, hold_y,
-        two, tail, fee_sum, value_now, total_now,
-    )
+        value_now = mark((held[:6],), (plain1,), price, sqrt_price)[1]
+    return (*held[:7], comp1, fee_sum, value_now, total_now)
 
 
 def _fire_schedule(

@@ -3,7 +3,9 @@
 Four strategies share one lifecycle: :func:`initialize` turns a budget into a
 state at the entry price, :func:`on_close` reacts to an hourly closing price,
 and :func:`active_liquidity` / :func:`mark_to_market` answer the two questions
-the backtest engine asks every bar.
+asked of a position every bar: how much of its liquidity earns fees, and what
+it is worth. The backtest kernel does not call them; it spells the same
+arithmetic out on local floats (see below).
 
 * ``nolp``     - hold the initial 50/50 token split, never deposit.
 * ``passive``  - deposit everything into a full-range position.

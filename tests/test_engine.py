@@ -553,18 +553,19 @@ class TestSharedPrefix:
 
     @pytest.fixture
     def segments(self, monkeypatch):
-        """The kernel segments runs make, as ``(loop, start, stop)``: the
-        held-range segment ``_hold`` or the general ``_advance``."""
+        """The kernel segments runs make: ``("hold", start, stop)`` for the
+        held-range segment ``_hold``, and ``("advance", start)`` for the
+        general ``_advance``, which runs to the last row."""
         calls = []
         advance, hold = engine._advance, engine._hold
 
-        def recording_advance(strategy, rows, start, stop, *rest):
-            calls.append(("advance", start, stop))
-            return advance(strategy, rows, start, stop, *rest)
+        def recording_advance(strategy, rows, start, *rest):
+            calls.append(("advance", start))
+            return advance(strategy, rows, start, *rest)
 
-        def recording_hold(rows, start, stop, state):
+        def recording_hold(rows, start, stop, held):
             calls.append(("hold", start, stop))
-            return hold(rows, start, stop, state)
+            return hold(rows, start, stop, held)
 
         monkeypatch.setattr(engine, "_advance", recording_advance)
         monkeypatch.setattr(engine, "_hold", recording_hold)
@@ -608,7 +609,10 @@ class TestSharedPrefix:
                 fires = sorted(fired[0] if fired else rows for fired, _ in schedules)
                 assert fires[0] == 0 and fires[-1] == rows
                 assert any(20 < row < rows for row in fires)
-                assert sum(stop - start for _, start, stop in segments) < 0.9 * rows * len(grid)
+                # An _advance call runs from its start to the last row.
+                ends = [call[2] if call[0] == "hold" else rows for call in segments]
+                steps = sum(end - call[1] for end, call in zip(ends, segments))
+                assert steps < 0.9 * rows * len(grid)
 
     @pytest.mark.parametrize("side", (0, 1), ids=("lower", "upper"))
     def test_a_close_on_a_trigger_bound_resets_as_in_a_trajectory_run(self, side):
@@ -651,23 +655,24 @@ class TestSharedPrefix:
         for strategy in grid:
             segments.clear()
             result = self._run(strategy, self.DEPEG, keep_trajectory=True)
-            assert segments == [("advance", 0, rows)]
+            assert segments == [("advance", 0)]
             assert _bits(result) == plain[strategy]
             assert result.trajectory[-1][2:] == (result.value, result.total)
         assert engine._memo[4] == snapshots
 
     def test_a_held_range_runs_in_the_held_range_segment(self, segments):
         # Only a Fixed run without a trajectory and a reset's prefix, up to
-        # its first fire (none for r=20%, row 27 for r=1%), hold their range.
+        # its first fire (none for r=20%, row 27 for r=1%), hold their range;
+        # a reset that never fires makes no _advance call.
         rows = len(self.DEPEG) - 1
         expected = {
             (fixed_config(0.01), False): [("hold", 0, rows)],
-            (fixed_config(0.01), True): [("advance", 0, rows)],
-            (nolp_config(), False): [("advance", 0, rows)],
-            (passive_config(), False): [("advance", 0, rows)],
-            (reset_config(0.01, 0.2), True): [("advance", 0, rows)],
-            (reset_config(0.01, 0.2), False): [("hold", 0, rows), ("advance", rows, rows)],
-            (reset_config(0.01, 0.01), False): [("hold", 0, 27), ("advance", 27, rows)],
+            (fixed_config(0.01), True): [("advance", 0)],
+            (nolp_config(), False): [("advance", 0)],
+            (passive_config(), False): [("advance", 0)],
+            (reset_config(0.01, 0.2), True): [("advance", 0)],
+            (reset_config(0.01, 0.2), False): [("hold", 0, rows)],
+            (reset_config(0.01, 0.01), False): [("hold", 0, 27), ("advance", 27)],
         }
         for (strategy, keep_trajectory), calls in expected.items():
             segments.clear()

@@ -26,6 +26,7 @@ from clbacktest import (
     fixed_config,
     nolp_config,
     pair_for_class,
+    passive_config,
     rank_results,
     render_report,
     reset_config,
@@ -36,7 +37,7 @@ from clbacktest import (
 from clbacktest import engine, sweep
 from clbacktest.strategies import MIN_WIDTH
 from clbacktest.sweep import MAX_GRID_POINTS, worker_count
-from helpers import make_bars
+from helpers import bars_from_rows, make_bars, seeded_series
 
 VOLATILE = pair_for_class("volatile")
 
@@ -430,6 +431,32 @@ def test_a_sweep_builds_its_rows_once_per_process(monkeypatch):
     compute_baselines(series)
     run_sweep(build_grid(GridSpec("volatile", "reset", (0.05, 0.1), (0.02, 0.05))), series, jobs=1)
     assert builds == [len(series.bars)]
+
+
+@pytest.mark.parametrize("kind", ("fixed", "reset"))
+def test_a_sweep_calls_run_backtest_once_per_grid_point(monkeypatch, kind):
+    # bench/traced.py traces sweep.run_backtest, and bench/harness.py's
+    # span_metrics raises unless a one-process sweep and its baselines make
+    # exactly one such call per grid point plus two. Shared and memoised
+    # runs must keep that count too.
+    calls = []
+    run = sweep.run_backtest
+
+    def counting_run(config, *args, **kwargs):
+        calls.append(config.strategy)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_backtest", counting_run)
+    bars = bars_from_rows(seeded_series("stable_depeg", count=48))
+    series = BarSeries(pair=pair_for_class("stable"), fee_rate=0.0005, bars=bars)
+    grid = build_grid(GridSpec("stable", kind))
+    compute_baselines(series)
+    run_sweep(grid, series, jobs=1)
+    assert calls == [nolp_config(), passive_config(), *grid], (
+        f"{len(calls)} sweep.run_backtest calls for {len(grid)} grid points and 2 baselines: "
+        "the traced benchmark counts one call per point. Count configurations from a "
+        "per-chunk span first (ROADMAP item 1, PR B)."
+    )
 
 
 def _run_python(script, *args):
