@@ -132,47 +132,42 @@ are remembered, so an unsorted tuple fails on every call. The same entry
 holds three memos for the series (fire schedules, prefix snapshots and
 results), so they share its key and its lifetime: the memo keeps the last
 tuple, its rows and those memos alive until another tuple or fee rate is
-run.
+run. Each memo is keyed by what the runs it serves read besides the rows:
+a reset's r, its width ``(a, snap_spacing, budget)``, or both.
 
 Schedule rule. A trigger is centred on the price it was set at, with
 half-width r, and is never snapped; the kernel reads r nowhere but in the
 trigger test. So the rows a Reset(a, r) run fires on, its fire schedule,
 depend on r and the prices alone, and two r values with one schedule take
 the same branch on every row and do the same IEEE operations on the same
-operands: their runs are bit-identical. A reset run without a trajectory
-takes its schedule from a memo keyed on r (:func:`_fire_schedule`) and
-looks its result up by ``(a, snap_spacing, budget, schedule)``; a hit
-returns the stored :class:`BacktestResult` and does not even deploy, as a
-stored result shows that this a, spacing and budget deploy, and a valid
-schedule that this trigger does. The key holds a and the spacing rather
-than the deployed group, since two widths can snap to one deployed range
-and still reset into ranges of their own a, and the budget, which sizes the
-ledger. A run stores its result only when it succeeds and every trigger
-interval of its schedule is valid. A schedule's scan stops at an invalid
-one, where ``deploy`` or ``reset_bounds`` raises naming the strategy (r
-included), and is never looked up; so a config whose trigger or run fails
-raises its own error.
+operands: their runs are bit-identical. The rest of a run is its width: a
+and the spacing enter it only through ``deploy`` and ``reset_bounds``, and
+the budget only through the ledger. A reset run without a trajectory takes
+its schedule from a memo keyed on r (:func:`_fire_schedule`) and looks its
+result up by width and schedule, ``(a, snap_spacing, budget, schedule)``;
+a hit returns the stored :class:`BacktestResult` and does not even deploy,
+as a stored result shows that this width deploys, and a valid schedule that
+this trigger does. A run stores its result only when it succeeds and every
+trigger interval of its schedule is valid. A schedule's scan stops at an
+invalid one, where ``deploy`` or ``reset_bounds`` raises naming the
+strategy (r included), and is never looked up; so a config whose trigger or
+run fails raises its own error.
 
-Prefix rule. Until its trigger first fires, a reset run is the run of its
-deployed ranges and ledger alone, and the grid's r values share that
+Prefix rule. Until its trigger first fires, a reset run is the run of the
+range and ledger its width deploys, and the grid's r values share that
 prefix. So a run that misses the result memo takes the held state entering
 row ``k``, the first row of its schedule (past the last row if it never
-fires), from a snapshot kept per deployed ``(ranges, ledger)`` group: it
-holds the range in ``_hold`` from the group's snapshot, itself a held
-state, when that lies at or before row ``k``, else from the deploy state,
-and keeps the further of the two snapshots. It then runs rows ``k`` onwards
-in ``_advance`` with its own trigger; a run that never fires makes no
-``_advance`` call and takes its sums from the held state. The prefix's
-arithmetic is the full run's: the rows before ``k`` see the same state, and
-``_hold`` gives the bits ``_advance`` would (see the bit-identity rule);
-the trigger test it leaves out is false on each of them (by the definition
-of ``k``). The group is all the prefix depends on
-besides the rows: the strategy's parameters enter it only through
-``deploy``, and the budget only through the ledger and a trajectory's
-cells. Deployed values are finite and never ``-0.0``, so the group's float
-key cannot merge two groups with different bits. A run with a trajectory,
-and a strategy without a trigger, runs every row from deploy in one
-segment.
+fires), from a snapshot kept per width: it holds the range in ``_hold``
+from the width's snapshot, itself a held state, when that lies at or before
+row ``k``, else from the deploy state, and keeps the further of the two
+snapshots. It then runs rows ``k`` onwards in ``_advance`` with its own
+trigger; a run that never fires makes no ``_advance`` call and takes its
+sums from the held state. The prefix's arithmetic is the full run's: the
+rows before ``k`` see the same state, and ``_hold`` gives the bits
+``_advance`` would (see the bit-identity rule); the trigger test it leaves
+out is false on each of them (by the definition of ``k``). A run with a
+trajectory, and a strategy without a trigger, runs every row from deploy in
+one segment.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -239,8 +234,8 @@ _EMPTY_SLOT = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
 _NO_TRIGGER = (0.0, math.inf)
 
 # The last bar tuple run, its fee rate and sign, its rows, and its memos:
-# r -> (fire schedule, valid), (ranges, ledger) -> (row, state), and
-# (a, snap_spacing, budget, schedule) -> result.
+# r -> (fire schedule, valid), (a, snap_spacing, budget) -> (row, held
+# state), and (a, snap_spacing, budget, schedule) -> result.
 _memo: tuple = ((), None, None, None, None, None)
 
 # The float fields of a bar, in field order, and whether each must be finite
@@ -332,7 +327,7 @@ def run_backtest(
     first = bars[0]
 
     # The schedule rule: a reset run without a trajectory is the run of its
-    # a, spacing, budget and fire schedule, and is memoised as such.
+    # width and fire schedule, and is memoised as such.
     shared = strategy.kind == RESET and not keep_trajectory
     key = None
     if shared:
@@ -340,8 +335,9 @@ def run_backtest(
         if schedule is None:
             schedule = schedules[strategy.r] = _fire_schedule(rows, first.price, strategy.r)
         fired, valid = schedule
+        width = (strategy.a, strategy.snap_spacing, budget)
         if valid:
-            key = (strategy.a, strategy.snap_spacing, budget, fired)
+            key = (*width, fired)
             done = results.get(key)
             if done is not None:
                 return done
@@ -370,18 +366,17 @@ def run_backtest(
             sums = _advance(strategy, rows, 0, held, trigger or _NO_TRIGGER, tail, budget, columns)
     else:
         # The prefix rule: rows before ``start``, the first this run's
-        # trigger fires on, hold the deployed group's range; this run
+        # trigger fires on, hold the width's deployed range; this run
         # resumes from there with its own trigger.
         start = fired[0] if fired else len(rows)
-        group = (ranges, ledger)
-        saved = snapshots.get(group)
+        saved = snapshots.get(width)
         at = 0
         if saved is not None and saved[0] <= start:
             at, held = saved
         if at < start:
             held = _hold(rows, at, start, held)
             if saved is None or saved[0] < start:
-                snapshots[group] = (start, held)
+                snapshots[width] = (start, held)
         sums = held[-3:]
         if fired:
             sums = _advance(strategy, rows, start, held, trigger, None, budget, None)
@@ -653,9 +648,9 @@ def _fire_schedule(
 def _series_rows(bars: tuple[HourlyBar, ...], fee_rate: float) -> tuple[tuple, dict, dict, dict]:
     """Check the ordering of ``bars``; return the kernel's rows of bars 2..n,
     ``(number, price, sqrt(price), volume * fee_rate, pool_liquidity)``, and
-    the series' three memos: the fire schedule of each reset width ``r``,
-    the furthest snapshot of each deployed group, and the result of each
-    ``(a, snap_spacing, budget, schedule)``.
+    the series' three memos: the fire schedule of each ``r``, the furthest
+    snapshot of each width ``(a, snap_spacing, budget)``, and the result of
+    each width and schedule.
 
     All four are remembered for the last tuple and fee rate (see the memo
     rule). The memo holds the tuple itself, so its identity cannot be reused

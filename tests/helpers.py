@@ -9,9 +9,9 @@ import math
 import random
 import runpy
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from clbacktest import HourlyBar, load_bars, pair_for_class
+from clbacktest import HourlyBar, engine, load_bars, pair_for_class
 from clbacktest.clmath import geometry_of, mark
 
 CSV_HEADER = ("timestamp", "price", "volume", "pool_liquidity", "tvl")
@@ -50,6 +50,21 @@ def mark_position(
     """``(active, value, x, y)`` of one position on ``[lower, upper]``, from
     :func:`clbacktest.clmath.mark`."""
     return mark((geometry_of(lower, upper),), (liquidity,), price, math.sqrt(price))
+
+
+class SeriesMemo(NamedTuple):
+    """The parts of ``engine._memo`` that belong to the last series run (the
+    ``engine`` docstring's memo rule)."""
+
+    rows: tuple  # the kernel's rows of bars 2..n
+    schedules: dict  # r -> (fire schedule, valid)
+    snapshots: dict  # (a, snap_spacing, budget) -> (row, held state)
+    results: dict  # (a, snap_spacing, budget, schedule) -> result
+
+
+def series_memo() -> SeriesMemo:
+    """``engine._memo``'s rows and three memos, by name."""
+    return SeriesMemo(*engine._memo[2:])
 
 
 def csv_text(rows: Sequence[Sequence[object]], header: Sequence[str] = CSV_HEADER) -> str:

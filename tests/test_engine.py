@@ -27,7 +27,7 @@ from clbacktest import (
     reset_config,
     run_backtest,
 )
-from helpers import bars_from_rows, make_bars, seeded_series
+from helpers import bars_from_rows, make_bars, seeded_series, series_memo
 
 # Fixed(a=0.10), fee rate 0.003, budget 1, bars (p, V, L_t):
 # (2000, 0, 10000), (2000, 1e6, 10000), (2100, 1e6, 10000).
@@ -515,9 +515,9 @@ class TestSeriesMemo:
 
     def test_a_trajectory_run_and_a_plain_run_share_rows(self):
         kept = self._run(self.BARS, keep_trajectory=True)
-        rows = engine._memo[2]
+        rows = series_memo().rows
         assert self._run(self.BARS) == kept
-        assert engine._memo[2] is rows
+        assert series_memo().rows is rows
 
     def test_a_negative_zero_fee_rate_misses_the_memo(self):
         def trajectory(fee_rate):
@@ -536,9 +536,9 @@ def _bits(result):
 
 
 class TestSharedPrefix:
-    """A reset run without a trajectory resumes from its deployed group's
-    snapshot at the first row its trigger fires on (the prefix rule); its
-    results must be those of a cold run, bit for bit, in any order."""
+    """A reset run without a trajectory resumes from its width's snapshot at
+    the first row its trigger fires on (the prefix rule); its results must
+    be those of a cold run, bit for bit, in any order."""
 
     # A stablecoin depeg: the narrowest triggers fire on the first bar,
     # wider ones only in the depeg, and the widest never.
@@ -598,14 +598,14 @@ class TestSharedPrefix:
                     self._run(strategy, self.OTHER)  # evicts the memo
                 assert _bits(self._run(strategy, self.DEPEG)) == cold[strategy], strategy
             if order is not shuffled:
-                # Every group keeps its furthest snapshot: the widest
+                # Every width keeps its furthest snapshot: the widest
                 # trigger never fires.
                 rows = len(self.DEPEG) - 1
-                assert {at for at, _ in engine._memo[4].values()} == {rows}
+                assert {at for at, _ in series_memo().snapshots.values()} == {rows}
             if order is grid:
                 # The first resets spread from the first row to none at
                 # all, and the grid ran fewer rows than cold runs do.
-                schedules = engine._memo[3].values()
+                schedules = series_memo().schedules.values()
                 fires = sorted(fired[0] if fired else rows for fired, _ in schedules)
                 assert fires[0] == 0 and fires[-1] == rows
                 assert any(20 < row < rows for row in fires)
@@ -621,12 +621,12 @@ class TestSharedPrefix:
         bars = make_bars([2000.0, 2000.0, trigger[side], 2000.0], volumes=[0.0, 1e6, 1e6, 1e6])
         kept = self._run(strategy, bars, keep_trajectory=True)
         assert _bits(self._run(strategy, bars)) == _bits(kept)
-        ((fired, valid),) = engine._memo[3].values()
+        ((fired, valid),) = series_memo().schedules.values()
         assert fired[0] == 1 and valid
 
     def test_an_overflow_in_a_shared_prefix_names_the_same_bar_for_every_config(self):
         # Bar 5's fee is infinite. Only r=0.1% fires before it, at bar 3;
-        # the other configs share the group's prefix up to bar 6, where
+        # the other configs share the width's prefix up to bar 6, where
         # every trigger fires.
         bars = make_bars(
             [2000.0, 2000.0, 2010.0, 1990.0, 2000.0, 2300.0],
@@ -650,7 +650,7 @@ class TestSharedPrefix:
     def test_a_trajectory_run_starts_from_deploy_and_keeps_the_snapshots(self, segments):
         grid = self._grid(None)
         plain = {strategy: _bits(self._run(strategy, self.DEPEG)) for strategy in grid}
-        snapshots = dict(engine._memo[4])
+        snapshots = dict(series_memo().snapshots)
         rows = len(self.DEPEG) - 1
         for strategy in grid:
             segments.clear()
@@ -658,7 +658,7 @@ class TestSharedPrefix:
             assert segments == [("advance", 0)]
             assert _bits(result) == plain[strategy]
             assert result.trajectory[-1][2:] == (result.value, result.total)
-        assert engine._memo[4] == snapshots
+        assert series_memo().snapshots == snapshots
 
     def test_a_held_range_runs_in_the_held_range_segment(self, segments):
         # Only a Fixed run without a trajectory and a reset's prefix, up to
@@ -753,9 +753,10 @@ class TestSharedSchedule:
                 assert len(deploys) == len(runs)
                 assert {(s.a, schedules[s.r]) for s, _ in deploys} == runs
 
-    def test_a_snapped_range_of_another_a_in_the_same_group_is_not_shared(self, deploys):
+    def test_a_snapped_range_of_another_a_is_not_shared(self, deploys):
         # Snapped at spacing 10, both ranges deploy into the same ticks, but
-        # each reset snaps a range of its own a.
+        # each reset snaps a range of its own a; each width keeps its own
+        # prefix snapshot.
         pair = (reset_config(0.001, 0.002, 10), reset_config(0.0011, 0.002, 10))
         price = self.DEPEG[0].price
         assert deploy(pair[0], price, 1.0)[:2] == deploy(pair[1], price, 1.0)[:2]
@@ -765,6 +766,7 @@ class TestSharedSchedule:
         for strategy, bits in zip((*pair, *pair), cold + cold):
             assert _bits(self._run(strategy, self.DEPEG)) == bits
         assert deploys == [(strategy, 1.0) for strategy in pair]
+        assert set(series_memo().snapshots) == {(strategy.a, 10, 1.0) for strategy in pair}
 
     def test_another_budget_or_tick_spacing_is_not_shared(self, deploys):
         plain, snapped = reset_config(0.003, 0.001), reset_config(0.003, 0.001, 10)
@@ -787,8 +789,8 @@ class TestSharedSchedule:
             assert str(caught.value) == (
                 f"bar 2: cannot reset {strategy.label()}: upper must be finite, got inf"
             )
-        assert engine._memo[3] == {0.05: ((0,), True), 0.06: ((0,), True)}
-        assert engine._memo[5] == {}
+        assert series_memo().schedules == {0.05: ((0,), True), 0.06: ((0,), True)}
+        assert series_memo().results == {}
         assert len(deploys) == len(configs)
 
     def test_an_invalid_trigger_is_not_memoised(self, deploys):
@@ -805,6 +807,7 @@ class TestSharedSchedule:
             assert str(caught.value) == (
                 f"bar 2: cannot reset {strategy.label()}: upper must be finite, got inf"
             )
-        assert engine._memo[3] == {0.5: ((0,), True), 1.0: ((0,), False), 2.0: ((0,), False)}
-        assert len(engine._memo[5]) == 1
+        memo = series_memo()
+        assert memo.schedules == {0.5: ((0,), True), 1.0: ((0,), False), 2.0: ((0,), False)}
+        assert len(memo.results) == 1
         assert len(deploys) == 4

@@ -10,7 +10,10 @@ once with tick-snapped ranges (``--snap-ticks``), and with plain ranges at
 ``--jobs 2``; the same grid over 8760 bars, plain, with ``--jobs 1``; the
 default 166-point volatile Fixed grid (``--kind fixed --pair-class
 volatile``) and the default volatile Reset grid over 730 bars, plain, with
-``--jobs 1``.
+``--jobs 1``; and a fine stable Reset grid over 730 bars, ``--grid
+0.001,0.01,0.0002`` on both axes (2116 points), snapped, with ``--jobs 1``.
+Its 46 widths snap into 10 deployed ranges, so it is the one sweep here in
+which several widths deploy the same range.
 
 Prints one line per sweep with its CPU time (user + system, from
 ``os.wait4``). That time covers the command's process and each process it
@@ -36,8 +39,9 @@ from pathlib import Path
 SEED = 0
 FEE_RATES = {"stable": 0.0005, "volatile": 0.003}
 # (pair class, kind, bars, the command's further arguments, what they select,
-# sha256 of the --dump file). The digests were captured once, from the code
-# that added them; never regenerate one.
+# sha256 of the --dump file). A sweep without --grid runs the kind's default
+# grid. The digests were captured once, from the code that added them; never
+# regenerate one.
 SWEEPS = (
     ("stable", "reset", 730, ["--jobs", "1"], "plain ranges, one process",
      "20e2c8485fd25e2ae6caad5d3586f4daee3d0b5376907a956e31573a9634b76d"),
@@ -51,6 +55,9 @@ SWEEPS = (
      "05aa5bcfb944f2e2da4cd335aec434c3be4b3668f9780d993f0f805a828a8983"),
     ("volatile", "reset", 730, ["--jobs", "1"], "plain ranges, one process",
      "147605540090a3fad37fe6dbfbae0ca7171db0d8a471e753735938a2cc9f6d9b"),
+    ("stable", "reset", 730, ["--grid", "0.001,0.01,0.0002", "--snap-ticks", "--jobs", "1"],
+     "snapped ranges, one process",
+     "1f1e2cd14d03c6f3f896d1fbe3f6ed8953a99f74f832c9781d259cba1cd22332"),
 )
 
 
@@ -89,8 +96,11 @@ def main(argv: list[str]) -> int:
             _, status, usage = os.wait4(pid, 0)
             if os.waitstatus_to_exitcode(status) != 0:
                 sys.exit(f"error: python {' '.join(argv[1:])} failed")
+            grid = "default grid"
+            if "--grid" in extra:
+                grid = "grid " + extra[extra.index("--grid") + 1]
             name = (
-                f"{pair_class} {kind.capitalize()} sweep, default grid, {bars} bars (seed {SEED}, "
+                f"{pair_class} {kind.capitalize()} sweep, {grid}, {bars} bars (seed {SEED}, "
                 f"sha256 {records[data]['csv_sha256'][:12]}), {label}"
             )
             got = sha256(dump)
