@@ -35,8 +35,10 @@ class), :func:`check_range` and :func:`check_spacing` (a tick spacing is an
 built, so a snapped deploy or reset does not check its spacing again).
 Bars, the run config, sweep axes and daily returns call ``check_bound``
 too. Only CSV ingest's whole-column check spells the bound again, and only
-:func:`~clbacktest.strategies.reset_bounds` the range test, for its three
-ranges in one comparison; it calls ``check_range`` to name a failure.
+:func:`~clbacktest.strategies.reset_bounds` and the engine's fire-schedule
+scan the range test: the first for its three ranges in one comparison,
+calling ``check_range`` to name a failure, the second for the trigger
+intervals it scans, to stop where ``reset_bounds`` would raise.
 
 A range's geometry is the tuple ``(lower, upper, sqrt_lower,
 1/sqrt_lower - 1/sqrt_upper, sqrt_upper - sqrt_lower, 1/sqrt_upper)`` built

@@ -37,7 +37,9 @@ whose value both ledgers add. Slot 1 holds the deployed range, and after a
 reset the range below the price; slot 2 holds the range above the price
 and is empty until the first reset. An
 empty slot has bounds at +inf, so it is never in range and no bound of it
-equals a price. A reset strategy's trigger interval is two floats. Each bar
+equals a price. A reset run resets on the rows of its fire schedule (see the
+schedule rule): the loop compares each row's bar number with the next fire
+and tests no trigger interval. Each bar
 marks both ledgers in straight-line code that calls no function and builds
 no tuple. A reset calls :func:`~clbacktest.strategies.reset_bounds`, the one
 place where bounds, tick snapping and their range checks are written; the
@@ -46,17 +48,17 @@ one-sided, is done on the slot locals with no further call or tuple. Its
 two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
 reset takes two new square roots). This general loop is written once, in
 :func:`_advance`, which runs from a given row to the last and returns only
-the fee sum and the two values there. A run that holds one range in slot 1,
-with no tail, no trigger and no trajectory, runs in a second loop, the
-held-range segment :func:`_hold`: each bar marks only the compounding
+the fee sum and the two values there. Rows on which a run holds one range
+in slot 1, with no tail, no fire and no trajectory, run in a second loop,
+the held-range segment :func:`_hold`: each bar marks only the compounding
 ledger, and only a bar inside the range accrues fees and compounds. Its
 held state, 11 floats (slot 1's geometry, its ``L`` in each ledger, the fee
 sum and the two values), is the one state that crosses a call: ``_hold``
 can stop at any row, and ``_advance`` can resume from a held state there,
-with slot 2 empty (see the prefix rule). Two kinds of run take ``_hold``:
-every Fixed run without a trajectory, for all its rows, and every shared
-reset run's prefix, its rows before its first fire. nolp, passive, every
-run with a trajectory, and a reset's rows from its first fire on run in
+with slot 2 empty (see the prefix rule). Every range run without a
+trajectory takes ``_hold`` up to its first fire: a Fixed run, whose
+schedule is empty, for all its rows. nolp, passive, every run with a
+trajectory, and a reset's rows from its first fire on run in
 ``_advance``, which nolp and passive enter with their ledger as its tail. A
 :class:`~clbacktest.strategies.StrategyState` stores the same flat form as
 tuples (its ranges, one ledger and its trigger), and the state API
@@ -99,9 +101,9 @@ held, so a held segment that ends at the last row marks that ledger once,
 there, with ``mark``: the value ``_advance`` would have left. One that
 ends before it leaves ``value_now`` for ``_advance``'s next row to
 overwrite unread. Until a range run first resets, slot 2 is empty and it
-has no tail, so its held state and its trigger are all of its state:
+has no tail, so its held state and its schedule are all of its state:
 ``_advance`` resumes from a held state with slot 2 empty, no tail and the
-run's own trigger, the locals a run from deploy would have entering that
+run's own schedule, the locals a run from deploy would have entering that
 row. Reset:
 after compounding, the reserves of each ledger are computed again from
 its slot ``L``s (``x = L * inv_span`` below a slot, ``y = L * sqrt_span``
@@ -135,39 +137,42 @@ tuple, its rows and those memos alive until another tuple or fee rate is
 run. Each memo is keyed by what the runs it serves read besides the rows:
 a reset's r, its width ``(a, snap_spacing, budget)``, or both.
 
-Schedule rule. A trigger is centred on the price it was set at, with
-half-width r, and is never snapped; the kernel reads r nowhere but in the
-trigger test. So the rows a Reset(a, r) run fires on, its fire schedule,
-depend on r and the prices alone, and two r values with one schedule take
-the same branch on every row and do the same IEEE operations on the same
-operands: their runs are bit-identical. The rest of a run is its width: a
-and the spacing enter it only through ``deploy`` and ``reset_bounds``, and
-the budget only through the ledger. A reset run without a trajectory takes
-its schedule from a memo keyed on r (:func:`_fire_schedule`) and looks its
-result up by width and schedule, ``(a, snap_spacing, budget, schedule)``;
-a hit returns the stored :class:`BacktestResult` and does not even deploy,
-as a stored result shows that this width deploys, and a valid schedule that
-this trigger does. A run stores its result only when it succeeds and every
-trigger interval of its schedule is valid. A schedule's scan stops at an
-invalid one, where ``deploy`` or ``reset_bounds`` raises naming the
-strategy (r included), and is never looked up; so a config whose trigger or
-run fails raises its own error.
+Schedule rule. A Reset(a, r) run fires on each close not strictly inside
+its trigger interval, which is centred on the price it was set at, with
+half-width r, and is never snapped. So the rows it fires on, its fire
+schedule, depend on r and the prices alone. :func:`_fire_schedule` is the
+one place that decides them; every reset run takes its schedule from a memo
+keyed on r, and the kernel resets on exactly those rows. r enters a run
+nowhere else, except where ``deploy`` and ``reset_bounds`` check a trigger
+interval: a schedule's scan stops at the first invalid one, the one that
+check rejects. The rest of a run is its width: a and the spacing enter it
+only through ``deploy`` and ``reset_bounds``, and the budget only through
+the ledger. So a reset run without a trajectory is the run of its width and
+schedule, and looks its result up by ``(a, snap_spacing, budget,
+schedule)``; a hit returns the stored :class:`BacktestResult` and does not
+even deploy, as a stored result shows that this width deploys, and a valid
+schedule that this trigger does. A run stores its result only when it
+succeeds and every trigger interval of its schedule is valid. A schedule
+that stops at an invalid interval, where ``deploy`` or ``reset_bounds``
+raises naming the strategy (r included), is never looked up; so a config
+whose trigger or run fails raises its own error.
 
-Prefix rule. Until its trigger first fires, a reset run is the run of the
-range and ledger its width deploys, and the grid's r values share that
-prefix. So a run that misses the result memo takes the held state entering
-row ``k``, the first row of its schedule (past the last row if it never
-fires), from a snapshot kept per width: it holds the range in ``_hold``
-from the width's snapshot, itself a held state, when that lies at or before
-row ``k``, else from the deploy state, and keeps the further of the two
-snapshots. It then runs rows ``k`` onwards in ``_advance`` with its own
-trigger; a run that never fires makes no ``_advance`` call and takes its
-sums from the held state. The prefix's arithmetic is the full run's: the
-rows before ``k`` see the same state, and ``_hold`` gives the bits
-``_advance`` would (see the bit-identity rule); the trigger test it leaves
-out is false on each of them (by the definition of ``k``). A run with a
-trajectory, and a strategy without a trigger, runs every row from deploy in
-one segment.
+Prefix rule. Until it first fires, a range run is the run of the range and
+ledger its width deploys, and a reset grid's r values share that prefix. So
+a range run without a trajectory (that misses the result memo) holds its
+range in ``_hold`` up to row ``k``, the first row of its schedule, or past
+the last row if it never fires, as a Fixed run, whose schedule is empty,
+never does. A reset run holds it from its width's snapshot, itself a held
+state, when that lies at or before row ``k``, else from the deploy state,
+and keeps the further of the two snapshots; a Fixed run holds it from the
+deploy state and keeps none. The run then goes on from row ``k`` in
+``_advance`` on its schedule; a run that never fires makes no ``_advance``
+call and takes its sums from the held state. The prefix's arithmetic is the
+full run's: the rows before ``k`` see the same state and fire on none of
+them, and ``_hold`` gives the bits ``_advance`` would (see the bit-identity
+rule). A run with a trajectory, and nolp and passive, run every row from
+deploy in one segment. Only reset runs read or write the snapshots and the
+results.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -217,7 +222,6 @@ from ._tuples import checked_tuple
 from .errors import DataError, UsageError
 from .clmath import check_bound, mark, symmetric_bounds
 from .strategies import (
-    FIXED,
     RESET,
     Ledger,
     StrategyConfig,
@@ -229,9 +233,6 @@ from .strategies import (
 
 # Geometry of an unused slot: never in range, no bound equals a price.
 _EMPTY_SLOT = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
-
-# The trigger interval of a run that never resets: it holds every valid price.
-_NO_TRIGGER = (0.0, math.inf)
 
 # The last bar tuple run, its fee rate and sign, its rows, and its memos:
 # r -> (fire schedule, valid), (a, snap_spacing, budget) -> (row, held
@@ -326,24 +327,25 @@ def run_backtest(
     rows, schedules, snapshots, results = _series_rows(bars, config.fee_rate)
     first = bars[0]
 
-    # The schedule rule: a reset run without a trajectory is the run of its
-    # width and fire schedule, and is memoised as such.
-    shared = strategy.kind == RESET and not keep_trajectory
+    # The schedule rule: a reset run fires on its r's schedule, and one
+    # without a trajectory is the run of its width and schedule.
+    reset = strategy.kind == RESET
+    fired = ()
     key = None
-    if shared:
+    if reset:
         schedule = schedules.get(strategy.r)
         if schedule is None:
             schedule = schedules[strategy.r] = _fire_schedule(rows, first.price, strategy.r)
         fired, valid = schedule
         width = (strategy.a, strategy.snap_spacing, budget)
-        if valid:
+        if valid and not keep_trajectory:
             key = (*width, fired)
             done = results.get(key)
             if done is not None:
                 return done
 
     try:
-        ranges, ledger, trigger = deploy(strategy, first.price, budget)
+        ranges, ledger, _ = deploy(strategy, first.price, budget)
     except ValueError as exc:
         raise DataError(f"bar 1: cannot deploy {strategy.label()}: {exc}") from None
     value = 0.0
@@ -358,28 +360,25 @@ def run_backtest(
         slot1, plain1, tail = _EMPTY_SLOT, 0.0, ledger
     held = (*slot1, plain1, plain1, 0.0, value, value)
 
-    if not shared:
-        if strategy.kind == FIXED and not keep_trajectory:
-            sums = _hold(rows, 0, len(rows), held)[-3:]
-        else:
-            columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
-            sums = _advance(strategy, rows, 0, held, trigger or _NO_TRIGGER, tail, budget, columns)
+    if keep_trajectory or tail is not None:
+        columns = ([0.0], [value / budget], [value / budget]) if keep_trajectory else None
+        sums = _advance(strategy, rows, 0, held, fired, tail, budget, columns)
     else:
-        # The prefix rule: rows before ``start``, the first this run's
-        # trigger fires on, hold the width's deployed range; this run
-        # resumes from there with its own trigger.
+        # The prefix rule: rows before ``start``, the first this run fires
+        # on, hold the deployed range, which a reset run shares with its
+        # width; the run goes on from there on its own schedule.
         start = fired[0] if fired else len(rows)
-        saved = snapshots.get(width)
+        saved = snapshots.get(width) if reset else None
         at = 0
         if saved is not None and saved[0] <= start:
             at, held = saved
         if at < start:
             held = _hold(rows, at, start, held)
-            if saved is None or saved[0] < start:
+            if reset and (saved is None or saved[0] < start):
                 snapshots[width] = (start, held)
         sums = held[-3:]
         if fired:
-            sums = _advance(strategy, rows, start, held, trigger, None, budget, None)
+            sums = _advance(strategy, rows, start, held, fired, None, budget, None)
     trajectory: tuple[TrajectoryPoint, ...] = ()
     if keep_trajectory:
         timestamps = [bar.timestamp for bar in bars]
@@ -398,7 +397,7 @@ def _advance(
     rows: tuple[tuple, ...],
     start: int,
     held: tuple,
-    trigger: tuple[float, float],
+    schedule: tuple[int, ...],
     tail: Ledger | None,
     budget: float,
     trajectory: tuple[list, list, list] | None,
@@ -407,17 +406,22 @@ def _advance(
     compounding values at the last row.
 
     The run enters row ``start`` in the held state ``held`` (see
-    :func:`_hold`) with the trigger interval ``trigger``; nolp and passive
-    also bring their ledger, ``(full-range liquidity, hold_x, hold_y)``, as
-    ``tail``, which is None for a strategy with a range. Slot 2 starts
-    empty. ``trajectory``, when given, holds the fee, value and total lists
-    that each bar's ``/ budget`` cells are appended to.
+    :func:`_hold`) and resets on each row of ``schedule``, the rows from
+    ``start`` on that :func:`_fire_schedule` gave for its r (empty for a
+    run that never resets); nolp and passive also bring their ledger,
+    ``(full-range liquidity, hold_x, hold_y)``, as ``tail``, which is None
+    for a strategy with a range. Slot 2 starts empty. ``trajectory``, when
+    given, holds the fee, value and total lists that each bar's ``/ budget``
+    cells are appended to.
     """
     (
         lower1, upper1, sqrt_lower1, inv_span1, sqrt_span1, inv_sqrt_upper1,
         plain1, comp1, fee_sum, value_now, total_now,
     ) = held
-    trigger_lower, trigger_upper = trigger
+    fires = iter(schedule)
+    # Row i holds bar i + 2. The bar that resets next; past the last fire,
+    # bar 1, which no row holds.
+    fire = next(fires, -1) + 2
     lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2 = _EMPTY_SLOT
     plain2 = comp2 = 0.0
     full_plain, hold_x, hold_y = tail or (0.0, 0.0, 0.0)
@@ -494,11 +498,10 @@ def _advance(
                     f"{value_comp!r} overflows the ledger"
                 )
 
-        if not trigger_lower < price < trigger_upper:
+        if number == fire:
+            fire = next(fires, -1) + 2
             try:
-                below_lower, above_upper, trigger_lower, trigger_upper = reset_bounds(
-                    strategy, price
-                )
+                below_lower, above_upper, _, _ = reset_bounds(strategy, price)
                 # redeposit's arithmetic for both ledgers: the reserves of the
                 # compounded slots, slot 1 before slot 2, ...
                 if price < lower1:
@@ -570,8 +573,8 @@ def _advance(
 
 def _hold(rows: tuple[tuple, ...], start: int, stop: int, held: tuple) -> tuple:
     """Run ``rows[start:stop]`` from ``held``, the state of a run that holds
-    one range with no tail, trigger or trajectory; return the held state
-    after them.
+    one range with no tail or trajectory and fires on none of these rows;
+    return the held state after them.
 
     The held state is 11 floats: the range's geometry (``lower, upper,
     sqrt_lower, inv_span, sqrt_span, inv_sqrt_upper``), its ``L`` in the
@@ -623,13 +626,16 @@ def _hold(rows: tuple[tuple, ...], start: int, stop: int, held: tuple) -> tuple:
 def _fire_schedule(
     rows: tuple[tuple, ...], price: float, r: float
 ) -> tuple[tuple[int, ...], bool]:
-    """The rows on which a trigger of half-width ``r`` set at ``price``
-    fires, and whether every trigger interval on the way is valid.
+    """The fire schedule of a reset run of trigger half-width ``r``
+    deployed at ``price``: the rows it resets on, and whether every trigger
+    interval on the way is valid.
 
-    Each interval is ``symmetric_bounds(price, r)``, as ``deploy`` and
-    ``reset_bounds`` compute it, and fires, as in the kernel, on a price not
-    strictly inside it. The scan stops at the first interval that is not
-    ``0 < lower < upper < inf``, where ``deploy`` or ``reset_bounds`` raises.
+    The kernel resets on exactly these rows. The run's first interval is
+    ``symmetric_bounds(price, r)``, and each later one that of the close
+    it fired on; a close not strictly inside the interval fires. The scan
+    stops at the first interval that is not ``0 < lower < upper < inf``,
+    the one ``deploy``'s or ``reset_bounds``' check rejects; the schedule
+    then ends on the row whose reset raises.
     """
     fired = []
     lower, upper = symmetric_bounds(price, r)

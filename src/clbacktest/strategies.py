@@ -23,7 +23,10 @@ ledger (:func:`~clbacktest.clmath.mark`, :func:`reset_bounds`,
 :func:`redeposit`). The backtest kernel starts from :func:`deploy` and calls
 :func:`reset_bounds` on a reset; it marks and redeposits its two ledgers
 with the arithmetic of ``mark`` and :func:`redeposit` written out on local
-floats.
+floats. It tests no trigger interval: it resets on the rows of a fire
+schedule computed once per ``r`` and series (see :mod:`clbacktest.engine`),
+so only :func:`on_close` reads the trigger bounds that ``deploy`` and
+``reset_bounds`` return; both still check them.
 
 Checks. :class:`StrategyConfig` checks a strategy's kind and parameters when
 it is built: :func:`check_width` is its width rule, which a sweep grid also
