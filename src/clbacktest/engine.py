@@ -37,13 +37,13 @@ whose value both ledgers add. Slot 1 holds the deployed range, and after a
 reset the range below the price; slot 2 holds the range above the price
 and is empty until the first reset. An
 empty slot has bounds at +inf, so it is never in range and no bound of it
-equals a price. A reset run resets on the rows of its fire schedule (see the
-schedule rule): the loop compares each row's bar number with the next fire
-and tests no trigger interval. Each bar
-marks both ledgers in straight-line code that calls no function and builds
-no tuple. A reset calls :func:`~clbacktest.strategies.reset_bounds`, the one
-place where bounds, tick snapping and their range checks are written; the
-rest of the reset, liquidating both ledgers and redepositing them
+equals a price. A reset run resets on the rows of its fire schedule (see
+the schedule rule): the loop compares each row's bar number with the next
+fire and tests no trigger interval. Each bar marks both ledgers in
+straight-line code that calls no function and builds no tuple. A reset
+calls :func:`~clbacktest.strategies.reset_bounds`, the one place where
+bounds, tick snapping and their range checks are written; the rest of the
+reset, liquidating both ledgers and redepositing them
 one-sided, is done on the slot locals with no further call or tuple. Its
 two new ranges reuse the row's ``sqrt(price)`` for their shared bound (so a
 reset takes two new square roots). This general loop is written once, in
@@ -159,20 +159,20 @@ whose trigger or run fails raises its own error.
 
 Prefix rule. Until it first fires, a range run is the run of the range and
 ledger its width deploys, and a reset grid's r values share that prefix. So
-a range run without a trajectory (that misses the result memo) holds its
-range in ``_hold`` up to row ``k``, the first row of its schedule, or past
-the last row if it never fires, as a Fixed run, whose schedule is empty,
-never does. A reset run holds it from its width's snapshot, itself a held
-state, when that lies at or before row ``k``, else from the deploy state,
-and keeps the further of the two snapshots; a Fixed run holds it from the
-deploy state and keeps none. The run then goes on from row ``k`` in
-``_advance`` on its schedule; a run that never fires makes no ``_advance``
-call and takes its sums from the held state. The prefix's arithmetic is the
-full run's: the rows before ``k`` see the same state and fire on none of
-them, and ``_hold`` gives the bits ``_advance`` would (see the bit-identity
-rule). A run with a trajectory, and nolp and passive, run every row from
-deploy in one segment. Only reset runs read or write the snapshots and the
-results.
+a range run without a trajectory (and, for a reset, without a stored
+result) holds its range in ``_hold`` up to row ``k``, the first row of its
+schedule, or past the last row if it never fires, as a Fixed run, whose
+schedule is empty, never does. A reset run holds it from its width's
+snapshot, itself a held state, when that lies at or before row ``k``, else
+from the deploy state, and keeps the further of the two snapshots; a Fixed
+run holds it from the deploy state and keeps none. The run then goes on
+from row ``k`` in ``_advance`` on its schedule; a run that never fires
+makes no ``_advance`` call and takes its sums from the held state. The
+prefix's arithmetic is the full run's: the rows before ``k`` see the same
+state and fire on none of them, and ``_hold`` gives the bits ``_advance``
+would (see the bit-identity rule). A run with a trajectory, and nolp and
+passive, run every row from deploy in one segment. Only reset runs read or
+write the snapshots and the results.
 
 Trajectory rule. A run that keeps its trajectory appends ``fee_plain /
 budget``, ``value_now / budget`` and ``total_now / budget`` of each bar to
@@ -419,8 +419,8 @@ def _advance(
         plain1, comp1, fee_sum, value_now, total_now,
     ) = held
     fires = iter(schedule)
-    # Row i holds bar i + 2. The bar that resets next; past the last fire,
-    # bar 1, which no row holds.
+    # The number of the next bar that resets (row i holds bar i + 2); after
+    # the last fire, 1, which no row's bar has.
     fire = next(fires, -1) + 2
     lower2, upper2, sqrt_lower2, inv_span2, sqrt_span2, inv_sqrt_upper2 = _EMPTY_SLOT
     plain2 = comp2 = 0.0
